@@ -36,6 +36,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import NonConvergenceError, PositivityError
 from .regime import RegimeParameters
+from .reporting import save_artifact
 from .sphere import SphereField, l2_norm
 
 
@@ -131,8 +132,7 @@ def _eval_residual(problem, Rv, c_scale=1.0, M0_values=None):
         raise PositivityError("graph radius R must stay strictly positive")
     M0 = problem.M0.values if M0_values is None else M0_values
     s = problem.pert_scale * c_scale
-    lap = grid.laplacian_values(Rv)
-    gt, gp = grid.gradient_values(Rv)
+    lap, gt, gp = grid.derivatives(Rv)
     gsq = gt * gt + gp * gp
     c1dot = problem.c1_theta * gt + problem.c1_phi * gp
     c2dot = (problem.c2_tt * gt * gt + 2.0 * problem.c2_tp * gt * gp
@@ -246,8 +246,6 @@ class MotsSolution:
 
     def save(self, stem, config_hash=""):
         """Persist as JSON metadata plus an npz array container."""
-        stem = Path(stem)
-        stem.parent.mkdir(parents=True, exist_ok=True)
         meta = {"kind": "horizonlab-mots-solution",
                 "config_hash": config_hash, "ubar": self.ubar,
                 "residual_norm": self.residual_norm,
@@ -257,10 +255,7 @@ class MotsSolution:
                 "converged": self.converged,
                 "grid": {"n_theta": self.R.grid.n_theta,
                          "n_phi": self.R.grid.n_phi}}
-        tmp = stem.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(meta, sort_keys=True, indent=1))
-        tmp.replace(stem.with_suffix(".json"))
-        np.savez_compressed(stem.with_suffix(".npz"), R=self.R.values)
+        save_artifact(stem, meta, {"R": self.R.values})
 
     @staticmethod
     def load(stem):
@@ -268,8 +263,9 @@ class MotsSolution:
         stem = Path(stem)
         meta = json.loads(stem.with_suffix(".json").read_text())
         grid = get_grid(meta["grid"]["n_theta"], meta["grid"]["n_phi"])
-        arrays = np.load(stem.with_suffix(".npz"))
-        return MotsSolution(R=SphereField(grid, arrays["R"]),
+        with np.load(stem.with_suffix(".npz")) as arrays:
+            R = SphereField(grid, arrays["R"])
+        return MotsSolution(R=R,
                             ubar=meta["ubar"],
                             residual_norm=meta["residual_norm"],
                             newton_trace=[],
@@ -322,8 +318,7 @@ def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage):
 
         def matvec(v):
             vv = v.reshape(Rv.shape)
-            lapv = grid.laplacian_values(vv)
-            gtv, gpv = grid.gradient_values(vv)
+            lapv, gtv, gpv = grid.derivatives(vv)
             return (lapv + swt * gtv + swp * gpv + sdiag * vv).ravel()
 
         shift = min(_quad_mean(grid, sdiag), -0.25)

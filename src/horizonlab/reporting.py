@@ -14,6 +14,8 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 
 def config_hash(resolved: dict) -> str:
     """Stable hash of the numeric-relevant configuration."""
@@ -21,18 +23,37 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _atomic_write(path, text):
+def _replace_atomically(path, write, mode):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, mode) as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path, text):
+    _replace_atomically(path, lambda fh: fh.write(text), "w")
+
+
+def save_artifact(stem, meta, arrays):
+    """Write ``stem.npz`` from ``arrays``, then ``stem.json`` from ``meta``.
+
+    Each file is replaced atomically.  The JSON carries the config hash
+    that downstream stages check, so it is written last: a failure between
+    the two writes leaves the previous JSON and its hash in place, never a
+    fresh hash beside stale or truncated arrays.
+    """
+    stem = Path(stem)
+    _replace_atomically(stem.with_suffix(".npz"),
+                        lambda fh: np.savez_compressed(fh, **arrays), "wb")
+    _atomic_write(stem.with_suffix(".json"),
+                  json.dumps(meta, sort_keys=True, indent=1))
 
 
 def write_json(path, payload):

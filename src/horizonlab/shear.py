@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ConstraintError, ResolutionError
 from .regime import RegimeParameters, derive
+from .reporting import save_artifact
 from .sphere import SphereGrid, SphereField, get_grid
 
 # Scale-critical norm budget, calibrated once on the default regime
@@ -336,7 +337,6 @@ class ShearProfile:
     # -- persistence ----------------------------------------------------
 
     def save(self, stem, config_hash=""):
-        stem = Path(stem)
         meta = {
             "kind": "horizonlab-shear-profile",
             "config_hash": config_hash,
@@ -346,16 +346,8 @@ class ShearProfile:
             "m0": self.m0,
             "shear_amp": self.shear_amp,
         }
-        stem.parent.mkdir(parents=True, exist_ok=True)
-        tmp = stem.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(meta, sort_keys=True, indent=1))
-        tmp.replace(stem.with_suffix(".json"))
-        np.savez_compressed(
-            stem.with_suffix(".npz"), ubar_grid=self.ubar_grid,
-            amp2=self.amp2, I=self.I, f_field=self.f_field,
-            zeta_field=self.zeta_field, zbar=self.zbar,
-            zero_locus_theta=self.zero_locus_theta,
-            kappa_repay=self.kappa_repay, corr=self.corr)
+        save_artifact(stem, meta,
+                      {k: getattr(self, k) for k in _PROFILE_ARRAYS})
 
     @staticmethod
     def load(stem):
@@ -367,16 +359,14 @@ class ShearProfile:
         params = RegimeParameters(**pd)
         spec = ProfileSpec(**meta["spec"])
         grid = get_grid(meta["grid"]["n_theta"], meta["grid"]["n_phi"])
-        arrays = np.load(stem.with_suffix(".npz"))
-        return ShearProfile(params=params, spec=spec, grid=grid,
-                            ubar_grid=arrays["ubar_grid"],
-                            amp2=arrays["amp2"], I=arrays["I"],
-                            f_field=arrays["f_field"],
-                            zeta_field=arrays["zeta_field"],
-                            zbar=arrays["zbar"],
-                            zero_locus_theta=arrays["zero_locus_theta"],
-                            kappa_repay=arrays["kappa_repay"],
-                            corr=arrays["corr"])
+        with np.load(stem.with_suffix(".npz")) as arrays:
+            loaded = {k: arrays[k] for k in _PROFILE_ARRAYS}
+        return ShearProfile(params=params, spec=spec, grid=grid, **loaded)
+
+
+# The array fields of ShearProfile, in their npz order.
+_PROFILE_ARRAYS = ("ubar_grid", "amp2", "I", "f_field", "zeta_field", "zbar",
+                   "zero_locus_theta", "kappa_repay", "corr")
 
 
 def build_profile(params: RegimeParameters, spec: ProfileSpec,

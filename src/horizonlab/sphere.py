@@ -13,6 +13,12 @@ Consequences used throughout the package and its tests:
 * Sum of quadrature weights is 4*pi to machine precision.  The
   Gauss-Legendre nodes and weights are computed in extended precision and
   rounded once, so each is within a few ulp of its exact value.
+* The Legendre tables (Pbar, d/dtheta Pbar, Pbar/sin theta) are dense
+  arrays of shape (lmax + 1, lmax + 1, n_theta), indexed [m, l, node] and
+  zero where l < m; each transform pass is one real matmul batched over m.
+  They are evaluated in extended precision at the unrounded nodes: at the
+  rounded ones the quadrature leaks about l^2 eps between degrees, which
+  the Laplacian amplifies by l(l+1).
 * The discrete Laplacian is exactly self-adjoint with respect to the
   quadrature inner product (analysis is a weighted orthogonal projector).
 * Eigenvalues -l(l+1) are reproduced to roundoff for resolved degrees.
@@ -25,7 +31,8 @@ order used by every elliptic estimate in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,40 +42,41 @@ from .errors import GridMismatchError, PositivityError
 def _legendre_tables(x, lmax):
     """Normalized associated Legendre tables on nodes ``x``.
 
-    Returns three ragged lists indexed by order m; each entry is an array
-    of shape (lmax + 1 - m, len(x)) holding Pbar_{l,m}(x), d/dtheta
-    Pbar_{l,m}, and Pbar_{l,m}/sin(theta).  Normalization is
-    int_{-1}^{1} Pbar_{l,m}^2 dx = 1 (no Condon-Shortley phase).
+    Returns three dense arrays of shape (lmax + 1, lmax + 1, len(x)),
+    indexed [m, l, node] and exactly zero where l < m, holding
+    Pbar_{l,m}(x), d/dtheta Pbar_{l,m}, and Pbar_{l,m}/sin(theta).
+    Normalization is int_{-1}^{1} Pbar_{l,m}^2 dx = 1 (no Condon-Shortley
+    phase).  The three-term recurrence runs over l for all orders m at
+    once, entirely in ``np.longdouble``, and each entry is rounded once to
+    float64.  Pass the nodes unrounded, in ``np.longdouble``.
     """
-    x = np.asarray(x, dtype=float)
-    sin_t = np.sqrt(1.0 - x * x)
-    tables_p, tables_dp, tables_ps = [], [], []
-    pmm = np.full_like(x, 1.0 / np.sqrt(2.0))
-    for m in range(lmax + 1):
-        nl = lmax + 1 - m
-        p = np.empty((nl, x.size))
-        p[0] = pmm
-        if nl > 1:
-            p[1] = np.sqrt(2.0 * m + 3.0) * x * pmm
-        for k in range(2, nl):
-            l = m + k
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            p[k] = a * (x * p[k - 1] - b * p[k - 2])
-        dp = np.empty_like(p)
-        for k in range(nl):
-            l = m + k
-            if k == 0:
-                dp[k] = m * x * p[k] / sin_t
-            else:
-                s = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
-                dp[k] = (l * x * p[k] - s * p[k - 1]) / sin_t
-        tables_p.append(p)
-        tables_dp.append(dp)
-        tables_ps.append(p / sin_t)
-        if m < lmax:
-            pmm = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * sin_t * pmm
-    return tables_p, tables_dp, tables_ps
+    x = np.asarray(x, dtype=np.longdouble)
+    sin_t = np.sqrt(1 - x * x)
+    n = lmax + 1
+    m = np.arange(n, dtype=np.longdouble)[:, None]
+    p, dp, ps = (np.zeros((n, n, x.size)) for _ in range(3))
+    # p_prev and p_prev2 hold Pbar_{l-1,m} and Pbar_{l-2,m} for every m,
+    # zero where the degree is below the order.
+    p_prev2 = np.zeros((n, x.size), dtype=np.longdouble)
+    p_prev = np.zeros_like(p_prev2)
+    for l in range(n):
+        p_l = np.zeros_like(p_prev)
+        k = m[:l]
+        a = np.sqrt((4 * l * l - 1) / (l * l - k * k))
+        b = np.sqrt(((l - 1) ** 2 - k * k) / (4 * (l - 1) ** 2 - 1))
+        p_l[:l] = a * (x * p_prev[:l] - b * p_prev2[:l])
+        if l:
+            p_l[l] = (np.sqrt((2 * l + 1) / np.longdouble(2 * l)) * sin_t
+                      * p_prev[l - 1])
+        else:
+            p_l[0] = 1 / np.sqrt(np.longdouble(2))
+        k = m[: l + 1]
+        s = np.sqrt((l * l - k * k) * (2 * l + 1) / (2 * l - 1))
+        p[: l + 1, l] = p_l[: l + 1]
+        dp[: l + 1, l] = (l * x * p_l[: l + 1] - s * p_prev[: l + 1]) / sin_t
+        ps[: l + 1, l] = p_l[: l + 1] / sin_t
+        p_prev2, p_prev = p_prev, p_l
+    return p, dp, ps
 
 
 def _gauss_legendre(n):
@@ -77,9 +85,9 @@ def _gauss_legendre(n):
     The ``leggauss`` nodes are the starting guess.  They are Newton-refined
     on P_n with the three-term recurrence, and the weights come from the
     closed form w = 2 / ((1 - x^2) P_n'(x)^2), both in ``np.longdouble``,
-    and each is rounded once to float64.  ``leggauss``'s own weights are
-    off by a relative 1e-12 at n = 64, and analysis of a constant then
-    leaks into l > 0, which l(l+1) amplifies.
+    which is what this returns; the caller rounds each once to float64.
+    ``leggauss``'s own weights are off by a relative 1e-12 at n = 64, and
+    analysis of a constant then leaks into l > 0, which l(l+1) amplifies.
 
     This relies on ``np.longdouble`` being wider than float64 (80-bit on
     x86-64 Linux).  Where it is not, the same steps in float64 leave the
@@ -102,7 +110,7 @@ def _gauss_legendre(n):
         x = x - p / dp
     _, dp = p_and_dp(x)
     w = 2 / ((1 - x * x) * dp * dp)
-    return x.astype(float), w.astype(float)
+    return x, w
 
 
 @dataclass(eq=False)
@@ -116,10 +124,14 @@ class SphereGrid:
     phi: np.ndarray = field(repr=False)
     w_theta: np.ndarray = field(repr=False)    # Gauss-Legendre weights in x
     weights: np.ndarray = field(repr=False)    # (n_theta, n_phi), sums to 4 pi
+    x_ext: InitVar[np.ndarray]                 # x before rounding, longdouble
     lmax: int = 0
 
-    def __post_init__(self):
-        self._p, self._dp, self._ps = _legendre_tables(self.x, self.lmax)
+    def __post_init__(self, x_ext):
+        self._p, self._dp, self._ps = _legendre_tables(x_ext, self.lmax)
+        order = np.arange(self.lmax + 1)
+        self._eig = -order * (order + 1.0)     # Laplacian eigenvalue per l
+        self._dphi = 1j * order                # d/dphi multiplier per m
         self.sin_theta = np.sqrt(1.0 - self.x * self.x)
         # Broadcastable node coordinate arrays.
         self.theta_2d = np.broadcast_to(self.theta[:, None],
@@ -134,87 +146,75 @@ class SphereGrid:
         if n_phi < 2 * n_theta:
             raise ValueError("n_phi must be at least 2*n_theta for an "
                              "alias-free harmonic transform")
-        x, w = _gauss_legendre(n_theta)
+        x_ext, w_ext = _gauss_legendre(n_theta)
+        x, w = x_ext.astype(float), w_ext.astype(float)
         theta = np.arccos(x)
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         weights = np.outer(w, np.full(n_phi, 2.0 * np.pi / n_phi))
         return SphereGrid(n_theta=n_theta, n_phi=n_phi, x=x, theta=theta,
-                          phi=phi, w_theta=w, weights=weights,
+                          phi=phi, w_theta=w, weights=weights, x_ext=x_ext,
                           lmax=n_theta - 1)
 
     # -- transforms -----------------------------------------------------
 
     def analyze(self, values):
         """Project grid values onto harmonic coefficients C[l, m]."""
-        g = np.fft.rfft(values, axis=1) / self.n_phi
-        coeff = np.zeros((self.lmax + 1, self.lmax + 1), dtype=complex)
-        for m in range(self.lmax + 1):
-            coeff[m:, m] = self._p[m] @ (self.w_theta * g[:, m])
-        return coeff
-
-    def _fold(self, h):
-        f = np.zeros((self.n_theta, self.n_phi // 2 + 1), dtype=complex)
-        f[:, : self.lmax + 1] = h * self.n_phi
-        return np.fft.irfft(f, n=self.n_phi, axis=1)
+        g = np.fft.rfft(values, axis=1, norm="forward")[:, : self.lmax + 1]
+        g = g.T * self.w_theta
+        c = self._p @ np.stack([g.real, g.imag], axis=-1)
+        return (c[..., 0] + 1j * c[..., 1]).T
 
     def synthesize(self, coeff, tables=None):
+        """Real grid values of sum_{l,m} C[l, m] T[m, l] e^{i m phi} (m < 0
+        by conjugate symmetry) for an [m, l, node] table T, Pbar by
+        default."""
         tables = self._p if tables is None else tables
-        h = np.empty((self.n_theta, self.lmax + 1), dtype=complex)
-        for m in range(self.lmax + 1):
-            h[:, m] = tables[m].T @ coeff[m:, m]
-        return self._fold(h)
-
-    def synthesize_dtheta(self, coeff):
-        return self.synthesize(coeff, tables=self._dp)
+        c = coeff.T
+        h = tables.transpose(0, 2, 1) @ np.stack([c.real, c.imag], axis=-1)
+        return np.fft.irfft((h[..., 0] + 1j * h[..., 1]).T, n=self.n_phi,
+                            axis=1, norm="forward")
 
     def synthesize_dphi_over_sin(self, coeff):
-        h = np.empty((self.n_theta, self.lmax + 1), dtype=complex)
-        for m in range(self.lmax + 1):
-            h[:, m] = (1j * m) * (self._ps[m].T @ coeff[m:, m])
-        return self._fold(h)
+        return self.synthesize(coeff * self._dphi, self._ps)
 
     def laplacian_values(self, values):
-        coeff = self.analyze(values)
-        l = np.arange(self.lmax + 1, dtype=float)
-        return self.synthesize(coeff * (-l * (l + 1.0))[:, None])
+        return self.synthesize(self.analyze(values) * self._eig[:, None])
 
     def gradient_values(self, values):
         """Unit-sphere orthonormal-frame gradient (e_theta, e_phi parts)."""
         coeff = self.analyze(values)
-        return (self.synthesize_dtheta(coeff),
+        return (self.synthesize(coeff, self._dp),
                 self.synthesize_dphi_over_sin(coeff))
 
+    def derivatives(self, values):
+        """(Laplacian, e_theta and e_phi gradient parts) from one analysis;
+        each equals laplacian_values or gradient_values exactly."""
+        coeff = self.analyze(values)
+        return (self.synthesize(coeff * self._eig[:, None]),
+                self.synthesize(coeff, self._dp),
+                self.synthesize_dphi_over_sin(coeff))
+
+    @cached_property
     def _hessian_tables(self):
-        # Covariant-Hessian basis tables per order m.  Built so that the
-        # trace identity H_tt + H_pp = -l(l+1) holds exactly per mode;
-        # frame components of derivatives are not smooth scalars at the
-        # poles, so they must be synthesized, never re-analyzed.
-        if not hasattr(self, "_hess"):
-            sin = self.sin_theta
-            cot = self.x / sin
-            tpp, ttt, ttp = [], [], []
-            for m in range(self.lmax + 1):
-                p, dp, ps = self._p[m], self._dp[m], self._ps[m]
-                l = np.arange(m, self.lmax + 1, dtype=float)[:, None]
-                pp = -(m * m) * ps / sin + cot * dp
-                tpp.append(pp)
-                ttt.append(-(l * (l + 1.0)) * p - pp)
-                ttp.append((dp - self.x * ps) / sin)
-            self._hess = (ttt, ttp, tpp)
-        return self._hess
+        # Covariant-Hessian basis tables, built so that the trace identity
+        # H_tt + H_pp = -l(l+1) holds exactly per mode; frame components
+        # of derivatives are not smooth scalars at the poles, so they must
+        # be synthesized, never re-analyzed.
+        m = np.arange(self.lmax + 1)[:, None, None]
+        x, sin = self.x, self.sin_theta
+        tpp = -(m * m) * self._ps / sin + (x / sin) * self._dp
+        ttt = self._eig[:, None] * self._p - tpp
+        ttp = (self._dp - x * self._ps) / sin
+        return ttt, ttp, tpp
 
     def hessian_values(self, values):
         """Covariant Hessian components (H_tt, H_tp, H_pp) on the unit
         sphere, synthesized from exact per-mode derivative tables."""
-        ttt, ttp, tpp = self._hessian_tables()
+        ttt, ttp, tpp = self._hessian_tables
         coeff = self.analyze(values)
-        h_tt = self.synthesize(coeff, tables=ttt)
-        h_pp = self.synthesize(coeff, tables=tpp)
-        h = np.empty((self.n_theta, self.lmax + 1), dtype=complex)
-        for m in range(self.lmax + 1):
-            h[:, m] = (1j * m) * (ttp[m].T @ coeff[m:, m])
-        h_tp = self._fold(h)
-        return h_tt, h_tp, h_pp
+        return (self.synthesize(coeff, ttt),
+                self.synthesize(coeff * self._dphi, ttp),
+                self.synthesize(coeff, tpp))
 
 
 _GRID_CACHE = {}
@@ -252,18 +252,6 @@ class SphereField:
     def constant(grid, value):
         return SphereField(grid, np.full((grid.n_theta, grid.n_phi),
                                          float(value)))
-
-    def copy(self):
-        return SphereField(self.grid, self.values.copy())
-
-
-def _same_grid(*fields):
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid is not grid and (f.grid.n_theta, f.grid.n_phi) != \
-                (grid.n_theta, grid.n_phi):
-            raise GridMismatchError("fields live on different grids")
-    return grid
 
 
 def _radius_values(grid, radius):
@@ -305,24 +293,6 @@ def integrate(field, radius=1.0):
     return float(np.sum(field.grid.weights * field.values * np.square(r)))
 
 
-def mean(field):
-    """Quadrature average over the unit sphere."""
-    return integrate(field) / (4.0 * np.pi)
-
-
 def l2_norm(field):
     """Quadrature L^2 norm on the unit sphere."""
     return float(np.sqrt(np.sum(field.grid.weights * field.values ** 2)))
-
-
-def field_to_csv(field, path):
-    """Write (theta, phi, value) rows for external plotting."""
-    from pathlib import Path
-    g = field.grid
-    lines = ["theta,phi,value"]
-    for i in range(g.n_theta):
-        for j in range(g.n_phi):
-            lines.append(f"{float(g.theta[i])!r},{float(g.phi[j])!r},"
-                         f"{float(field.values[i, j])!r}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -38,10 +38,6 @@ class ConeState:
     trchi_final: np.ndarray
     step_error: float                # Richardson estimate, max norm
     n_steps: int
-    omega_lapse: float = 1.0
-
-    def trchi_at_end(self):
-        return SphereField(self.grid, self.trchi_final)
 
 
 def integrate_cone(amp2_at, ubar_end, n_steps, grid, trchi0=2.0,
