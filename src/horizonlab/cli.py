@@ -224,16 +224,18 @@ def _meta(cfg: RunConfig):
     return header
 
 
-def _write_run_meta(cfg, outdir, subcommand):
-    write_json(outdir / "run_meta.json",
+def _write_run_meta(cfg, subcommand):
+    write_json(cfg.outdir / "run_meta.json",
                {"last_subcommand": subcommand,
                 "wall_time_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                                time.gmtime()),
                 "config_hash": cfg.hash})
 
 
-def _require(cfg, outdir, name, producer):
-    path = outdir / name
+def _require(cfg, name):
+    producer = next(stage for stage, spec in STAGES.items()
+                    if name in spec.writes)
+    path = cfg.outdir / name
     if not path.exists():
         raise DependencyError(str(path), producer)
     payload = json.loads(path.read_text())
@@ -242,11 +244,6 @@ def _require(cfg, outdir, name, producer):
         raise DependencyError(
             f"{path} (config hash {found} != {cfg.hash})", producer)
     return payload
-
-
-def _load_profile(cfg, outdir) -> ShearProfile:
-    _require(cfg, outdir, "profile.json", "gen-data")
-    return ShearProfile.load(outdir / "profile")
 
 
 def _slice_ladder(cfg, d):
@@ -260,21 +257,20 @@ def _slice_ladder(cfg, d):
     return np.concatenate([window, trans, tail])
 
 
-# -- subcommands ------------------------------------------------------------
+# -- stage bodies -------------------------------------------------------------
+#
+# Each body takes the config and the hash-checked input JSONs by name, and
+# returns its main JSON payload (without "meta") together with the
+# ConstraintError to raise once that payload is on disk, or None.
 
-def cmd_gen_data(cfg: RunConfig):
+def cmd_gen_data(cfg: RunConfig, inputs):
     outdir = cfg.outdir
-    params = cfg.params()
     grid = cfg.grid()
-    profile = build_profile(params, cfg.profile_spec(), grid)
+    profile = build_profile(cfg.params(), cfg.profile_spec(), grid)
     profile.save(outdir / "profile", config_hash=cfg.hash)
     report = verify_profile(profile)
     norm = scale_critical_norm(profile,
                                budget=cfg["profile"]["norm_budget"])
-    payload = {"meta": _meta(cfg), "constraints": report.as_dict(),
-               "scale_critical_norm": norm,
-               "derived": profile.derived.as_dict()}
-    write_json(outdir / "constraint_report.json", payload)
     d = profile.derived
     rows = []
     for u in (d.ubar_start, 0.5 * d.ubar_lambda, d.ubar_lambda,
@@ -286,22 +282,23 @@ def cmd_gen_data(cfg: RunConfig):
                              float(grid.phi[j]), float(I[i, j])))
     write_csv(outdir / "cumulative_shear.csv",
               ("ubar", "theta", "phi", "I"), rows, stamp=cfg.hash)
-    _write_run_meta(cfg, outdir, "gen-data")
-    if not report.passed or not norm["passed"]:
-        failures = [c.as_dict() for c in report.checks if not c.passed]
-        if not norm["passed"]:
-            failures.append({"name": "scale_critical_norm", **norm})
-        write_json(outdir / "failures.json",
-                   {"meta": _meta(cfg), "failures": failures})
-        raise ConstraintError("profile_verification",
-                              f"{len(failures)} checks failed; see "
-                              f"{outdir / 'failures.json'}")
-    return payload
+    payload = {"constraints": report.as_dict(),
+               "scale_critical_norm": norm, "derived": d.as_dict()}
+    failures = [c.as_dict() for c in report.failing()]
+    if not norm["passed"]:
+        failures.append({"name": "scale_critical_norm", **norm})
+    if not failures:
+        return payload, None
+    write_json(outdir / "failures.json",
+               {"meta": _meta(cfg), "failures": failures})
+    return payload, ConstraintError(
+        "profile_verification", f"{len(failures)} checks failed; see "
+                                f"{outdir / 'failures.json'}")
 
 
-def cmd_evolve(cfg: RunConfig):
+def cmd_evolve(cfg: RunConfig, inputs):
     outdir = cfg.outdir
-    profile = _load_profile(cfg, outdir)
+    profile = ShearProfile.load(outdir / "profile")
     d = profile.derived
     cone = integrate_data_cone(profile,
                                n_steps=cfg["grid"]["cone_steps"])
@@ -332,26 +329,21 @@ def cmd_evolve(cfg: RunConfig):
               ("u", "ubar", "status", "min_leading", "max_leading",
                "envelope"), map_rows, stamp=cfg.hash)
     verdict = detect_trapped(slab, d.u_trapped, d.delta)
-    payload = {"meta": _meta(cfg),
-               "step_error": cone.step_error,
-               "n_steps": cone.n_steps,
-               "trchi_final_min": float(np.min(cone.trchi_final)),
-               "trchi_final_max": float(np.max(cone.trchi_final)),
-               "trapped_at_predicted_sphere": verdict.as_dict()}
-    write_json(outdir / "evolve.json", payload)
-    _write_run_meta(cfg, outdir, "evolve")
-    return payload
+    return {"step_error": cone.step_error,
+            "n_steps": cone.n_steps,
+            "trchi_final_min": float(np.min(cone.trchi_final)),
+            "trchi_final_max": float(np.max(cone.trchi_final)),
+            "trapped_at_predicted_sphere": verdict.as_dict()}, None
 
 
-def cmd_find_mots(cfg: RunConfig):
+def cmd_find_mots(cfg: RunConfig, inputs):
     outdir = cfg.outdir
-    profile = _load_profile(cfg, outdir)
+    profile = ShearProfile.load(outdir / "profile")
     params = profile.params
-    d = profile.derived
     opts = cfg.solve_options()
     seed = cfg["solver"]["seed"]
     beta = cfg["solver"]["beta"]
-    ladder = _slice_ladder(cfg, d)
+    ladder = _slice_ladder(cfg, profile.derived)
     (outdir / "mots").mkdir(parents=True, exist_ok=True)
     slices = []
     history_rows = []
@@ -367,7 +359,7 @@ def cmd_find_mots(cfg: RunConfig):
             for it, nrm in enumerate(rec["norms"]):
                 history_rows.append((idx, float(ub), rec["stage"],
                                      float(rec["lambda"]), it, float(nrm)))
-        entry = {
+        slices.append({
             "index": idx, "ubar": float(ub),
             "residual_norm": solution.residual_norm,
             "lambda_path": [float(v) for v in solution.lambda_path],
@@ -382,41 +374,30 @@ def cmd_find_mots(cfg: RunConfig):
             "M0_max": float(np.max(problem.M0.values)),
             "zbar": problem.zbar,
             "bounds": bounds.as_dict(),
-        }
-        slices.append(entry)
+        })
     write_csv(outdir / "mots_residual_history.csv",
               ("slice", "ubar", "stage", "lambda", "iteration", "norm"),
               history_rows, stamp=cfg.hash)
-    payload = {"meta": _meta(cfg), "n_slices": len(slices),
-               "slices": slices}
-    write_json(outdir / "mots_report.json", payload)
-    _write_run_meta(cfg, outdir, "find-mots")
+    error = None
     if not all(s["bounds"]["passed"] for s in slices):
-        raise ConstraintError("apriori_bounds",
-                              "an a-priori bound failed on some slice; "
-                              "see mots_report.json")
-    return payload
+        error = ConstraintError("apriori_bounds",
+                                "an a-priori bound failed on some slice; "
+                                "see mots_report.json")
+    return {"n_slices": len(slices), "slices": slices}, error
 
 
-def _load_solutions(cfg, outdir, profile):
-    report = _require(cfg, outdir, "mots_report.json", "find-mots")
-    problems, solutions = [], []
+def cmd_horizon(cfg: RunConfig, inputs):
+    outdir = cfg.outdir
+    profile = ShearProfile.load(outdir / "profile")
     seed = cfg["solver"]["seed"]
     beta = cfg["solver"]["beta"]
-    for entry in report["slices"]:
+    problems, solutions = [], []
+    for entry in inputs["mots_report.json"]["slices"]:
         idx = entry["index"]
-        solution = MotsSolution.load(outdir / "mots" / f"slice_{idx:03d}")
-        problem = make_problem(profile, entry["ubar"], seed=seed + idx,
-                               beta=beta)
-        problems.append(problem)
-        solutions.append(solution)
-    return report, problems, solutions
-
-
-def cmd_horizon(cfg: RunConfig):
-    outdir = cfg.outdir
-    profile = _load_profile(cfg, outdir)
-    report, problems, solutions = _load_solutions(cfg, outdir, profile)
+        solutions.append(
+            MotsSolution.load(outdir / "mots" / f"slice_{idx:03d}"))
+        problems.append(make_problem(profile, entry["ubar"],
+                                     seed=seed + idx, beta=beta))
     assembly = horizon_mod.assemble(
         profile.params, profile, problems, solutions,
         disc_hypothesis=cfg["toggles"]["disc_hypothesis"])
@@ -436,20 +417,15 @@ def cmd_horizon(cfg: RunConfig):
                         if assembly.h_values else None),
             "spacelike": sl.as_dict(),
         })
-    payload = {"meta": _meta(cfg), "slices": rows,
-               "disc_hypothesis": assembly.disc_hypothesis}
-    write_json(outdir / "horizon.json", payload)
-    _write_run_meta(cfg, outdir, "horizon")
-    return payload
+    return {"slices": rows,
+            "disc_hypothesis": assembly.disc_hypothesis}, None
 
 
-def cmd_penrose(cfg: RunConfig):
-    outdir = cfg.outdir
+def cmd_penrose(cfg: RunConfig, inputs):
     params = cfg.params()
-    hz = _require(cfg, outdir, "horizon.json", "horizon")
     d = derive(params)
     slices_out = []
-    for row in hz["slices"]:
+    for row in inputs["horizon.json"]["slices"]:
         rp = penrose_mod.Interval(row["area"]["radius_proxy_lo"],
                                   row["area"]["radius_proxy_hi"])
         mg = penrose_mod.margin(params, rp, row["ubar"])
@@ -459,39 +435,35 @@ def cmd_penrose(cfg: RunConfig):
                            "margin": mg.as_dict(),
                            "classification": (cls.as_dict() if cls
                                               else None)})
-    forms = penrose_mod.margin_exponent_forms(params)
-    payload = {"meta": _meta(cfg),
-               "adm_mass": penrose_mod.adm_mass(params).as_dict(),
+    payload = {"adm_mass": penrose_mod.adm_mass(params).as_dict(),
                "eps_glue": d.eps_glue,
                "exponents": penrose_mod.exponent_ledger(params),
-               "margin_exponent_forms": forms,
+               "margin_exponent_forms":
+                   penrose_mod.margin_exponent_forms(params),
                "slices": slices_out}
-    write_json(outdir / "penrose_audit.json", payload)
 
     axes = {k: v for k, v in cfg["sweep"].items()
             if k in ("kappa", "y", "t") and v}
     rows = penrose_mod.sweep(params, axes,
                              ubar_fracs=cfg["sweep"]["ubar_frac"])
-    write_csv(outdir / "sweep.csv",
+    write_csv(cfg.outdir / "sweep.csv",
               ("kappa", "mu", "y", "t", "ubar_frac", "status", "valid",
                "reason", "log_slack"),
               [(r["kappa"], r["mu"], r["y"], r["t"], r["ubar_frac"],
                 r["status"], r["valid"], r["reason"], r["log_slack"])
                for r in rows], stamp=cfg.hash)
-    _write_run_meta(cfg, outdir, "penrose")
-    return payload
+    return payload, None
 
 
-def cmd_report(cfg: RunConfig):
+def cmd_report(cfg: RunConfig, inputs):
     outdir = cfg.outdir
     params = cfg.params()
     d = derive(params)
-    constraint = _require(cfg, outdir, "constraint_report.json", "gen-data")
-    evolve = _require(cfg, outdir, "evolve.json", "evolve")
-    mots = _require(cfg, outdir, "mots_report.json", "find-mots")
-    hz = _require(cfg, outdir, "horizon.json", "horizon")
-    audit = _require(cfg, outdir, "penrose_audit.json", "penrose")
-
+    constraint = inputs["constraint_report.json"]
+    evolve = inputs["evolve.json"]
+    mots = inputs["mots_report.json"]
+    hz = inputs["horizon.json"]
+    audit = inputs["penrose_audit.json"]
     ubars = [s["ubar"] for s in mots["slices"]]
     xs = [u / d.delta for u in ubars]
     m0 = d.m0
@@ -566,7 +538,6 @@ def cmd_report(cfg: RunConfig):
         if s["ubar"] <= d.ubar_lambda * (1 + 1e-12):
             in_area_band.append(band_lo <= rp <= band_hi)
     summary = {
-        "meta": _meta(cfg),
         "regime": {"validation": validate(params).as_dict(),
                    "derived": d.as_dict()},
         "profile_checks_passed": constraint["constraints"]["passed"],
@@ -583,28 +554,55 @@ def cmd_report(cfg: RunConfig):
             else "disabled",
         "plots": ["r_band.svg", "trapped_map.svg", "margin.svg"],
     }
-    write_json(outdir / "summary.json", summary)
-    _write_run_meta(cfg, outdir, "report")
-    return summary
+    return summary, None
 
 
-_SUBCOMMANDS = {
-    "gen-data": cmd_gen_data,
-    "evolve": cmd_evolve,
-    "find-mots": cmd_find_mots,
-    "horizon": cmd_horizon,
-    "penrose": cmd_penrose,
-    "report": cmd_report,
+@dataclass(frozen=True)
+class Stage:
+    """A pipeline stage: the hash-stamped JSONs it reads, the ones it
+    writes (its main output first), and its body."""
+
+    reads: tuple
+    writes: tuple
+    body: object
+
+
+STAGES = {
+    "gen-data": Stage((), ("constraint_report.json", "profile.json"),
+                      cmd_gen_data),
+    "evolve": Stage(("profile.json",), ("evolve.json",), cmd_evolve),
+    "find-mots": Stage(("profile.json",), ("mots_report.json",),
+                       cmd_find_mots),
+    "horizon": Stage(("profile.json", "mots_report.json"),
+                     ("horizon.json",), cmd_horizon),
+    "penrose": Stage(("horizon.json",), ("penrose_audit.json",),
+                     cmd_penrose),
+    "report": Stage(("constraint_report.json", "evolve.json",
+                     "mots_report.json", "horizon.json",
+                     "penrose_audit.json"), ("summary.json",), cmd_report),
 }
 
 
 def run(subcommand, config_path, overrides=(), outdir=None):
-    """Programmatic entry: run one pipeline stage, return its payload."""
+    """Programmatic entry: run one pipeline stage, return its payload.
+
+    Every input JSON must carry the active config hash.  The main JSON and
+    run_meta.json are written before a constraint failure the stage
+    reports is raised, so its artifacts are on disk at exit 3.
+    """
     cfg = parse_config(config_path, overrides, outdir)
-    if subcommand not in _SUBCOMMANDS:
+    if subcommand not in STAGES:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    stage = STAGES[subcommand]
     try:
-        return _SUBCOMMANDS[subcommand](cfg)
+        inputs = {name: _require(cfg, name) for name in stage.reads}
+        payload, error = stage.body(cfg, inputs)
+        payload["meta"] = _meta(cfg)
+        write_json(cfg.outdir / stage.writes[0], payload)
+        _write_run_meta(cfg, subcommand)
+        if error is not None:
+            raise error
+        return payload
     except ConstraintError as exc:
         failures = cfg.outdir / "failures.json"
         if not failures.exists():
@@ -624,7 +622,7 @@ def main(argv=None):
     init = sub.add_parser("init", help="write a default config file")
     init.add_argument("--config", required=True)
     init.add_argument("--seed", type=int, default=1234)
-    for name in _SUBCOMMANDS:
+    for name in STAGES:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None,

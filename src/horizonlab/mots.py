@@ -36,7 +36,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import NonConvergenceError, PositivityError
 from .regime import RegimeParameters
-from .reporting import save_artifact
+from .reporting import Check, Report, save_artifact
 from .sphere import SphereField, l2_norm
 
 
@@ -60,7 +60,6 @@ class MotsProblem:
     c2_pp: np.ndarray
     c3: np.ndarray
     pert_scale: float
-    f_slice: np.ndarray
     zbar: float
     m0: float
     coeff_bound: float            # b^(1/4)
@@ -117,7 +116,6 @@ def make_problem(profile, ubar, seed=0, beta=0.4) -> MotsProblem:
         grid=grid, ubar=float(ubar),
         M0=SphereField(grid, profile.I_at(float(ubar))),
         pert_scale=float(ubar) * math.sqrt(params.a),
-        f_slice=profile.f_at(float(ubar)),
         zbar=profile.zbar_at(float(ubar)),
         m0=profile.m0,
         coeff_bound=params.b ** 0.25,
@@ -126,11 +124,11 @@ def make_problem(profile, ubar, seed=0, beta=0.4) -> MotsProblem:
 
 # -- residual and exact linearization ---------------------------------------
 
-def _eval_residual(problem, Rv, c_scale=1.0, M0_values=None):
+def _eval_residual(problem, Rv, c_scale=1.0):
     grid = problem.grid
     if np.any(Rv <= 0.0):
         raise PositivityError("graph radius R must stay strictly positive")
-    M0 = problem.M0.values if M0_values is None else M0_values
+    M0 = problem.M0.values
     s = problem.pert_scale * c_scale
     lap, gt, gp = grid.derivatives(Rv)
     gsq = gt * gt + gp * gp
@@ -145,9 +143,9 @@ def _eval_residual(problem, Rv, c_scale=1.0, M0_values=None):
     return res, aux
 
 
-def _jacobian_parts(problem, Rv, aux, c_scale=1.0, M0_values=None):
+def _jacobian_parts(problem, Rv, aux, c_scale=1.0):
     lap, gt, gp, gsq, c1dot, c2dot = aux
-    M0 = problem.M0.values if M0_values is None else M0_values
+    M0 = problem.M0.values
     s = problem.pert_scale * c_scale
     R2 = Rv * Rv
     R3 = R2 * Rv
@@ -169,23 +167,14 @@ def residual_H(problem: MotsProblem, R: SphereField) -> SphereField:
     return SphereField(problem.grid, res)
 
 
-def residual_FG(problem: MotsProblem, R: SphereField, lam, which):
-    """Continuity families F (mass-wobble ramp) and G (coefficient ramp).
-
-    F(., lam) multiplies the mass coefficient by [1 + (f-1) lam] with the
-    perturbations off; G(., lam) scales the perturbation coefficients by
-    lam.  F(., 0) and G(., 0) agree pointwise, and G(., 1) is the
-    discretized trchi' = 0 equation.
+def residual_G(problem: MotsProblem, R: SphereField, lam) -> SphereField:
+    """Continuity family G: H with the perturbation coefficients scaled by
+    lam.  G(., 0) has the explicit constant-coefficient solution and
+    G(., 1) is the discretized trchi' = 0 equation.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("continuation parameter must lie in [0, 1]")
-    if which == "G":
-        res, _ = _eval_residual(problem, R.values, c_scale=lam)
-    elif which == "F":
-        M0 = problem.M0.values * (1.0 + (problem.f_slice - 1.0) * lam)
-        res, _ = _eval_residual(problem, R.values, c_scale=0.0, M0_values=M0)
-    else:
-        raise ValueError("which must be 'F' or 'G'")
+    res, _ = _eval_residual(problem, R.values, c_scale=lam)
     return SphereField(problem.grid, res)
 
 
@@ -441,47 +430,12 @@ def solve_slice(problem: MotsProblem, options: SolveOptions | None = None,
 
 # -- a-priori bound verification --------------------------------------------
 
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    passed: bool
-    value: float
-    threshold: float
-    ratio: float
-    detail: str = ""
-
-    def as_dict(self):
-        return {"name": self.name, "passed": bool(self.passed),
-                "value": float(self.value),
-                "threshold": float(self.threshold),
-                "ratio": float(self.ratio), "detail": self.detail}
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    checks: tuple
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def as_dict(self):
-        return {"passed": self.passed,
-                "checks": [c.as_dict() for c in self.checks]}
-
-
 DEFAULT_THRESHOLDS = {"c1": 0.1, "hess": 0.1, "w12": 0.1, "h": 1.5}
 
 
 def verify_apriori(solution: MotsSolution, problem: MotsProblem,
                    params: RegimeParameters,
-                   thresholds=None) -> BoundReport:
+                   thresholds=None) -> Report:
     """Check every a-priori bound the continuity argument relies on."""
     th = dict(DEFAULT_THRESHOLDS)
     th.update(thresholds or {})
@@ -490,39 +444,39 @@ def verify_apriori(solution: MotsSolution, problem: MotsProblem,
     M0 = problem.M0.values
     checks = []
 
+    def add(name, passed, value, threshold, ratio, detail):
+        checks.append(Check(name, passed, {"value": value,
+                                           "threshold": threshold,
+                                           "ratio": ratio}, detail))
+
     lo = ((1.0 - 1.0 / params.c1) * (1.0 - 1.0 / params.c2_zeta)
           * (0.5 - params.o1) * float(np.min(M0)))
     hi = ((1.0 + 1.0 / params.c1) * (1.0 + 1.0 / params.c2_zeta)
           * (0.5 + params.o1) * float(np.max(M0)))
     rmin, rmax = float(np.min(Rv)), float(np.max(Rv))
     viol = max(lo - rmin, rmax - hi) / (hi - lo)
-    checks.append(BoundCheck(
-        "c0_band", rmin >= lo and rmax <= hi, viol, 0.0,
-        max(viol, 0.0), f"R in [{lo:.6e}, {hi:.6e}] pointwise"))
+    add("c0_band", rmin >= lo and rmax <= hi, viol, 0.0, max(viol, 0.0),
+        f"R in [{lo:.6e}, {hi:.6e}] pointwise")
 
     mbar = (problem.ubar * params.b ** params.mu * math.sqrt(params.a)
             * problem.zbar + (1.0 - problem.zbar) * 4.0 * problem.m0)
     gt, gp = grid.gradient_values(Rv)
     w12 = float(np.sum(grid.weights * (gt * gt + gp * gp)))
-    checks.append(BoundCheck(
-        "w12", w12 <= th["w12"] * mbar, w12, th["w12"] * mbar,
-        w12 / (th["w12"] * mbar), "int |grad R|^2 dA << mass scale"))
+    add("w12", w12 <= th["w12"] * mbar, w12, th["w12"] * mbar,
+        w12 / (th["w12"] * mbar), "int |grad R|^2 dA << mass scale")
 
     grad_max = float(np.max(np.hypot(gt, gp) / Rv))
-    checks.append(BoundCheck(
-        "c1_gradient", grad_max <= th["c1"], grad_max, th["c1"],
-        grad_max / th["c1"], "max |grad R| << 1"))
+    add("c1_gradient", grad_max <= th["c1"], grad_max, th["c1"],
+        grad_max / th["c1"], "max |grad R| << 1")
 
     hess = _hessian_max(grid, Rv)
-    checks.append(BoundCheck(
-        "c2_hessian", hess <= th["hess"] * mbar, hess, th["hess"] * mbar,
-        hess / (th["hess"] * mbar), "max |second derivatives of R| << mass"))
+    add("c2_hessian", hess <= th["hess"] * mbar, hess, th["hess"] * mbar,
+        hess / (th["hess"] * mbar), "max |second derivatives of R| << mass")
 
     center = 0.5 * mbar
     hvals = 1.0 + 8.0 / (mbar * mbar) * (Rv - center) ** 2
     hmax = float(np.max(hvals))
-    checks.append(BoundCheck(
-        "h_weight", hmax <= th["h"] and float(np.min(hvals)) >= 1.0,
+    add("h_weight", hmax <= th["h"] and float(np.min(hvals)) >= 1.0,
         hmax, th["h"], (hmax - 1.0) / (th["h"] - 1.0),
-        "Bochner weight stays positive and order one"))
-    return BoundReport(tuple(checks))
+        "Bochner weight stays positive and order one")
+    return Report(tuple(checks))

@@ -36,10 +36,6 @@ class Interval:
         if not self.lo <= self.hi:
             raise ValueError(f"ill-ordered interval [{self.lo}, {self.hi}]")
 
-    @property
-    def center(self):
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, x):
         return self.lo <= x <= self.hi
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConstraintError, MalformedParametersError
+from .reporting import Check, Report
 
 # Default regime: chosen to satisfy every constraint with visible slack
 # (a=1e4, kappa=0.6, y=10, t=0.3 couples to mu=12.5).
@@ -89,42 +90,14 @@ def default_regime(**overrides):
     return RegimeParameters(**kw)
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
-    name: str
-    passed: bool
-    slack: float
-    detail: str = ""
-
-    def as_dict(self):
-        return {"name": self.name, "passed": bool(self.passed),
-                "slack": float(self.slack), "detail": self.detail}
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def failing(self):
-        return [c for c in self.checks if not c.passed]
-
-    def as_dict(self):
-        return {"passed": self.passed,
-                "checks": [c.as_dict() for c in self.checks]}
-
-
-def validate(params: RegimeParameters) -> ValidationReport:
+def validate(params: RegimeParameters) -> Report:
     """Check every regime inequality; slack > 0 means satisfied."""
     p = params
     ln_a = math.log(p.a)
     checks = []
 
     def add(name, slack, detail=""):
-        checks.append(ConstraintCheck(name, slack > 0.0, float(slack), detail))
+        checks.append(Check(name, slack > 0.0, {"slack": slack}, detail))
 
     # kappa > 1/2 is the same statement as sqrt(a) < b; one entry.
     add("kappa_gt_half", p.kappa - 0.5, "1/2 < kappa (equivalently b > sqrt(a))")
@@ -155,11 +128,11 @@ def validate(params: RegimeParameters) -> ValidationReport:
         lhs = p.kappa * p.mu + 0.5
         rhs = (0.5 + p.t) * p.y
         rel = abs(lhs - rhs) / max(abs(rhs), 1.0)
-        checks.append(ConstraintCheck(
+        checks.append(Check(
             "penrose_coupling_identity", rel <= 64.0 * math.ulp(1.0),
-            64.0 * math.ulp(1.0) - rel,
+            {"slack": 64.0 * math.ulp(1.0) - rel},
             "kappa*mu + 1/2 = (1/2 + t)*y to ulp-scale"))
-    return ValidationReport(tuple(checks))
+    return Report(tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -190,7 +163,7 @@ def derive(params: RegimeParameters) -> DerivedScalars:
     if not report.passed:
         bad = report.failing()[0]
         raise ConstraintError(bad.name,
-                              f"cannot derive scalars, slack={bad.slack:.3g}")
+                              f"cannot derive scalars, slack={bad['slack']:.3g}")
     p = params
     sqrt_a = math.sqrt(p.a)
     d = DerivedScalars(

@@ -1,4 +1,5 @@
-"""Deterministic artifact writers: JSON, CSV, SVG charts, gnuplot scripts.
+"""Check reports and deterministic artifact writers: JSON, CSV, SVG
+charts, gnuplot scripts.
 
 Numeric artifacts must be byte-identical across reruns with the same
 config and seed, so everything here is rendered from the data alone:
@@ -12,9 +13,53 @@ import hashlib
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class Check:
+    """One stated hypothesis: its verdict and the named numbers behind it,
+    e.g. ``{"slack": s}`` or ``{"measured": m, "threshold": t}``."""
+
+    name: str
+    passed: bool
+    numbers: dict
+    detail: str = ""
+
+    def __getitem__(self, key):
+        return self.numbers[key]
+
+    def as_dict(self):
+        return {"name": self.name, "passed": bool(self.passed),
+                **{k: float(v) for k, v in self.numbers.items()},
+                "detail": self.detail}
+
+
+@dataclass(frozen=True)
+class Report:
+    """An ordered tuple of checks; passes when every check does."""
+
+    checks: tuple
+
+    @property
+    def passed(self):
+        return all(c.passed for c in self.checks)
+
+    def failing(self):
+        return [c for c in self.checks if not c.passed]
+
+    def __getitem__(self, name):
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
+    def as_dict(self):
+        return {"passed": self.passed,
+                "checks": [c.as_dict() for c in self.checks]}
 
 
 def config_hash(resolved: dict) -> str:

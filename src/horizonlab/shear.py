@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConstraintError, ResolutionError
 from .regime import RegimeParameters, derive
-from .reporting import save_artifact
+from .reporting import Check, Report, save_artifact
 from .sphere import SphereGrid, SphereField, get_grid
 
 # Scale-critical norm budget, calibrated once on the default regime
@@ -297,34 +297,6 @@ class ShearProfile:
         corr = (1.0 - w) * self.corr[k - 1] + w * self.corr[k]
         return base + corr
 
-    def zeta_at(self, ubar):
-        """Cutoff field zeta(ubar, omega) at arbitrary ubar."""
-        m = self._model
-        zb = float(m.zbar(ubar))
-        t = np.clip((ubar - m.ulam) / m.zwindow, 0.0, 1.0)
-        swob = (4.0 * t * (1.0 - t)) ** 2
-        Z = zeta_wobble_pattern(self.grid.theta_2d, self.grid.phi_2d)
-        return zb * (1.0 + m.wz * swob * Z)
-
-    def f_at(self, ubar):
-        """Angular profile f(ubar, omega) at arbitrary ubar.
-
-        Pinned by the window identity where it applies, derived from the
-        transition identity across the cutoff, background value elsewhere.
-        """
-        m = self._model
-        I = self.I_at(ubar)
-        rho = float(m.rho(ubar))
-        zb = float(m.zbar(ubar))
-        if ubar <= 0.0 or rho < 1e-300:
-            return m.fbg(ubar, self._Y)
-        if ubar <= m.ulam:
-            return I / (m.A * ubar * rho)
-        if zb > 1e-9:
-            zeta = self.zeta_at(ubar)
-            return (I - (1.0 - zeta) * m.four_m0) / (m.A * zeta * ubar)
-        return m.fbg(ubar, self._Y)
-
     def zbar_at(self, ubar):
         return float(self._model.zbar(ubar))
 
@@ -475,40 +447,7 @@ def build_profile(params: RegimeParameters, spec: ProfileSpec,
 
 # -- verification ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProfileCheck:
-    name: str
-    passed: bool
-    measured: float
-    threshold: float
-    detail: str = ""
-
-    def as_dict(self):
-        return {"name": self.name, "passed": bool(self.passed),
-                "measured": float(self.measured),
-                "threshold": float(self.threshold), "detail": self.detail}
-
-
-@dataclass(frozen=True)
-class ProfileReport:
-    checks: tuple
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def as_dict(self):
-        return {"passed": self.passed,
-                "checks": [c.as_dict() for c in self.checks]}
-
-
-def verify_profile(profile: ShearProfile) -> ProfileReport:
+def verify_profile(profile: ShearProfile) -> Report:
     """Numerically audit every data requirement; returns a full report."""
     p = profile.params
     m = profile._model
@@ -517,9 +456,9 @@ def verify_profile(profile: ShearProfile) -> ProfileReport:
     checks = []
 
     def add(name, measured, threshold, detail=""):
-        checks.append(ProfileCheck(name, bool(measured <= threshold),
-                                   float(measured), float(threshold),
-                                   detail))
+        checks.append(Check(name, bool(measured <= threshold),
+                            {"measured": measured, "threshold": threshold},
+                            detail))
 
     # Total shear: exactly 4 m0, independent of angle.
     ratio_dev = np.abs(profile.I[-1] / four_m0 - 1.0)
@@ -634,7 +573,7 @@ def verify_profile(profile: ShearProfile) -> ProfileReport:
     add("amp2_I_consistency", float(cons), 1.0e-4,
         "trapezoid of amp2 reproduces I at the grid's convergence order")
 
-    return ProfileReport(tuple(checks))
+    return Report(tuple(checks))
 
 
 def scale_critical_norm(profile: ShearProfile, j_max=2, i_max=2,

@@ -118,11 +118,6 @@ class SlabModel:
                 * p.b ** 0.25 / (u * u))
 
 
-def model_trchi(slab: SlabModel, u, ubar):
-    """Leading interior expansion and the absolute envelope at (u, ubar)."""
-    return slab.leading(u, ubar), slab.envelope(u, ubar)
-
-
 @dataclass(frozen=True)
 class TrappedVerdict:
     status: str
@@ -145,7 +140,7 @@ def detect_trapped(slab: SlabModel, u, ubar) -> TrappedVerdict:
     leading < 0 everywhere but the envelope straddles zero; otherwise
     indeterminate.
     """
-    lead, env = model_trchi(slab, u, ubar)
+    lead, env = slab.leading(u, ubar), slab.envelope(u, ubar)
     lo = float(np.min(lead.values))
     hi = float(np.max(lead.values))
     if hi + env < 0.0:
@@ -158,21 +153,3 @@ def detect_trapped(slab: SlabModel, u, ubar) -> TrappedVerdict:
         status = INDETERMINATE
     return TrappedVerdict(status=status, min_leading=lo, max_leading=hi,
                           envelope=float(env))
-
-
-def slab_bounds(params: RegimeParameters, ubar, radius):
-    """Certified envelopes for the interior background fields.
-
-    Returns the absolute bounds used when perturbing the graph-sphere
-    expansion: |eta|, |omegabar|, |trchibar + 2/R| share one envelope,
-    |Omega - 1| and the trchi correction carry an extra b^(1/4).
-    """
-    s = ubar * np.sqrt(params.a)
-    r2 = radius * radius
-    return {
-        "eta": s / r2,
-        "omegabar": s / r2,
-        "trchibar_plus_2_over_R": s / r2,
-        "Omega_minus_1": s * params.b ** 0.25 / radius,
-        "trchi_correction": s * params.b ** 0.25 / r2,
-    }

@@ -147,12 +147,12 @@ def test_criterion_05_c1_c2_bounds(profile64, ladder64):
         rep = verify_apriori(sol, prob, p)
         g = rep["c1_gradient"]
         h = rep["c2_hessian"]
-        assert g.value < 0.1
-        assert h.value < 0.1 * (math.sqrt(p.a) * p.b ** p.mu * prob.ubar
+        assert g["value"] < 0.1
+        assert h["value"] < 0.1 * (math.sqrt(p.a) * p.b ** p.mu * prob.ubar
                                 * prob.zbar
                                 + 4 * prob.m0 * (1 - prob.zbar))
-        worst_g = max(worst_g, g.value)
-        worst_h = max(worst_h, h.ratio)
+        worst_g = max(worst_g, g["value"])
+        worst_h = max(worst_h, h["ratio"])
     report(5, f"all {len(solutions)} slices: max|grad R| <= "
               f"{worst_g:.3e} < 0.1 and hessian ratio <= {worst_h:.3f}")
 
@@ -241,9 +241,9 @@ def test_criterion_09_penrose_exponents():
 def test_criterion_10_shear_verifier(profile64):
     rep = verify_profile(profile64)
     assert rep.passed
-    assert rep["total_equals_4m0"].threshold == 1e-6
-    assert rep["window_identity"].threshold == 1e-8
-    assert rep["dominance_ratio"].threshold == pytest.approx(
+    assert rep["total_equals_4m0"]["threshold"] == 1e-6
+    assert rep["window_identity"]["threshold"] == 1e-8
+    assert rep["dominance_ratio"]["threshold"] == pytest.approx(
         0.2 * profile64.params.d0)
     assert rep["zero_locus_present"].passed
     assert rep["zero_locus_moving"].passed
@@ -261,7 +261,7 @@ def test_criterion_10_shear_verifier(profile64):
                                     I=1.5 * profile64.I)
     entry = verify_profile(bad_scale)["total_equals_4m0"]
     assert not entry.passed
-    assert entry.measured == pytest.approx(0.5, rel=1e-9)
+    assert entry["measured"] == pytest.approx(0.5, rel=1e-9)
 
     frozen = dataclasses.replace(
         profile64, zero_locus_theta=np.full_like(

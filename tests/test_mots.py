@@ -5,7 +5,7 @@ import pytest
 
 from horizonlab.errors import PositivityError
 from horizonlab.mots import (MotsProblem, SolveOptions, expansion_of_graph,
-                             make_problem, residual_FG, residual_H,
+                             make_problem, residual_G, residual_H,
                              sample_perturbations, solve_slice,
                              verify_apriori)
 from horizonlab.sphere import SphereField, get_grid, integrate
@@ -24,8 +24,8 @@ def make_synthetic(grid, M0_values, pert_scale=0.0, coeff_bound=1.0,
         fields = sample_perturbations(grid, P, seed, beta)
     return MotsProblem(grid=grid, ubar=1.0,
                        M0=SphereField(grid, M0_values),
-                       pert_scale=pert_scale, f_slice=np.ones(shape),
-                       zbar=zbar, m0=m0, coeff_bound=coeff_bound, **fields)
+                       pert_scale=pert_scale, zbar=zbar, m0=m0,
+                       coeff_bound=coeff_bound, **fields)
 
 
 class TestResidual:
@@ -92,21 +92,12 @@ class TestContinuityFamilies:
         return make_problem(profile_mid, 0.5 * d.ubar_lambda, seed=11,
                             beta=0.4)
 
-    def test_F0_equals_G0_pointwise(self, window_problem, grid_mid):
-        rng = np.random.default_rng(4)
-        R = SphereField(grid_mid, window_problem.M0.values / 2
-                        * (1 + 0.02 * rng.standard_normal(
-                            window_problem.M0.values.shape)))
-        f0 = residual_FG(window_problem, R, 0.0, "F")
-        g0 = residual_FG(window_problem, R, 0.0, "G")
-        assert np.array_equal(f0.values, g0.values)
-
     def test_G1_is_the_expansion_equation(self, window_problem, grid_mid):
         rng = np.random.default_rng(5)
         R = SphereField(grid_mid, window_problem.M0.values / 2
                         * (1 + 0.02 * rng.standard_normal(
                             window_problem.M0.values.shape)))
-        g1 = residual_FG(window_problem, R, 1.0, "G")
+        g1 = residual_G(window_problem, R, 1.0)
         h = residual_H(window_problem, R)
         assert np.array_equal(g1.values, h.values)
         # Independent route: the frame-transformed expansion of Prop-style
@@ -120,7 +111,7 @@ class TestContinuityFamilies:
         prob = make_synthetic(grid_small, np.full((16, 32), M),
                               pert_scale=0.7, seed=3, beta=0.5)
         R = SphereField.constant(grid_small, M / 2)
-        base = residual_FG(prob, R, 0.0, "G")
+        base = residual_G(prob, R, 0.0)
         assert np.max(np.abs(base.values)) < 1e-13
         full = residual_H(prob, R)
         assert np.max(np.abs(full.values)) > 1e-3   # perturbations matter
@@ -128,9 +119,7 @@ class TestContinuityFamilies:
     def test_lambda_range_checked(self, window_problem, grid_mid):
         R = SphereField(grid_mid, window_problem.M0.values / 2)
         with pytest.raises(ValueError):
-            residual_FG(window_problem, R, 1.5, "G")
-        with pytest.raises(ValueError):
-            residual_FG(window_problem, R, 0.5, "Q")
+            residual_G(window_problem, R, 1.5)
 
 
 class TestSolve:
@@ -236,8 +225,8 @@ class TestVerifyApriori:
         rep = verify_apriori(sol, prob, params)
         assert rep.passed
         for name in ("w12", "c1_gradient", "c2_hessian"):
-            assert rep[name].ratio < 1e-6
-        assert rep["h_weight"].value == pytest.approx(1.0, abs=1e-9)
+            assert rep[name]["ratio"] < 1e-6
+        assert rep["h_weight"]["value"] == pytest.approx(1.0, abs=1e-9)
 
     def test_injected_gradient_defect_fails_c1(self, profile_mid, params):
         d = profile_mid.derived
@@ -344,9 +333,8 @@ class TestProblemInvariants:
                         c1_theta=np.full(shape, 2.0),
                         c1_phi=np.zeros(shape), c2_tt=np.zeros(shape),
                         c2_tp=np.zeros(shape), c2_pp=np.zeros(shape),
-                        c3=np.zeros(shape), pert_scale=1.0,
-                        f_slice=np.ones(shape), zbar=1.0, m0=0.5,
-                        coeff_bound=1.0)
+                        c3=np.zeros(shape), pert_scale=1.0, zbar=1.0,
+                        m0=0.5, coeff_bound=1.0)
 
     def test_M0_positive_enforced(self, grid_small):
         shape = (16, 32)
@@ -355,8 +343,8 @@ class TestProblemInvariants:
         with pytest.raises(PositivityError):
             MotsProblem(grid=grid_small, ubar=1.0,
                         M0=SphereField.constant(grid_small, 0.0),
-                        pert_scale=0.0, f_slice=np.ones(shape), zbar=1.0,
-                        m0=0.5, coeff_bound=1.0, **zeros)
+                        pert_scale=0.0, zbar=1.0, m0=0.5,
+                        coeff_bound=1.0, **zeros)
 
     def test_sampler_norms_exact(self, grid_small, params):
         fields = sample_perturbations(grid_small, params, seed=6, beta=0.7)

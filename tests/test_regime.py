@@ -37,7 +37,7 @@ class TestValidate:
         report = validate(p)
         assert not check_names(report)["scale_exponent"]
         entry = [c for c in report.checks if c.name == "scale_exponent"][0]
-        assert entry.slack == pytest.approx(-0.3)
+        assert entry["slack"] == pytest.approx(-0.3)
 
     def test_nonfinite_raises(self):
         with pytest.raises(MalformedParametersError):

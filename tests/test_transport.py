@@ -9,8 +9,7 @@ from horizonlab.errors import FocusingError, SlabDomainError
 from horizonlab.regime import derive
 from horizonlab.transport import (INDETERMINATE, TRAPPED_CERTIFIED,
                                   UNTRAPPED, SlabModel, detect_trapped,
-                                  integrate_cone, integrate_data_cone,
-                                  model_trchi, slab_bounds)
+                                  integrate_cone, integrate_data_cone)
 
 
 class FakeProfile:
@@ -71,7 +70,7 @@ class TestRiccati:
         for k, ub in enumerate(state.ubar_nodes):
             if ub > d.delta:
                 continue
-            lead, _ = model_trchi(slab, 1.0, float(ub))
+            lead = slab.leading(1.0, float(ub))
             worst = max(worst, float(np.max(np.abs(state.trchi[k]
                                                    - lead.values))))
         assert worst < 1e-5 * 4 * profile_mid.m0
@@ -91,7 +90,7 @@ class TestSlabModel:
     def test_zero_shear_leading(self, params, grid_small):
         prof = FakeProfile(params, grid_small, 0.0)
         slab = SlabModel(params, prof)
-        lead, env = model_trchi(slab, 0.5, 0.0)
+        lead, env = slab.leading(0.5, 0.0), slab.envelope(0.5, 0.0)
         assert np.all(lead.values == pytest.approx(4.0))
         assert env == 0.0
 
@@ -101,7 +100,7 @@ class TestSlabModel:
         u = d.u_trapped
         prof = FakeProfile(params, grid_small, 4.0 * u)
         slab = SlabModel(params, prof)
-        lead, _ = model_trchi(slab, u, 0.5 * d.delta)
+        lead = slab.leading(u, 0.5 * d.delta)
         assert np.max(np.abs(lead.values + 2.0 / u)) < 1e-12 * 2.0 / u
 
     def test_envelope_value(self, params, grid_small):
@@ -131,13 +130,6 @@ class TestSlabModel:
             slab.leading(0.5 * d.u_trapped, 0.0)
         with pytest.raises(SlabDomainError):
             slab.leading(0.5, 2.0 * d.delta)
-
-    def test_slab_bounds_structure(self, params):
-        d = derive(params)
-        b = slab_bounds(params, d.delta, 1.0)
-        assert b["Omega_minus_1"] == pytest.approx(
-            d.delta * math.sqrt(params.a) * params.b ** 0.25)
-        assert b["eta"] == b["omegabar"]
 
 
 class TestDetectTrapped:
