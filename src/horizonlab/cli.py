@@ -224,14 +224,6 @@ def _meta(cfg: RunConfig):
     return header
 
 
-def _write_run_meta(cfg, subcommand):
-    write_json(cfg.outdir / "run_meta.json",
-               {"last_subcommand": subcommand,
-                "wall_time_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                               time.gmtime()),
-                "config_hash": cfg.hash})
-
-
 def _require(cfg, name):
     producer = next(stage for stage, spec in STAGES.items()
                     if name in spec.writes)
@@ -333,7 +325,8 @@ def cmd_evolve(cfg: RunConfig, inputs):
             "n_steps": cone.n_steps,
             "trchi_final_min": float(np.min(cone.trchi_final)),
             "trchi_final_max": float(np.max(cone.trchi_final)),
-            "trapped_at_predicted_sphere": verdict.as_dict()}, None
+            "trapped_at_predicted_sphere": verdict.as_dict(),
+            "trapped_map": [row[:3] for row in map_rows]}, None
 
 
 def cmd_find_mots(cfg: RunConfig, inputs):
@@ -394,8 +387,8 @@ def cmd_horizon(cfg: RunConfig, inputs):
     problems, solutions = [], []
     for entry in inputs["mots_report.json"]["slices"]:
         idx = entry["index"]
-        solutions.append(
-            MotsSolution.load(outdir / "mots" / f"slice_{idx:03d}"))
+        solutions.append(MotsSolution.load(
+            outdir / "mots" / f"slice_{idx:03d}", config_hash=cfg.hash))
         problems.append(make_problem(profile, entry["ubar"],
                                      seed=seed + idx, beta=beta))
     assembly = horizon_mod.assemble(
@@ -459,10 +452,8 @@ def cmd_report(cfg: RunConfig, inputs):
     outdir = cfg.outdir
     params = cfg.params()
     d = derive(params)
-    constraint = inputs["constraint_report.json"]
     evolve = inputs["evolve.json"]
     mots = inputs["mots_report.json"]
-    hz = inputs["horizon.json"]
     audit = inputs["penrose_audit.json"]
     ubars = [s["ubar"] for s in mots["slices"]]
     xs = [u / d.delta for u in ubars]
@@ -489,13 +480,9 @@ def cmd_report(cfg: RunConfig, inputs):
                    "MOTS radius against the C0 band", "ubar/delta", "R/m0",
                    ("rmin", "rmax", "band_lo", "band_hi"), stamp=cfg.hash)
 
-    rows = [ln for ln in
-            (outdir / "trapped_map.csv").read_text().splitlines()
-            if ln and not ln.startswith(("#", "u,"))]
     cells = {}
-    for line in rows:
-        parts = line.split(",")
-        cells.setdefault(float(parts[1]), {})[float(parts[0])] = parts[2]
+    for u, ub, status in evolve["trapped_map"]:
+        cells.setdefault(ub, {})[u] = status
     ub_vals = sorted(cells.keys())
     u_vals = sorted({u for m in cells.values() for u in m})
     labels = [[cells[ub][u] for u in u_vals] for ub in ub_vals]
@@ -531,7 +518,7 @@ def cmd_report(cfg: RunConfig, inputs):
               if s["ubar"] <= d.ubar_lambda * (1 + 1e-12)]
     amp = d.shear_amp
     in_area_band = []
-    for s, a_row in zip(mots["slices"], hz["slices"]):
+    for s, a_row in zip(mots["slices"], inputs["horizon.json"]["slices"]):
         rp = a_row["area"]["radius_proxy_mid"]
         band_lo = (0.25 - params.o1) * amp * s["ubar"]
         band_hi = (0.25 + params.o1) * amp * s["ubar"]
@@ -540,7 +527,8 @@ def cmd_report(cfg: RunConfig, inputs):
     summary = {
         "regime": {"validation": validate(params).as_dict(),
                    "derived": d.as_dict()},
-        "profile_checks_passed": constraint["constraints"]["passed"],
+        "profile_checks_passed":
+            inputs["constraint_report.json"]["constraints"]["passed"],
         "trapped_at_predicted_sphere":
             evolve["trapped_at_predicted_sphere"]["status"],
         "n_slices": mots["n_slices"],
@@ -599,7 +587,11 @@ def run(subcommand, config_path, overrides=(), outdir=None):
         payload, error = stage.body(cfg, inputs)
         payload["meta"] = _meta(cfg)
         write_json(cfg.outdir / stage.writes[0], payload)
-        _write_run_meta(cfg, subcommand)
+        write_json(cfg.outdir / "run_meta.json",
+                   {"last_subcommand": subcommand,
+                    "wall_time_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",
+                                                   time.gmtime()),
+                    "config_hash": cfg.hash})
         if error is not None:
             raise error
         return payload

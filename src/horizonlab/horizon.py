@@ -149,12 +149,18 @@ def spacelike_check(assembly: HorizonAssembly, ubar, samples=32,
     and h*(1+o1) in the ubar direction.  Positive-definiteness is decided
     by the exact adversarial direction (the Schur complement of the
     angular block); random directions are evaluated as well for the
-    report.
+    report.  With h <= 0 (h = 0 on the null slices past the cutoff) the
+    form is degenerate or indefinite along ubar, and no margin is formed.
     """
     if not assembly.disc_hypothesis or assembly.h_values is None:
         return SpacelikeResult("not-certified", "disc hypothesis disabled",
                                float("nan"), float("nan"))
     k = assembly.index_of(ubar)
+    q33 = assembly.h_values[k] * (1.0 + assembly.params.o1)
+    if q33 <= 0.0:
+        return SpacelikeResult("not-certified", "slope scalar h <= 0: the "
+                               "ubar direction is null (h = 0) or timelike",
+                               float("nan"), float("nan"))
     sol = assembly.solutions[k]
     grid = sol.R.grid
     Rv = sol.R.values
@@ -164,7 +170,6 @@ def spacelike_check(assembly: HorizonAssembly, ubar, samples=32,
     g22 = Rv * Rv * sin * sin
     q13 = 2.0 * gt                      # coordinate derivative dR/dtheta1
     q23 = 2.0 * gp * sin                # dR/dtheta2 = sin * frame component
-    q33 = assembly.h_values[k] * (1.0 + assembly.params.o1)
     schur = q33 - q13 * q13 / g11 - q23 * q23 / g22
     min_schur = float(np.min(schur))
     rng = np.random.default_rng(seed)

@@ -26,18 +26,16 @@ Helmholtz inverse applied in the harmonic basis.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import NonConvergenceError, PositivityError
 from .regime import RegimeParameters
-from .reporting import Check, Report, save_artifact
-from .sphere import SphereField, l2_norm
+from .reporting import Check, Report, load_artifact, save_artifact
+from .sphere import SphereField, get_grid, l2_norm
 
 
 @dataclass(frozen=True)
@@ -247,14 +245,11 @@ class MotsSolution:
         save_artifact(stem, meta, {"R": self.R.values})
 
     @staticmethod
-    def load(stem):
-        from .sphere import get_grid
-        stem = Path(stem)
-        meta = json.loads(stem.with_suffix(".json").read_text())
+    def load(stem, config_hash=None):
+        """Reload a saved solution; see ``reporting.load_artifact``."""
+        meta, arrays = load_artifact(stem, ("R",), "find-mots", config_hash)
         grid = get_grid(meta["grid"]["n_theta"], meta["grid"]["n_phi"])
-        with np.load(stem.with_suffix(".npz")) as arrays:
-            R = SphereField(grid, arrays["R"])
-        return MotsSolution(R=R,
+        return MotsSolution(R=SphereField(grid, arrays["R"]),
                             ubar=meta["ubar"],
                             residual_norm=meta["residual_norm"],
                             newton_trace=[],

@@ -162,8 +162,8 @@ def derive(params: RegimeParameters) -> DerivedScalars:
     report = validate(params)
     if not report.passed:
         bad = report.failing()[0]
-        raise ConstraintError(bad.name,
-                              f"cannot derive scalars, slack={bad['slack']:.3g}")
+        raise ConstraintError(
+            bad.name, f"cannot derive scalars, slack={bad['slack']:.3g}")
     p = params
     sqrt_a = math.sqrt(p.a)
     d = DerivedScalars(

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DependencyError
+
 
 @dataclass(frozen=True)
 class Check:
@@ -89,16 +91,38 @@ def _atomic_write(path, text):
 def save_artifact(stem, meta, arrays):
     """Write ``stem.npz`` from ``arrays``, then ``stem.json`` from ``meta``.
 
-    Each file is replaced atomically.  The JSON carries the config hash
-    that downstream stages check, so it is written last: a failure between
-    the two writes leaves the previous JSON and its hash in place, never a
-    fresh hash beside stale or truncated arrays.
+    Each file is replaced atomically, and both carry ``meta``'s config
+    hash.  The JSON is written last: a failure between the two writes
+    leaves the previous JSON and its hash beside the fresh arrays, and
+    ``load_artifact`` refuses that pair.
     """
     stem = Path(stem)
-    _replace_atomically(stem.with_suffix(".npz"),
-                        lambda fh: np.savez_compressed(fh, **arrays), "wb")
+    stamp = np.array(meta["config_hash"])
+    _replace_atomically(
+        stem.with_suffix(".npz"),
+        lambda fh: np.savez_compressed(fh, **arrays, config_hash=stamp),
+        "wb")
     _atomic_write(stem.with_suffix(".json"),
                   json.dumps(meta, sort_keys=True, indent=1))
+
+
+def load_artifact(stem, names, producer, config_hash=None):
+    """Read ``stem.json`` and the arrays ``names`` of ``stem.npz``.
+
+    Raises DependencyError, naming the ``producer`` stage, unless the npz
+    carries the config hash of the JSON and, when ``config_hash`` is
+    given, that hash is ``config_hash``.
+    """
+    stem = Path(stem)
+    meta = json.loads(stem.with_suffix(".json").read_text())
+    want = meta["config_hash"] if config_hash is None else config_hash
+    with np.load(stem.with_suffix(".npz")) as z:
+        for suffix, found in ((".json", meta["config_hash"]),
+                              (".npz", str(z.get("config_hash")))):
+            if found != want:
+                raise DependencyError(f"{stem.with_suffix(suffix)} (config "
+                                      f"hash {found} != {want})", producer)
+        return meta, {k: z[k] for k in names}
 
 
 def write_json(path, payload):

@@ -24,16 +24,14 @@ rather than approximate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConstraintError, ResolutionError
 from .regime import RegimeParameters, derive
-from .reporting import Check, Report, save_artifact
+from .reporting import Check, Report, load_artifact, save_artifact
 from .sphere import SphereGrid, SphereField, get_grid
 
 # Scale-critical norm budget, calibrated once on the default regime
@@ -323,16 +321,14 @@ class ShearProfile:
 
     @staticmethod
     def load(stem):
-        stem = Path(stem)
-        meta = json.loads(stem.with_suffix(".json").read_text())
+        """Reload a saved profile; see ``reporting.load_artifact``."""
+        meta, loaded = load_artifact(stem, _PROFILE_ARRAYS, "gen-data")
         pd = meta["params"]
         for k in ("b", "delta", "m0"):
             pd.pop(k, None)
         params = RegimeParameters(**pd)
         spec = ProfileSpec(**meta["spec"])
         grid = get_grid(meta["grid"]["n_theta"], meta["grid"]["n_phi"])
-        with np.load(stem.with_suffix(".npz")) as arrays:
-            loaded = {k: arrays[k] for k in _PROFILE_ARRAYS}
         return ShearProfile(params=params, spec=spec, grid=grid, **loaded)
 
 

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
-from horizonlab.cli import default_config_text, main, parse_config
+from horizonlab.cli import STAGES, default_config_text, main, parse_config
 from horizonlab.errors import ConfigError
+from horizonlab.mots import MotsSolution, make_problem, verify_apriori
+from horizonlab.regime import default_regime, validate
+from horizonlab.shear import verify_profile
+from horizonlab.sphere import SphereField
 
 FAST_OVERRIDES = [
     "grid.n_theta=16", "grid.n_phi=32", "grid.n_ubar=129",
@@ -134,6 +139,21 @@ class TestPipeline:
                               .read_text())
         assert failures["failures"][0]["name"] == "dominant_contribution"
 
+    def test_foreign_slice_hash_rejected(self, cfg_path, pipeline_out,
+                                         tmp_path, capsys):
+        # Both files of one slice come from another config, so only the
+        # check against the active config hash can catch them.
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_out, out)
+        stem = out / "mots" / "slice_003"
+        MotsSolution.load(stem).save(stem, config_hash="0" * 16)
+        args = ["horizon", "--config", str(cfg_path), "--out", str(out)]
+        for ov in FAST_OVERRIDES:
+            args += ["--set", ov]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "slice_003" in err and "'find-mots'" in err
+
     def test_csv_artifacts_carry_config_hash(self, pipeline_out, cfg_path):
         cfg = parse_config(cfg_path, overrides=FAST_OVERRIDES_KV())
         for name in ("trapped_map.csv", "sweep.csv", "cone_trchi.csv",
@@ -165,3 +185,54 @@ class TestDeterminism:
             assert digest(f) == digest(g), f.name
             compared += 1
         assert compared > 10
+
+
+# The stage that writes each hash-stamped JSON a stage reads.
+PRODUCERS = {"profile.json": "gen-data", "constraint_report.json": "gen-data",
+             "evolve.json": "evolve", "mots_report.json": "find-mots",
+             "horizon.json": "horizon", "penrose_audit.json": "penrose"}
+
+
+class TestStageTable:
+    @pytest.mark.parametrize("stage,name", [
+        (stage, name) for stage, spec in STAGES.items()
+        for name in spec.reads])
+    def test_input_missing_or_stale(self, cfg_path, tmp_path, capsys,
+                                    stage, name):
+        # Every other input is a stub with the right hash, so a stage that
+        # got past its checks would fail on the stubs instead of exiting 2.
+        cfg_hash = parse_config(cfg_path).hash
+        for other in STAGES[stage].reads:
+            if other != name:
+                (tmp_path / other).write_text(
+                    json.dumps({"meta": {"config_hash": cfg_hash}}))
+        args = [stage, "--config", str(cfg_path), "--out", str(tmp_path)]
+        producer = f"run the {PRODUCERS[name]!r} subcommand"
+        assert main(args) == 2
+        assert producer in capsys.readouterr().err
+        (tmp_path / name).write_text(
+            json.dumps({"meta": {"config_hash": "0" * 16}}))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert producer in err and "config hash" in err
+
+
+def test_check_key_sets(params, profile_mid):
+    # write_json sorts keys, so these sets are what keeps the report
+    # JSONs byte-identical across changes to the check type.
+    def keys(report):
+        assert set(report.as_dict()) == {"passed", "checks"}
+        return {frozenset(c) for c in report.as_dict()["checks"]}
+
+    common = {"name", "passed", "detail"}
+    assert keys(validate(default_regime())) == {
+        frozenset(common | {"slack"})}
+    assert keys(verify_profile(profile_mid)) == {
+        frozenset(common | {"measured", "threshold"})}
+    problem = make_problem(profile_mid, 1.5 * profile_mid.derived.delta)
+    solution = MotsSolution(
+        R=SphereField(problem.grid, 0.5 * problem.M0.values), ubar=1.0,
+        residual_norm=0.0, newton_trace=[], lambda_path=[1.0],
+        diagnostics={})
+    assert keys(verify_apriori(solution, problem, params)) == {
+        frozenset(common | {"value", "threshold", "ratio"})}

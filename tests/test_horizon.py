@@ -169,3 +169,6 @@ class TestSpacelike:
             disc_hypothesis=True)
         out = spacelike_check(tampered, assembly.ubars[k])
         assert out.status == "not-certified"
+        assert "h = 0" in out.reason
+        assert math.isnan(out.min_schur) and math.isnan(out.min_sampled)
+

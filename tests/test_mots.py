@@ -298,9 +298,11 @@ class TestPersistence:
                                                   monkeypatch):
         # The arrays are replaced first and the JSON with its config hash
         # last, so a failure between the two leaves the old hash beside
-        # the fresh arrays, never the new hash beside stale arrays.
+        # the fresh arrays, never the new hash beside stale arrays.  The
+        # npz carries its own hash, so loading that pair is refused.
         import json
         from horizonlab import reporting
+        from horizonlab.errors import DependencyError
         from horizonlab.mots import MotsSolution
 
         def solution(radius):
@@ -319,7 +321,11 @@ class TestPersistence:
             solution(2.0).save(stem, config_hash="new")
         meta = json.loads(stem.with_suffix(".json").read_text())
         assert meta["config_hash"] == "old"
-        assert np.all(MotsSolution.load(stem).R.values == 2.0)
+        with np.load(stem.with_suffix(".npz")) as arrays:
+            assert np.all(arrays["R"] == 2.0)
+            assert str(arrays["config_hash"]) == "new"
+        with pytest.raises(DependencyError):
+            MotsSolution.load(stem)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "slice.json", "slice.npz"]
 
