@@ -233,8 +233,7 @@ def _require(cfg, name):
     payload = json.loads(path.read_text())
     found = payload.get("meta", payload).get("config_hash")
     if found != cfg.hash:
-        raise DependencyError(
-            f"{path} (config hash {found} != {cfg.hash})", producer)
+        raise DependencyError(str(path), producer, (found, cfg.hash))
     return payload
 
 
@@ -281,11 +280,9 @@ def cmd_gen_data(cfg: RunConfig, inputs):
         failures.append({"name": "scale_critical_norm", **norm})
     if not failures:
         return payload, None
-    write_json(outdir / "failures.json",
-               {"meta": _meta(cfg), "failures": failures})
     return payload, ConstraintError(
         "profile_verification", f"{len(failures)} checks failed; see "
-                                f"{outdir / 'failures.json'}")
+                                f"{outdir / 'failures.json'}", failures)
 
 
 def cmd_evolve(cfg: RunConfig, inputs):
@@ -576,7 +573,8 @@ def run(subcommand, config_path, overrides=(), outdir=None):
 
     Every input JSON must carry the active config hash.  The main JSON and
     run_meta.json are written before a constraint failure the stage
-    reports is raised, so its artifacts are on disk at exit 3.
+    reports is raised, so its artifacts are on disk at exit 3, beside a
+    failures.json that names that failure under the active config hash.
     """
     cfg = parse_config(config_path, overrides, outdir)
     if subcommand not in STAGES:
@@ -596,12 +594,10 @@ def run(subcommand, config_path, overrides=(), outdir=None):
             raise error
         return payload
     except ConstraintError as exc:
-        failures = cfg.outdir / "failures.json"
-        if not failures.exists():
-            write_json(failures, {"meta": {"config_hash": cfg.hash},
-                                  "failures": [{
-                                      "name": exc.constraint,
-                                      "message": str(exc)}]})
+        write_json(cfg.outdir / "failures.json",
+                   {"meta": _meta(cfg),
+                    "failures": exc.failures or [{"name": exc.constraint,
+                                                  "message": str(exc)}]})
         raise
 
 

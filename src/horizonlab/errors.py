@@ -12,12 +12,13 @@ class MalformedParametersError(HorizonLabError):
 class ConstraintError(HorizonLabError):
     """A regime inequality or data-construction constraint is violated.
 
-    Carries the name of the violated constraint so callers (and the CLI)
-    can report it machine-readably.
+    Carries the name of the violated constraint, and optionally the failed
+    checks behind it as JSON-ready dicts, for machine-readable reports.
     """
 
-    def __init__(self, constraint, message):
+    def __init__(self, constraint, message, failures=None):
         self.constraint = constraint
+        self.failures = failures
         super().__init__(f"{constraint}: {message}")
 
 
@@ -54,15 +55,15 @@ class NonConvergenceError(HorizonLabError):
 
 
 class DependencyError(HorizonLabError):
-    """A pipeline stage was invoked before its upstream artifact exists."""
+    """An upstream artifact is missing, or stale: ``hashes`` is then the
+    (found, expected) pair of config hashes."""
 
-    def __init__(self, missing, needed_subcommand):
-        self.missing = missing
-        self.needed_subcommand = needed_subcommand
+    def __init__(self, path, producer, hashes=None):
         super().__init__(
-            f"missing artifact {missing!r}; run the {needed_subcommand!r} "
-            f"subcommand first"
-        )
+            f"missing artifact {path!r}; run the {producer!r} subcommand "
+            f"first" if hashes is None else
+            f"stale artifact {path!r}: config hash {hashes[0]} != "
+            f"{hashes[1]}; rerun the {producer!r} subcommand")
 
 
 class ConfigError(HorizonLabError):

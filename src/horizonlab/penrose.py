@@ -36,9 +36,6 @@ class Interval:
         if not self.lo <= self.hi:
             raise ValueError(f"ill-ordered interval [{self.lo}, {self.hi}]")
 
-    def contains(self, x):
-        return self.lo <= x <= self.hi
-
     def __sub__(self, other):
         return Interval(self.lo - other.hi, self.hi - other.lo)
 

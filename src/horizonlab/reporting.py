@@ -120,8 +120,8 @@ def load_artifact(stem, names, producer, config_hash=None):
         for suffix, found in ((".json", meta["config_hash"]),
                               (".npz", str(z.get("config_hash")))):
             if found != want:
-                raise DependencyError(f"{stem.with_suffix(suffix)} (config "
-                                      f"hash {found} != {want})", producer)
+                raise DependencyError(str(stem.with_suffix(suffix)),
+                                      producer, (found, want))
         return meta, {k: z[k] for k in names}
 
 

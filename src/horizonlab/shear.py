@@ -25,7 +25,8 @@ rather than approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -222,31 +223,38 @@ def _cumtrapz(y, x):
     return out
 
 
+def _repaid(main, gate, kappa, repay):
+    """The amplitude with the zero notch cut out and repaid per angle."""
+    return main * gate * (1.0 + kappa * repay)
+
+
 @dataclass
 class ShearProfile:
-    """Built shear data on a (ubar x sphere) grid plus its recipe.
+    """Shear data on a (ubar x sphere) grid: its recipe and two arrays.
 
-    The arrays are the artifact of record; the recipe (params + spec)
-    regenerates the closed-form evaluators after a save/load round trip.
+    The recipe (``params``, ``spec``, ``grid``) fixes every closed form.
+    Only ``kappa_repay`` and ``corr``, quadratures of the built amplitude,
+    need a rebuild to reproduce; they are the arrays saved.  The 1-D node
+    arrays are computed on construction, and the dense tables ``amp2``,
+    ``I``, ``f_field`` and ``zeta_field`` on first read, then cached.
     Instances are treated as immutable.
     """
 
     params: RegimeParameters
     spec: ProfileSpec
     grid: SphereGrid
-    ubar_grid: np.ndarray
-    amp2: np.ndarray          # (n_ubar, n_theta, n_phi)
-    I: np.ndarray             # cumulative shear, same shape
-    f_field: np.ndarray
-    zeta_field: np.ndarray
-    zbar: np.ndarray          # angular-mean cutoff, per ubar node
-    zero_locus_theta: np.ndarray
     kappa_repay: np.ndarray   # (n_theta, n_phi) per-angle repay gain
-    corr: np.ndarray          # I - I_main on the grid
+    corr: np.ndarray          # (n_ubar, n_theta, n_phi) I - I_main
+    ubar_grid: np.ndarray = field(init=False)
+    zbar: np.ndarray = field(init=False)   # angular-mean cutoff per node
+    zero_locus_theta: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self._model = _ProfileModel(self.params, self.spec)
+        m = self._model = _ProfileModel(self.params, self.spec)
         self._Y = angular_wobble(self.grid.theta_2d, self.grid.phi_2d)
+        self.ubar_grid = _build_ubar_grid(m, self.spec.n_ubar)
+        self.zbar = m.zbar(self.ubar_grid)
+        self.zero_locus_theta = m.locus_theta(self.ubar_grid)
 
     @property
     def m0(self):
@@ -266,23 +274,26 @@ class ShearProfile:
 
     # -- closed-form evaluators (exact, any ubar) ----------------------
 
+    def _amp2(self, ubar):
+        # amp2_at's formula, which the amp2 table shares
+        m = self._model
+        return _repaid(m.amp2_main(ubar, self._Y),
+                       m.gate(ubar, self.grid.theta_2d, self.grid.phi_2d),
+                       self.kappa_repay, m.repay_shape(ubar))
+
     def amp2_at(self, ubar):
         """Squared shear amplitude on the full sphere grid at ``ubar``."""
-        m = self._model
-        main = m.amp2_main(ubar, self._Y)
-        g = m.gate(ubar, self.grid.theta_2d, self.grid.phi_2d)
-        return main * g * (1.0 + self.kappa_repay * m.repay_shape(ubar))
+        return self._amp2(ubar)
 
     def amp2_at_point(self, ubar, theta, phi):
         """Amplitude at one arbitrary angular point (diagnostic use)."""
         m = self._model
         Y = angular_wobble(np.asarray(theta), np.asarray(phi))
-        main = m.amp2_main(ubar, Y)
-        g = m.gate(ubar, np.asarray(theta), np.asarray(phi))
         it = np.argmin(np.abs(self.grid.theta - theta))
         ip = np.argmin(np.abs(self.grid.phi - phi))
-        kap = self.kappa_repay[it, ip]
-        return float(main * g * (1.0 + kap * m.repay_shape(ubar)))
+        return float(_repaid(m.amp2_main(ubar, Y),
+                             m.gate(ubar, np.asarray(theta), np.asarray(phi)),
+                             self.kappa_repay[it, ip], m.repay_shape(ubar)))
 
     def I_at(self, ubar):
         """Cumulative shear on the sphere grid at arbitrary ``ubar``."""
@@ -303,6 +314,55 @@ class ShearProfile:
 
     def locus_theta_at(self, ubar):
         return float(self._model.locus_theta(ubar))
+
+    # -- tables at the ubar nodes, derived on first read ----------------
+
+    def _table(self, at):
+        out = np.empty((len(self.ubar_grid),) + self._Y.shape)
+        for k, u in enumerate(self.ubar_grid):
+            out[k] = at(u)
+        return out
+
+    @cached_property
+    def amp2(self):
+        out = self._table(self._amp2)
+        return np.maximum(out, 0.0, out=out)
+
+    @cached_property
+    def I(self):
+        out = self._table(lambda u: self._model.I_main(u, self._Y))
+        out += self.corr
+        return out
+
+    @cached_property
+    def zeta_field(self):
+        # Unity before the window, wobbled cutoff across it, zero after.
+        m = self._model
+        shape = np.clip((self.ubar_grid - m.ulam) / m.zwindow, 0.0, 1.0)
+        swob = (4.0 * shape * (1.0 - shape)) ** 2
+        Z = zeta_wobble_pattern(self.grid.theta_2d, self.grid.phi_2d)
+        return (self.zbar[:, None, None]
+                * (1.0 + m.wz * swob[:, None, None] * Z[None]))
+
+    @cached_property
+    def f_field(self):
+        # Pinned by the window identity where it applies, derived from the
+        # transition identity across the cutoff, background value elsewhere.
+        m = self._model
+        I, zeta, zbar = self.I, self.zeta_field, self.zbar
+        f = np.empty_like(I)
+        rho = m.rho(self.ubar_grid)
+        for k, u in enumerate(self.ubar_grid):
+            if u <= 0.0 or rho[k] < 1e-300:
+                f[k] = m.fbg(u, self._Y)
+            elif u <= m.ulam:
+                f[k] = I[k] / (m.A * u * rho[k])
+            elif zbar[k] > 1e-9:
+                f[k] = ((I[k] - (1.0 - zeta[k]) * m.four_m0)
+                        / (m.A * zeta[k] * u))
+            else:
+                f[k] = m.fbg(u, self._Y)
+        return f
 
     # -- persistence ----------------------------------------------------
 
@@ -332,9 +392,37 @@ class ShearProfile:
         return ShearProfile(params=params, spec=spec, grid=grid, **loaded)
 
 
-# The array fields of ShearProfile, in their npz order.
-_PROFILE_ARRAYS = ("ubar_grid", "amp2", "I", "f_field", "zeta_field", "zbar",
-                   "zero_locus_theta", "kappa_repay", "corr")
+# The arrays ShearProfile saves, in their npz order.
+_PROFILE_ARRAYS = ("kappa_repay", "corr")
+
+
+def _repayment(model: _ProfileModel, ubar, grid: SphereGrid):
+    """Per-angle gain that repays, in the grid trapezoid quadrature, what
+    the zero notch removed, and ``corr``, the cumulative shear it adds."""
+    Y = angular_wobble(grid.theta_2d, grid.phi_2d)
+    nu = len(ubar)
+    main = np.empty((nu, grid.n_theta, grid.n_phi))
+    gate = np.empty_like(main)
+    repay = np.empty(nu)
+    for k, u in enumerate(ubar):
+        main[k] = model.amp2_main(u, Y)
+        gate[k] = model.gate(u, grid.theta_2d, grid.phi_2d)
+        repay[k] = model.repay_shape(u)
+
+    deficit = np.trapezoid(main * (1.0 - gate), ubar, axis=0)
+    den = np.trapezoid(main * gate * repay[:, None, None], ubar, axis=0)
+    kappa = deficit / den
+    if np.max(np.abs(kappa)) > 0.5:
+        raise ConstraintError(
+            "topological_fact_deficit",
+            "moving-zero notch removes too much shear to repay smoothly; "
+            "shrink cap_width or widen the repay window")
+
+    amp2 = _repaid(main, gate, kappa, repay[:, None, None])
+    if np.min(amp2) < -1e-12 * np.max(amp2):
+        raise ConstraintError("smoothness_nonnegative",
+                              "|chihat_0|^2 went negative")
+    return kappa, _cumtrapz(np.maximum(amp2, 0.0) - main, ubar)
 
 
 def build_profile(params: RegimeParameters, spec: ProfileSpec,
@@ -363,82 +451,21 @@ def build_profile(params: RegimeParameters, spec: ProfileSpec,
             f"{dom:.3g}, incompatible with d0={params.d0:.3g}")
 
     model = _ProfileModel(params, spec)
-    ubar = _build_ubar_grid(model, spec.n_ubar)
-    Y = angular_wobble(grid.theta_2d, grid.phi_2d)
-    Z = zeta_wobble_pattern(grid.theta_2d, grid.phi_2d)
+    kappa, corr = _repayment(model, _build_ubar_grid(model, spec.n_ubar),
+                             grid)
+    profile = ShearProfile(params=params, spec=spec, grid=grid,
+                           kappa_repay=kappa, corr=corr)
 
-    nu = len(ubar)
-    main = np.empty((nu, grid.n_theta, grid.n_phi))
-    gate = np.empty_like(main)
-    repay = np.empty(nu)
-    for k, u in enumerate(ubar):
-        main[k] = model.amp2_main(u, Y)
-        gate[k] = model.gate(u, grid.theta_2d, grid.phi_2d)
-        repay[k] = model.repay_shape(u)
-
-    # Per-angle exact repayment of whatever the zero notch removed,
-    # in the grid trapezoid quadrature used for the stored arrays.
-    deficit = np.trapezoid(main * (1.0 - gate), ubar, axis=0)
-    den = np.trapezoid(main * gate * repay[:, None, None], ubar, axis=0)
-    kappa = deficit / den
-    if np.max(np.abs(kappa)) > 0.5:
-        raise ConstraintError(
-            "topological_fact_deficit",
-            "moving-zero notch removes too much shear to repay smoothly; "
-            "shrink cap_width or widen the repay window")
-
-    amp2 = main * gate * (1.0 + kappa[None] * repay[:, None, None])
-    if np.min(amp2) < -1e-12 * np.max(amp2):
-        raise ConstraintError("smoothness_nonnegative",
-                              "|chihat_0|^2 went negative")
-    amp2 = np.maximum(amp2, 0.0)
-
-    corr = _cumtrapz(amp2 - main, ubar)
-    I_main = np.empty_like(amp2)
-    for k, u in enumerate(ubar):
-        I_main[k] = model.I_main(u, Y)
-    I = I_main + corr
-
-    zbar = model.zbar(ubar)
-    four_m0 = model.four_m0
-    A = model.A
-
-    # zeta: unity before the window, wobbled cutoff across it, zero after.
-    t = (ubar - model.ulam) / model.zwindow
-    shape = np.clip(t, 0.0, 1.0)
-    swob = (4.0 * shape * (1.0 - shape)) ** 2
-    zeta = (zbar[:, None, None]
-            * (1.0 + model.wz * swob[:, None, None] * Z[None]))
-
-    # f: pinned by the window identity where it applies, derived from the
-    # transition identity across the cutoff, background value elsewhere.
-    f = np.empty_like(amp2)
-    rho = model.rho(ubar)
-    for k, u in enumerate(ubar):
-        fb = model.fbg(u, Y)
-        if u <= 0.0 or rho[k] < 1e-300:
-            f[k] = fb
-        elif u <= model.ulam:
-            f[k] = I[k] / (A * u * rho[k])
-        elif zbar[k] > 1e-9:
-            f[k] = (I[k] - (1.0 - zeta[k]) * four_m0) / (A * zeta[k] * u)
-        else:
-            f[k] = fb
-
+    ubar = profile.ubar_grid
     win = (ubar >= model.w0) & (ubar <= model.ulamp)
-    fdev = np.max(np.abs(f[win] - 1.0)) * params.c1
+    fdev = np.max(np.abs(profile.f_field[win] - 1.0)) * params.c1
     if fdev > 1.0:
         raise ConstraintError(
             "u_dependence_f_bounds",
             f"derived f leaves the [1-1/c1, 1+1/c1] band "
             f"(c1*|f-1| reaches {fdev:.3f}); reduce wobble_frac or "
             f"cap_width")
-
-    return ShearProfile(params=params, spec=spec, grid=grid, ubar_grid=ubar,
-                        amp2=amp2, I=I, f_field=f, zeta_field=zeta,
-                        zbar=zbar,
-                        zero_locus_theta=model.locus_theta(ubar),
-                        kappa_repay=kappa, corr=corr)
+    return profile
 
 
 # -- verification ----------------------------------------------------------

@@ -245,10 +245,6 @@ class SphereField:
             raise ValueError("SphereField values must be finite everywhere")
 
     @staticmethod
-    def from_function(grid, fn):
-        return SphereField(grid, fn(grid.theta_2d, grid.phi_2d))
-
-    @staticmethod
     def constant(grid, value):
         return SphereField(grid, np.full((grid.n_theta, grid.n_phi),
                                          float(value)))
@@ -265,26 +261,6 @@ def _radius_values(grid, radius):
     if np.any(np.asarray(vals) <= 0.0):
         raise PositivityError("sphere radius must be strictly positive")
     return vals
-
-
-def laplace_beltrami(field, radius=1.0):
-    """Laplace-Beltrami of ``field`` on the round sphere of given radius."""
-    r = _radius_values(field.grid, radius)
-    return SphereField(field.grid, field.grid.laplacian_values(field.values)
-                       / np.square(r))
-
-
-def gradient(field):
-    """Unit-frame gradient components on the unit sphere."""
-    gt, gp = field.grid.gradient_values(field.values)
-    return SphereField(field.grid, gt), SphereField(field.grid, gp)
-
-
-def gradient_norm_sq(field, radius=1.0):
-    """|grad f|^2 in the round metric of the given radius."""
-    r = _radius_values(field.grid, radius)
-    gt, gp = field.grid.gradient_values(field.values)
-    return SphereField(field.grid, (gt * gt + gp * gp) / np.square(r))
 
 
 def integrate(field, radius=1.0):

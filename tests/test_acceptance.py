@@ -5,7 +5,7 @@ criterion.  The heavyweight fixtures (default 64x128 profile and its
 solved slice ladder) are shared across criteria.
 """
 
-import dataclasses
+import copy
 import hashlib
 import math
 import time
@@ -238,6 +238,13 @@ def test_criterion_09_penrose_exponents():
               f"regime certified-positive; window-end inconclusive")
 
 
+def tamper(profile, **arrays):
+    # The tables are cached properties, so an instance entry overrides them.
+    bad = copy.copy(profile)
+    vars(bad).update(arrays)
+    return bad
+
+
 def test_criterion_10_shear_verifier(profile64):
     rep = verify_profile(profile64)
     assert rep.passed
@@ -252,18 +259,18 @@ def test_criterion_10_shear_verifier(profile64):
     d = profile64.derived
     mid = 0.5 * (d.ubar_lambda + d.ubar_lambda_hi)
     step = (ub < mid).astype(float)
-    bad_zeta = dataclasses.replace(
+    bad_zeta = tamper(
         profile64, zeta_field=np.broadcast_to(
             step[:, None, None], profile64.zeta_field.shape).copy())
     assert not verify_profile(bad_zeta)["zeta_no_jump"].passed
 
-    bad_scale = dataclasses.replace(profile64, amp2=1.5 * profile64.amp2,
-                                    I=1.5 * profile64.I)
+    bad_scale = tamper(profile64, amp2=1.5 * profile64.amp2,
+                       I=1.5 * profile64.I)
     entry = verify_profile(bad_scale)["total_equals_4m0"]
     assert not entry.passed
     assert entry["measured"] == pytest.approx(0.5, rel=1e-9)
 
-    frozen = dataclasses.replace(
+    frozen = tamper(
         profile64, zero_locus_theta=np.full_like(
             profile64.zero_locus_theta, np.pi / 2))
     assert not verify_profile(frozen)["zero_locus_moving"].passed

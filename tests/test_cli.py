@@ -139,6 +139,35 @@ class TestPipeline:
                               .read_text())
         assert failures["failures"][0]["name"] == "dominant_contribution"
 
+    def test_failures_json_names_the_latest_failure(self, cfg_path,
+                                                    tmp_path):
+        # A failure under one config, a success, then a failure under
+        # another: failures.json must describe the last one.
+        out = tmp_path / "seq"
+
+        def run(stage, *sets):
+            args = [stage, "--config", str(cfg_path), "--out", str(out)]
+            for ov in FAST_OVERRIDES + list(sets):
+                args += ["--set", ov]
+            return main(args), parse_config(
+                cfg_path, FAST_OVERRIDES + list(sets)).hash
+
+        def failures():
+            return json.loads((out / "failures.json").read_text())
+
+        rc, first = run("gen-data", "profile.norm_budget=1")
+        assert rc == 3
+        assert failures()["meta"]["config_hash"] == first
+        assert [f["name"] for f in failures()["failures"]] == \
+            ["scale_critical_norm"]
+        tight = "bounds.c1_threshold=1e-9"
+        assert run("gen-data", tight)[0] == 0
+        rc, second = run("find-mots", tight)
+        assert rc == 3
+        assert failures()["meta"]["config_hash"] == second != first
+        assert [f["name"] for f in failures()["failures"]] == \
+            ["apriori_bounds"]
+
     def test_foreign_slice_hash_rejected(self, cfg_path, pipeline_out,
                                          tmp_path, capsys):
         # Both files of one slice come from another config, so only the
@@ -208,13 +237,20 @@ class TestStageTable:
                     json.dumps({"meta": {"config_hash": cfg_hash}}))
         args = [stage, "--config", str(cfg_path), "--out", str(tmp_path)]
         producer = f"run the {PRODUCERS[name]!r} subcommand"
+
+        def message():
+            # The directory's own name may contain "missing"; drop it.
+            return capsys.readouterr().err.replace(str(tmp_path), "")
+
         assert main(args) == 2
-        assert producer in capsys.readouterr().err
+        err = message()
+        assert producer in err and "missing" in err
         (tmp_path / name).write_text(
             json.dumps({"meta": {"config_hash": "0" * 16}}))
         assert main(args) == 2
-        err = capsys.readouterr().err
+        err = message()
         assert producer in err and "config hash" in err
+        assert "stale" in err and "missing" not in err
 
 
 def test_check_key_sets(params, profile_mid):

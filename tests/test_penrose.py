@@ -65,7 +65,7 @@ class TestMargin:
                       rp_center * (1 + halfwidth))
         ubar = d.ubar_start + frac * (d.ubar_lambda - d.ubar_start)
         res = margin(params, rp, ubar)
-        assert res.numeric.contains(d.m0 - rp_center)
+        assert res.numeric.lo <= d.m0 - rp_center <= res.numeric.hi
 
 
 class TestExponentForms:

@@ -1,11 +1,12 @@
 """Shear-profile construction, identities, verifier, and defect flags."""
 
-import dataclasses
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from horizonlab import shear
 from horizonlab.errors import ConstraintError, ResolutionError
 from horizonlab.regime import default_regime
 from horizonlab.shear import (ProfileSpec, ShearProfile, build_profile,
@@ -13,7 +14,10 @@ from horizonlab.shear import (ProfileSpec, ShearProfile, build_profile,
 
 
 def tamper(profile, **arrays):
-    return dataclasses.replace(profile, **arrays)
+    # The tables are cached properties, so an instance entry overrides them.
+    bad = copy.copy(profile)
+    vars(bad).update(arrays)
+    return bad
 
 
 class TestBuildIdentities:
@@ -182,6 +186,37 @@ class TestPersistence:
             assert np.array_equal(back.amp2_at(u), profile_mid.amp2_at(u))
             assert np.array_equal(back.I_at(u), profile_mid.I_at(u))
         assert verify_profile(back).passed
+
+    def test_roundtrip_with_notch_on_grid_nodes(self, params, grid_small,
+                                                tmp_path, monkeypatch):
+        # cap_width 0.1 lets the moving zero reach grid nodes, so the two
+        # saved arrays are nonzero and must cross the round trip exactly.
+        built = build_profile(params, ProfileSpec(n_ubar=129, cap_width=0.1),
+                              grid_small)
+        assert np.count_nonzero(built.kappa_repay) == 2
+        assert np.count_nonzero(built.corr) == 214
+        stem = tmp_path / "prof"
+        built.save(stem, config_hash="abc123")
+        with np.load(stem.with_suffix(".npz")) as z:
+            assert sorted(z.files) == ["config_hash", "corr", "kappa_repay"]
+
+        def no_rebuild(*args):
+            raise AssertionError("load rebuilt the profile")
+        monkeypatch.setattr(shear, "_repayment", no_rebuild)
+        back = ShearProfile.load(stem)
+        ub = built.ubar_grid
+        nodes = [ub[k] for k in (0, 1, 40, 64, 100, len(ub) - 1)]
+        between = [0.5 * (ub[k] + ub[k + 1]) for k in (0, 40, 64, 100)]
+        for u in nodes + between:
+            assert np.array_equal(back.amp2_at(u), built.amp2_at(u))
+            assert np.array_equal(back.I_at(u), built.I_at(u))
+            assert back.zbar_at(u) == built.zbar_at(u)
+        tables = ("amp2", "I", "f_field", "zeta_field")
+        assert not set(tables) & set(vars(back))
+        for name in tables + ("ubar_grid", "zbar", "zero_locus_theta",
+                              "kappa_repay", "corr"):
+            assert np.array_equal(getattr(back, name), getattr(built, name)), \
+                name
 
 
 class TestClosures:

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horizonlab.errors import GridMismatchError, PositivityError
-from horizonlab.sphere import (SphereField, get_grid, gradient,
-                               gradient_norm_sq, integrate, l2_norm,
-                               laplace_beltrami)
+from horizonlab.sphere import SphereField, get_grid, integrate, l2_norm
+
+
+def sample(grid, fn):
+    return SphereField(grid, fn(grid.theta_2d, grid.phi_2d))
 
 
 def fd_laplacian(fn, theta, phi, h=1e-4):
@@ -155,14 +157,12 @@ class TestIntegrate:
                                                            rel=1e-13)
 
     def test_odd_function_vanishes(self, grid_small):
-        f = SphereField.from_function(grid_small,
-                                      lambda th, ph: np.cos(th))
+        f = sample(grid_small, lambda th, ph: np.cos(th))
         assert abs(integrate(f, radius=2.0)) < 1e-12
 
     def test_cos_squared(self, grid_small):
         # Analytic value 4*pi/3; Gauss-Legendre reproduces it exactly.
-        f = SphereField.from_function(grid_small,
-                                      lambda th, ph: np.cos(th)**2)
+        f = sample(grid_small, lambda th, ph: np.cos(th)**2)
         assert integrate(f) == pytest.approx(4 * np.pi / 3, rel=1e-13)
 
     @given(st.lists(st.floats(-2, 2), min_size=1, max_size=6))
@@ -170,7 +170,7 @@ class TestIntegrate:
     def test_polynomials_in_cos_theta_exact(self, coeffs):
         g = get_grid(16, 32)
         poly = np.polynomial.Polynomial(coeffs)
-        f = SphereField.from_function(g, lambda th, ph: poly(np.cos(th)))
+        f = sample(g, lambda th, ph: poly(np.cos(th)))
         exact = 2 * np.pi * (poly.integ()(1.0) - poly.integ()(-1.0))
         assert integrate(f) == pytest.approx(exact, abs=1e-10 + 1e-12
                                              * abs(exact))
@@ -180,7 +180,8 @@ class TestLaplacian:
     def test_constant_is_harmonic(self, grid_small):
         f = SphereField.constant(grid_small, 7.0)
         floor = 7.0 * grid_small.lmax**2 * np.finfo(float).eps
-        assert np.max(np.abs(laplace_beltrami(f).values)) < 10 * floor
+        assert np.max(np.abs(grid_small.laplacian_values(f.values))) \
+            < 10 * floor
 
     @pytest.mark.parametrize("nt, bound", [
         pytest.param(16, 2.5e-13, id="16x32"),
@@ -196,33 +197,21 @@ class TestLaplacian:
         # these bounds but must not raise them.
         g = get_grid(nt, 2 * nt)
         f = SphereField.constant(g, 7.0)
-        assert np.max(np.abs(laplace_beltrami(f).values)) < bound
+        assert np.max(np.abs(g.laplacian_values(f.values))) < bound
 
     def test_l1_eigenvalue(self, grid_small):
-        f = SphereField.from_function(grid_small,
-                                      lambda th, ph: np.cos(th))
-        out = laplace_beltrami(f)
-        assert np.max(np.abs(out.values + 2 * f.values)) < 1e-11
-
-    def test_radius_scaling_against_fd_oracle(self, grid_small):
-        R = 2.5
-        f = SphereField.from_function(grid_small,
-                                      lambda th, ph: np.cos(th))
-        out = laplace_beltrami(f, radius=R)
-        expected = -2 * f.values / R**2
-        assert np.max(np.abs(out.values - expected)) < 1e-11
-        oracle = fd_laplacian(lambda th, ph: np.cos(th),
-                              grid_small.theta_2d, grid_small.phi_2d) / R**2
-        assert np.max(np.abs(out.values - oracle)) < 1e-6
+        f = sample(grid_small, lambda th, ph: np.cos(th))
+        out = grid_small.laplacian_values(f.values)
+        assert np.max(np.abs(out + 2 * f.values)) < 1e-11
 
     def test_nontrivial_field_against_fd_oracle(self, grid_mid):
         def fn(th, ph):
             return np.sin(th)**2 * np.cos(2 * ph) + 0.5 * np.cos(th)**3
 
-        f = SphereField.from_function(grid_mid, fn)
-        out = laplace_beltrami(f)
+        f = sample(grid_mid, fn)
+        out = grid_mid.laplacian_values(f.values)
         oracle = fd_laplacian(fn, grid_mid.theta_2d, grid_mid.phi_2d)
-        assert np.max(np.abs(out.values - oracle)) < 1e-5
+        assert np.max(np.abs(out - oracle)) < 1e-5
 
     def test_eigenvalues_at_roundoff_floor_both_grids(self):
         # Spectral design order: resolved harmonics are exact eigenmodes
@@ -245,9 +234,9 @@ class TestLaplacian:
         b = rng.standard_normal((grid_mid.n_theta, grid_mid.n_phi))
         fa, fb = SphereField(grid_mid, a), SphereField(grid_mid, b)
         lhs = integrate(SphereField(grid_mid,
-                                    a * laplace_beltrami(fb).values))
+                                    a * grid_mid.laplacian_values(b)))
         rhs = integrate(SphereField(grid_mid,
-                                    b * laplace_beltrami(fa).values))
+                                    b * grid_mid.laplacian_values(a)))
         scale = l2_norm(fa) * l2_norm(fb) * grid_mid.lmax**2
         assert abs(lhs - rhs) <= 1e-10 * scale
 
@@ -257,39 +246,39 @@ class TestLaplacian:
         coeff = np.zeros((g.lmax + 1, g.lmax + 1), dtype=complex)
         coeff[1:6, 0] = rng.standard_normal(5)
         f = SphereField(g, g.synthesize(coeff))
-        assert abs(integrate(laplace_beltrami(f))) < 1e-11
+        assert abs(integrate(SphereField(g, g.laplacian_values(f.values)))) \
+            < 1e-11
 
 
 class TestGradient:
     def test_constant(self, grid_small):
         f = SphereField.constant(grid_small, 4.0)
-        assert np.max(gradient_norm_sq(f).values) < 1e-20
+        gt, gp = grid_small.gradient_values(f.values)
+        assert np.max(gt * gt + gp * gp) < 1e-20
 
     def test_cos_theta(self, grid_small):
-        f = SphereField.from_function(grid_small,
-                                      lambda th, ph: np.cos(th))
-        out = gradient_norm_sq(f)
-        assert np.max(np.abs(out.values - np.sin(grid_small.theta_2d)**2)) \
-            < 1e-11
+        f = sample(grid_small, lambda th, ph: np.cos(th))
+        gt, gp = grid_small.gradient_values(f.values)
+        out = gt * gt + gp * gp
+        assert np.max(np.abs(out - np.sin(grid_small.theta_2d)**2)) < 1e-11
 
-    def test_radius_scaling_and_fd(self, grid_mid):
+    def test_against_fd_oracle(self, grid_mid):
         def fn(th, ph):
             return np.sin(th) * np.cos(ph) + 0.3 * np.cos(th)**2
 
-        R = 1.7
-        f = SphereField.from_function(grid_mid, fn)
-        out = gradient_norm_sq(f, radius=R)
-        oracle = fd_gradsq(fn, grid_mid.theta_2d, grid_mid.phi_2d) / R**2
-        assert np.max(np.abs(out.values - oracle)) < 1e-7
-        assert np.min(out.values) >= 0.0
+        f = sample(grid_mid, fn)
+        gt, gp = grid_mid.gradient_values(f.values)
+        out = gt * gt + gp * gp
+        oracle = fd_gradsq(fn, grid_mid.theta_2d, grid_mid.phi_2d)
+        assert np.max(np.abs(out - oracle)) < 1e-7
+        assert np.min(out) >= 0.0
 
     def test_frame_components(self, grid_small):
-        f = SphereField.from_function(
-            grid_small, lambda th, ph: np.sin(th) * np.sin(ph))
-        gt, gp = gradient(f)
-        assert np.max(np.abs(gt.values - np.cos(grid_small.theta_2d)
+        f = sample(grid_small, lambda th, ph: np.sin(th) * np.sin(ph))
+        gt, gp = grid_small.gradient_values(f.values)
+        assert np.max(np.abs(gt - np.cos(grid_small.theta_2d)
                              * np.sin(grid_small.phi_2d))) < 1e-11
-        assert np.max(np.abs(gp.values - np.cos(grid_small.phi_2d))) < 1e-11
+        assert np.max(np.abs(gp - np.cos(grid_small.phi_2d))) < 1e-11
 
 
 class TestFieldValidation:
@@ -312,4 +301,4 @@ class TestFieldValidation:
     def test_nonpositive_radius(self, grid_small):
         f = SphereField.constant(grid_small, 1.0)
         with pytest.raises(PositivityError):
-            laplace_beltrami(f, radius=0.0)
+            integrate(f, radius=0.0)
