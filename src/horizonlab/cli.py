@@ -357,8 +357,6 @@ def cmd_find_mots(cfg: RunConfig, inputs):
                                   for r in solution.newton_trace],
             "diagnostics": {
                 "c0_band": list(solution.diagnostics["c0_band"]),
-                "grad_max": solution.diagnostics["grad_max"],
-                "hess_max": solution.diagnostics["hess_max"],
                 "tol_abs": solution.diagnostics["tol_abs"]},
             "M0_min": float(np.min(problem.M0.values)),
             "M0_max": float(np.max(problem.M0.values)),

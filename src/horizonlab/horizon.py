@@ -6,7 +6,8 @@ the nonuniform slice ladder), estimates areas through the certified
 determinant distortion band (1 +- 1/f0), and tests spacelike-ness of the
 swept hypersurface through the quadratic form of the induced metric,
 whose ubar-ubar entry is the slope scalar h available only under the
-small-disc data hypothesis (off by default; without it the check
+small-disc data hypothesis (off by default in ``assemble``, on by
+default in the CLI's ``toggles.disc_hypothesis``; without it the check
 reports not-certified rather than guessing).
 """
 
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError
 from .regime import RegimeParameters
 from .sphere import SphereField, integrate
 
@@ -58,18 +58,12 @@ def assemble(params: RegimeParameters, profile, problems, solutions,
              disc_hypothesis=False) -> HorizonAssembly:
     """Join per-slice solutions into one horizon object.
 
-    Slices must be strictly ordered in ubar and all converged; the
-    ubar-derivative uses the second-order nonuniform centered stencil on
-    interior slices.
+    Slices must be strictly ordered in ubar; the ubar-derivative uses the
+    second-order nonuniform centered stencil on interior slices.
     """
     ubars = np.array([s.ubar for s in solutions], dtype=float)
     if np.any(np.diff(ubars) <= 0.0):
         raise ValueError("slices must be strictly increasing in ubar")
-    for s in solutions:
-        if not s.converged:
-            raise NonConvergenceError(
-                f"slice at ubar={s.ubar!r} is not converged",
-                s.newton_trace)
     grid = solutions[0].R.grid
     n = len(solutions)
     dR = [None] * n
@@ -140,16 +134,15 @@ class SpacelikeResult:
                 "min_sampled": float(self.min_sampled)}
 
 
-def spacelike_check(assembly: HorizonAssembly, ubar, samples=32,
-                    seed=0) -> SpacelikeResult:
+def spacelike_check(assembly: HorizonAssembly, ubar) -> SpacelikeResult:
     """Positivity test of the induced quadratic form at one slice.
 
     The form in the coordinate directions (theta1, theta2, ubar) is
     diag(R^2, R^2 sin^2) plus cross terms 4*lambda_i*lambda_3*dR/dtheta_i
     and h*(1+o1) in the ubar direction.  Positive-definiteness is decided
     by the exact adversarial direction (the Schur complement of the
-    angular block); random directions are evaluated as well for the
-    report.  With h <= 0 (h = 0 on the null slices past the cutoff) the
+    angular block); 32 fixed random directions are evaluated as well for
+    the report.  With h <= 0 (h = 0 on the null slices past the cutoff) the
     form is degenerate or indefinite along ubar, and no margin is formed.
     """
     if not assembly.disc_hypothesis or assembly.h_values is None:
@@ -172,8 +165,7 @@ def spacelike_check(assembly: HorizonAssembly, ubar, samples=32,
     q23 = 2.0 * gp * sin                # dR/dtheta2 = sin * frame component
     schur = q33 - q13 * q13 / g11 - q23 * q23 / g22
     min_schur = float(np.min(schur))
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((samples, 3))
+    dirs = np.random.default_rng(0).standard_normal((32, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     vals = []
     for l1, l2, l3 in dirs:

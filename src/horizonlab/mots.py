@@ -45,7 +45,9 @@ class MotsProblem:
     ``M0`` is the effective mass profile (the cumulative shear at the
     slice), the c-fields are the frozen perturbation coefficients in the
     unit-sphere orthonormal frame, and ``pert_scale`` is their common
-    prefactor ubar * sqrt(a).
+    prefactor ubar * sqrt(a).  ``c2`` is isotropic: the symmetric tensor
+    c2 * identity, the one shape the background-field route of
+    ``expansion_of_graph`` realizes.
     """
 
     grid: object
@@ -53,9 +55,7 @@ class MotsProblem:
     M0: SphereField
     c1_theta: np.ndarray
     c1_phi: np.ndarray
-    c2_tt: np.ndarray
-    c2_tp: np.ndarray
-    c2_pp: np.ndarray
+    c2: np.ndarray
     c3: np.ndarray
     pert_scale: float
     zbar: float
@@ -66,8 +66,7 @@ class MotsProblem:
         if np.any(self.M0.values <= 0.0):
             raise PositivityError("M0 must be strictly positive")
         c1n = np.max(np.hypot(self.c1_theta, self.c1_phi))
-        c2n = np.max(np.sqrt(self.c2_tt ** 2 + 2.0 * self.c2_tp ** 2
-                             + self.c2_pp ** 2))
+        c2n = np.max(np.sqrt(2.0 * self.c2 ** 2))
         c3n = np.max(np.abs(self.c3))
         tol = 1.0 + 1e-12
         if max(c1n, c2n, c3n) > self.coeff_bound * tol:
@@ -78,8 +77,8 @@ class MotsProblem:
 def sample_perturbations(grid, params: RegimeParameters, seed, beta):
     """Smooth low-degree coefficient fields with frame norm beta*b^(1/4).
 
-    c2 is sampled isotropic (a multiple of the identity in the frame),
-    which is the shape the background-field route can realize exactly.
+    The isotropic ``c2`` has frame norm sqrt(2) * |c2|, so its field is
+    scaled by 1/sqrt(2) of the target.
     """
     rng = np.random.default_rng(seed)
     th, ph = grid.theta_2d, grid.phi_2d
@@ -100,7 +99,7 @@ def sample_perturbations(grid, params: RegimeParameters, seed, beta):
     return {
         "c1_theta": raw_t * (target / nrm),
         "c1_phi": raw_p * (target / nrm),
-        "c2_tt": c2s, "c2_tp": np.zeros_like(c2s), "c2_pp": c2s,
+        "c2": c2s,
         "c3": smooth() * target,
     }
 
@@ -131,8 +130,7 @@ def _eval_residual(problem, Rv, c_scale=1.0):
     lap, gt, gp = grid.derivatives(Rv)
     gsq = gt * gt + gp * gp
     c1dot = problem.c1_theta * gt + problem.c1_phi * gp
-    c2dot = (problem.c2_tt * gt * gt + 2.0 * problem.c2_tp * gt * gp
-             + problem.c2_pp * gp * gp)
+    c2dot = problem.c2 * gt * gt + problem.c2 * gp * gp
     R2 = Rv * Rv
     R3 = R2 * Rv
     res = (lap / R2 - gsq / R3 - 1.0 / Rv + M0 / (2.0 * R2)
@@ -150,9 +148,9 @@ def _jacobian_parts(problem, Rv, aux, c_scale=1.0):
     R4 = R3 * Rv
     R5 = R4 * Rv
     wt = (-2.0 * gt / R3 + s * problem.c1_theta / R3
-          + 2.0 * s * (problem.c2_tt * gt + problem.c2_tp * gp) / R4)
+          + 2.0 * s * (problem.c2 * gt) / R4)
     wp = (-2.0 * gp / R3 + s * problem.c1_phi / R3
-          + 2.0 * s * (problem.c2_tp * gt + problem.c2_pp * gp) / R4)
+          + 2.0 * s * (problem.c2 * gp) / R4)
     diag = (-2.0 * lap / R3 + 3.0 * gsq / R4 + 1.0 / R2 - M0 / R3
             - 3.0 * s * c1dot / R4 - 4.0 * s * c2dot / R5
             - 2.0 * s * problem.c3 / R3)
@@ -180,11 +178,10 @@ def expansion_of_graph(problem: MotsProblem, R: SphereField) -> SphereField:
     """Null expansion trchi' of the graph sphere, via the background route.
 
     Reconstructs the interior fields realizing the slice coefficients
-    (lapse 1, trchibar = -2/R, eta and omegabar from c1 and the isotropic
-    part of c2, trchi from the leading model plus c3) and evaluates the
-    frame-transformed expansion directly.  Up to the factor -2 this must
-    reproduce residual_H; the two routes share no algebra beyond the
-    operators.
+    (lapse 1, trchibar = -2/R, eta and omegabar from c1 and c2, trchi
+    from the leading model plus c3) and evaluates the frame-transformed
+    expansion directly.  Up to the factor -2 this must reproduce
+    residual_H; the two routes share no algebra beyond the operators.
     """
     grid = problem.grid
     Rv = R.values
@@ -194,7 +191,7 @@ def expansion_of_graph(problem: MotsProblem, R: SphereField) -> SphereField:
     R2 = Rv * Rv
     eta_t = s * problem.c1_theta / (2.0 * R2)
     eta_p = s * problem.c1_phi / (2.0 * R2)
-    omegabar = s * 0.5 * (problem.c2_tt + problem.c2_pp) / (4.0 * R2)
+    omegabar = s * problem.c2 / (4.0 * R2)
     trchibar = -2.0 / Rv
     trchi = (2.0 / Rv - problem.M0.values / R2
              - 2.0 * s * problem.c3 / R2)
@@ -208,6 +205,11 @@ def expansion_of_graph(problem: MotsProblem, R: SphereField) -> SphereField:
 
 # -- Newton / continuation solver -------------------------------------------
 
+MAX_BACKTRACKS = 6
+GMRES_RESTART = 60
+GMRES_MAXITER = 4
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     newton_tol: float = 1.0e-9       # relative to the slice 1/length scale
@@ -215,10 +217,6 @@ class SolveOptions:
     lin_tol: float = 1.0e-10
     dlam_init: float = 0.1
     dlam_floor: float = 1.0e-4
-    max_backtracks: int = 6
-    gmres_restart: int = 60
-    gmres_maxiter: int = 4
-    route: str = "continuation"      # or "newton" (direct on H)
 
 
 @dataclass
@@ -229,7 +227,6 @@ class MotsSolution:
     newton_trace: list
     lambda_path: list
     diagnostics: dict
-    converged: bool = True
 
     def save(self, stem, config_hash=""):
         """Persist as JSON metadata plus an npz array container."""
@@ -239,7 +236,6 @@ class MotsSolution:
                 "lambda_path": [float(v) for v in self.lambda_path],
                 "diagnostics": {k: (list(v) if isinstance(v, tuple) else v)
                                 for k, v in self.diagnostics.items()},
-                "converged": self.converged,
                 "grid": {"n_theta": self.R.grid.n_theta,
                          "n_phi": self.R.grid.n_phi}}
         save_artifact(stem, meta, {"R": self.R.values})
@@ -254,8 +250,7 @@ class MotsSolution:
                             residual_norm=meta["residual_norm"],
                             newton_trace=[],
                             lambda_path=meta["lambda_path"],
-                            diagnostics=meta["diagnostics"],
-                            converged=meta["converged"])
+                            diagnostics=meta["diagnostics"])
 
 
 class _NewtonFail(Exception):
@@ -327,8 +322,8 @@ def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage):
             counter["n"] += 1
 
         dR, info = gmres(A, (-R2 * res).ravel(), rtol=opts.lin_tol,
-                         atol=0.0, restart=opts.gmres_restart,
-                         maxiter=opts.gmres_maxiter, M=M, callback=cb,
+                         atol=0.0, restart=GMRES_RESTART,
+                         maxiter=GMRES_MAXITER, M=M, callback=cb,
                          callback_type="pr_norm")
         rec["gmres_iters"].append(counter["n"])
         if info < 0 or not np.all(np.isfinite(dR)):
@@ -338,7 +333,7 @@ def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage):
         # rejected if actually bad) by the decrease test below.
         dR = dR.reshape(Rv.shape)
         alpha = 1.0
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             R_try = Rv + alpha * dR
             if np.min(R_try) > 0.0:
                 res_try, aux_try = _eval_residual(problem, R_try, c_scale)
@@ -364,8 +359,8 @@ def solve_slice(problem: MotsProblem, options: SolveOptions | None = None,
     solution at continuation parameter 0, walks the coefficient ramp to 1
     with adaptive steps (halving on failure, doubling after two
     successes, hard floor), and finishes with Newton on the full H.  With
-    ``initial_guess`` given (or route="newton") it runs damped Newton on
-    H directly, which is the uniqueness-probe mode.
+    ``initial_guess`` given it runs damped Newton on H directly from that
+    guess, which is the uniqueness-probe mode.
     """
     opts = options or SolveOptions()
     grid = problem.grid
@@ -373,18 +368,15 @@ def solve_slice(problem: MotsProblem, options: SolveOptions | None = None,
     tol_abs = (opts.newton_tol * math.sqrt(4.0 * math.pi)
                * 2.0 / _quad_mean(grid, M0))
     trace, lam_path = [], []
-    direct = initial_guess is not None or opts.route == "newton"
-    Rv = (initial_guess.values.copy() if initial_guess is not None
-          else 0.5 * M0.copy())
     try:
-        if direct:
+        if initial_guess is not None:
             lam_path.append(1.0)
-            Rv, norm = _newton(problem, Rv, opts, tol_abs, 1.0, trace,
-                               "direct")
+            Rv, norm = _newton(problem, initial_guess.values.copy(), opts,
+                               tol_abs, 1.0, trace, "direct")
         else:
             lam = 0.0
             lam_path.append(lam)
-            Rv, norm = _newton(problem, Rv, opts, tol_abs, lam, trace,
+            Rv, norm = _newton(problem, 0.5 * M0, opts, tol_abs, lam, trace,
                                "base")
             dlam, streak = opts.dlam_init, 0
             while lam < 1.0:
@@ -412,14 +404,10 @@ def solve_slice(problem: MotsProblem, options: SolveOptions | None = None,
     except _NewtonFail as exc:
         raise NonConvergenceError(str(exc), trace) from exc
 
-    gt, gp = grid.gradient_values(Rv)
-    grad_max = float(np.max(np.hypot(gt, gp) / Rv))
-    hess_max = _hessian_max(grid, Rv)
     return MotsSolution(
         R=SphereField(grid, Rv), ubar=problem.ubar, residual_norm=norm,
         newton_trace=trace, lambda_path=lam_path,
         diagnostics={"c0_band": (float(np.min(Rv)), float(np.max(Rv))),
-                     "grad_max": grad_max, "hess_max": hess_max,
                      "tol_abs": tol_abs})
 
 

@@ -75,16 +75,13 @@ class MarginResult:
                 "analytic_hi": float(self.analytic_hi)}
 
 
-def margin(params: RegimeParameters, radius_proxy_interval,
+def margin(params: RegimeParameters, radius_proxy_interval: Interval,
            ubar) -> MarginResult:
     """Penrose margin at one slice: interval arithmetic plus the bound.
 
-    ``radius_proxy_interval`` may be an Interval or an (lo, hi) pair.
     The analytic bound is amp*(1/4 -+ o1)*(lambda delta - ubar) -+ eps,
     reported with the conservative signs on each side.
     """
-    if not isinstance(radius_proxy_interval, Interval):
-        radius_proxy_interval = Interval(*radius_proxy_interval)
     d = derive(params)
     numeric = adm_mass(params) - radius_proxy_interval
     gap = d.ubar_lambda - ubar

@@ -70,12 +70,18 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+# mkstemp creates its file 0600; artifacts get the mode a plain open gives.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
 def _replace_atomically(path, write, mode):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, mode) as fh:
+            os.fchmod(fd, 0o666 & ~_UMASK)
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -109,11 +115,14 @@ def save_artifact(stem, meta, arrays):
 def load_artifact(stem, names, producer, config_hash=None):
     """Read ``stem.json`` and the arrays ``names`` of ``stem.npz``.
 
-    Raises DependencyError, naming the ``producer`` stage, unless the npz
-    carries the config hash of the JSON and, when ``config_hash`` is
-    given, that hash is ``config_hash``.
+    Raises DependencyError, naming the ``producer`` stage, if either file
+    is missing, or unless the npz carries the config hash of the JSON
+    and, when ``config_hash`` is given, that hash is ``config_hash``.
     """
     stem = Path(stem)
+    for suffix in (".json", ".npz"):
+        if not stem.with_suffix(suffix).exists():
+            raise DependencyError(str(stem.with_suffix(suffix)), producer)
     meta = json.loads(stem.with_suffix(".json").read_text())
     want = meta["config_hash"] if config_hash is None else config_hash
     with np.load(stem.with_suffix(".npz")) as z:

@@ -132,7 +132,6 @@ class _ProfileModel:
         self.ulam = d.ubar_lambda
         self.ulamp = d.ubar_lambda_hi
         self.uend = d.ubar_end
-        self.cap = d.m0 * 4.0 / self.A            # Lambda = lam*delta*(1+o1)
         self.u_park = spec.park_frac * self.w0
         self.gmax = math.log1p((self.ulamp / self.u_park) ** 2)
         self.wf = spec.wobble_frac / params.c1
@@ -599,36 +598,27 @@ def verify_profile(profile: ShearProfile) -> Report:
     return Report(tuple(checks))
 
 
-def scale_critical_norm(profile: ShearProfile, j_max=2, i_max=2,
-                        budget=NORM_BUDGET):
+def scale_critical_norm(profile: ShearProfile, budget=NORM_BUDGET):
     """Discrete surrogate of the scale-critical data norm.
 
     Sums delta^j * a^(-1/2) * max_ubar L2(S^2) of j-th ubar finite
     differences and i-th angular derivative magnitudes of the amplitude
-    |chihat_0| = sqrt(amp2).  The budget was calibrated once on the
-    default regime and frozen; the norm is homogeneous of degree one in
-    the amplitude, so a profile built at the wrong amplitude power fails
-    by the corresponding factor.
+    |chihat_0| = sqrt(amp2), for j, i <= 2.  The budget was calibrated
+    once on the default regime at exactly those orders and frozen; the
+    norm is homogeneous of degree one in the amplitude, so a profile
+    built at the wrong amplitude power fails by the corresponding factor.
     """
     nu = len(profile.ubar_grid)
-    if j_max < 0 or i_max < 0:
-        raise ValueError("difference orders must be nonnegative")
-    if 2 * j_max + 3 > nu:
-        raise ResolutionError(
-            f"j_max={j_max} needs more than {nu} ubar nodes")
-    if i_max > 8:
-        raise ResolutionError("i_max beyond 8 is not supported by the "
-                              "angular transform at default resolutions")
     grid = profile.grid
     amp = np.sqrt(np.maximum(profile.amp2, 0.0))
     p = profile.params
     total = 0.0
     du_j = amp
-    for j in range(j_max + 1):
+    for j in range(3):
         if j > 0:
             du_j = np.gradient(du_j, profile.ubar_grid, axis=0)
         ang = du_j
-        for i in range(i_max + 1):
+        for i in range(3):
             if i > 0:
                 mags = np.empty_like(ang)
                 for k in range(nu):

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import shutil
+import stat
 
 import pytest
 
@@ -182,6 +184,30 @@ class TestPipeline:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "slice_003" in err and "'find-mots'" in err
+
+    @pytest.mark.parametrize("stage,lost", [
+        ("horizon", "mots/slice_003.npz"),
+        ("horizon", "mots/slice_003.json"),
+        ("evolve", "profile.npz")])
+    def test_missing_half_of_artifact(self, cfg_path, pipeline_out,
+                                      tmp_path, capsys, stage, lost):
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_out, out)
+        (out / lost).unlink()
+        args = [stage, "--config", str(cfg_path), "--out", str(out)]
+        for ov in FAST_OVERRIDES:
+            args += ["--set", ov]
+        assert main(args) == 2
+        # The directory's own name may contain "missing"; drop it.
+        err = capsys.readouterr().err.replace(str(tmp_path), "")
+        assert "missing" in err and lost in err
+
+    def test_artifact_mode_follows_umask(self, pipeline_out):
+        umask = os.umask(0)
+        os.umask(umask)
+        for name in ("summary.json", "profile.npz"):
+            mode = stat.S_IMODE((pipeline_out / name).stat().st_mode)
+            assert mode == 0o666 & ~umask, name
 
     def test_csv_artifacts_carry_config_hash(self, pipeline_out, cfg_path):
         cfg = parse_config(cfg_path, overrides=FAST_OVERRIDES_KV())

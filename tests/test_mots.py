@@ -17,7 +17,7 @@ def make_synthetic(grid, M0_values, pert_scale=0.0, coeff_bound=1.0,
     shape = (grid.n_theta, grid.n_phi)
     if seed is None or beta == 0.0:
         fields = {k: np.zeros(shape) for k in
-                  ("c1_theta", "c1_phi", "c2_tt", "c2_tp", "c2_pp", "c3")}
+                  ("c1_theta", "c1_phi", "c2", "c3")}
     else:
         class P:  # only b**0.25 is read by the sampler
             b = coeff_bound ** 4
@@ -337,15 +337,14 @@ class TestProblemInvariants:
             MotsProblem(grid=grid_small, ubar=1.0,
                         M0=SphereField.constant(grid_small, 2.0),
                         c1_theta=np.full(shape, 2.0),
-                        c1_phi=np.zeros(shape), c2_tt=np.zeros(shape),
-                        c2_tp=np.zeros(shape), c2_pp=np.zeros(shape),
+                        c1_phi=np.zeros(shape), c2=np.zeros(shape),
                         c3=np.zeros(shape), pert_scale=1.0, zbar=1.0,
                         m0=0.5, coeff_bound=1.0)
 
     def test_M0_positive_enforced(self, grid_small):
         shape = (16, 32)
         zeros = {k: np.zeros(shape) for k in
-                 ("c1_theta", "c1_phi", "c2_tt", "c2_tp", "c2_pp", "c3")}
+                 ("c1_theta", "c1_phi", "c2", "c3")}
         with pytest.raises(PositivityError):
             MotsProblem(grid=grid_small, ubar=1.0,
                         M0=SphereField.constant(grid_small, 0.0),
@@ -356,8 +355,7 @@ class TestProblemInvariants:
         fields = sample_perturbations(grid_small, params, seed=6, beta=0.7)
         target = 0.7 * params.b ** 0.25
         c1n = np.max(np.hypot(fields["c1_theta"], fields["c1_phi"]))
-        c2n = np.max(np.sqrt(fields["c2_tt"]**2 + 2 * fields["c2_tp"]**2
-                             + fields["c2_pp"]**2))
+        c2n = np.max(np.sqrt(2 * fields["c2"]**2))
         c3n = np.max(np.abs(fields["c3"]))
         for n in (c1n, c2n, c3n):
             assert n == pytest.approx(target, rel=1e-12)

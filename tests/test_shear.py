@@ -166,12 +166,6 @@ class TestScaleCriticalNorm:
         loud = tamper(profile_mid, amp2=math.sqrt(a) * profile_mid.amp2)
         assert not scale_critical_norm(loud)["passed"]
 
-    def test_resolution_errors(self, profile_mid):
-        with pytest.raises(ResolutionError):
-            scale_critical_norm(profile_mid, j_max=120)
-        with pytest.raises(ResolutionError):
-            scale_critical_norm(profile_mid, i_max=9)
-
 
 class TestPersistence:
     def test_save_load_roundtrip(self, profile_mid, tmp_path):
