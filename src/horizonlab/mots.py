@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import NonConvergenceError, PositivityError
 from .regime import RegimeParameters
@@ -269,11 +268,18 @@ def _hessian_max(grid, values):
                      np.max(np.abs(h_pp))))
 
 
+def gmres(*args, **kwargs):
+    """scipy's GMRES, imported on first use to keep scipy out of start-up."""
+    from scipy.sparse.linalg import gmres as scipy_gmres
+    return scipy_gmres(*args, **kwargs)
+
+
 def _quad_mean(grid, values):
     return float(np.sum(grid.weights * values)) / (4.0 * np.pi)
 
 
 def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage):
+    from scipy.sparse.linalg import LinearOperator
     grid = problem.grid
     n = Rv.size
     l = np.arange(grid.lmax + 1, dtype=float)

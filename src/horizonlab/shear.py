@@ -67,10 +67,12 @@ def smoothramp(t):
     return np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, out))
 
 
+RAMP_H = 1e-7     # central-difference step of smoothramp_deriv
+
+
 def smoothramp_deriv(t):
     t = np.asarray(t, dtype=float)
-    h = 1e-7
-    return (smoothramp(t + h) - smoothramp(t - h)) / (2.0 * h)
+    return (smoothramp(t + RAMP_H) - smoothramp(t - RAMP_H)) / (2.0 * RAMP_H)
 
 
 def bump(x):
@@ -150,8 +152,11 @@ class _ProfileModel:
     def rho(self, ubar):
         return smoothramp(ubar / self.w0)
 
-    def drho(self, ubar):
-        return smoothramp_deriv(ubar / self.w0) / self.w0
+    def rho_drho(self, ubar):
+        # rho and drho = smoothramp_deriv(t) / w0 from one smoothramp call
+        t = ubar / self.w0
+        r = smoothramp(np.array([t, t + RAMP_H, t - RAMP_H]))
+        return r[0], (r[1] - r[2]) / (2.0 * RAMP_H) / self.w0
 
     def zbar(self, ubar):
         return 1.0 - smoothstep5((ubar - self.ulam) / self.zwindow)
@@ -168,8 +173,7 @@ class _ProfileModel:
     def amp2_main(self, ubar, Y):
         f = self.fbg(ubar, Y)
         df = self.dfbg(ubar, Y)
-        rho = self.rho(ubar)
-        drho = self.drho(ubar)
+        rho, drho = self.rho_drho(ubar)
         zb = self.zbar(ubar)
         dzb = self.dzbar(ubar)
         core = self.A * ((df * ubar + f) * rho + f * ubar * drho)
@@ -189,6 +193,25 @@ class _ProfileModel:
              * np.sin(0.5 * (phi - self.spec.phi0)) ** 2)
         dist = 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
         return 1.0 - bump(dist / self.spec.cap_width)
+
+    def cap_nodes(self, theta, phi):
+        """Flat indices of the nodes ``gate`` can move off exactly 1.0.
+
+        The locus runs along the meridian phi0 with theta in
+        [pi/2 - o1, pi/2 + o1].  The polar-angle gap to that range and
+        the distance to the meridian's great circle are both lower bounds
+        on the distance to any locus point, so a node where either reaches
+        cap_width (with a margin far above the roundoff of ``gate``'s
+        haversine) has gate == 1.0 at every ubar.
+        """
+        o1 = self.params.o1
+        th = np.asarray(theta, dtype=float).ravel()
+        ph = np.asarray(phi, dtype=float).ravel()
+        gap = np.abs(th - np.clip(th, np.pi / 2.0 - o1, np.pi / 2.0 + o1))
+        off_circle = np.arcsin(np.minimum(
+            np.sin(th) * np.abs(np.sin(ph - self.spec.phi0)), 1.0))
+        reach = self.spec.cap_width * (1.0 + 1e-6) + 1e-12
+        return np.flatnonzero(np.maximum(gap, off_circle) < reach)
 
     def repay_shape(self, ubar):
         lo = self.spec.repay_lo * self.ulam
@@ -223,8 +246,18 @@ def _cumtrapz(y, x):
 
 
 def _repaid(main, gate, kappa, repay):
-    """The amplitude with the zero notch cut out and repaid per angle."""
+    """The amplitude with the zero notch cut out and repaid per angle.
+
+    Off the cap nodes gate is 1.0 and kappa +0.0, where this is ``main``
+    bit for bit, so the grid evaluators apply it on the cap nodes only.
+    """
     return main * gate * (1.0 + kappa * repay)
+
+
+# Distinct times ShearProfile.amp2_at keeps.  The lockstep RK4 sweeps of
+# transport.integrate_cone ask for a time again within five calls, which
+# span at most five distinct times.
+_AMP2_MEMO = 6
 
 
 @dataclass
@@ -250,10 +283,16 @@ class ShearProfile:
 
     def __post_init__(self):
         m = self._model = _ProfileModel(self.params, self.spec)
-        self._Y = angular_wobble(self.grid.theta_2d, self.grid.phi_2d)
+        g = self.grid
+        self._Y = angular_wobble(g.theta_2d, g.phi_2d)
         self.ubar_grid = _build_ubar_grid(m, self.spec.n_ubar)
         self.zbar = m.zbar(self.ubar_grid)
         self.zero_locus_theta = m.locus_theta(self.ubar_grid)
+        cap = self._cap = m.cap_nodes(g.theta_2d, g.phi_2d)
+        self._cap_theta = g.theta_2d.ravel()[cap]
+        self._cap_phi = g.phi_2d.ravel()[cap]
+        self._cap_kappa = self.kappa_repay.ravel()[cap]
+        self._memo = {}
 
     @property
     def m0(self):
@@ -276,13 +315,30 @@ class ShearProfile:
     def _amp2(self, ubar):
         # amp2_at's formula, which the amp2 table shares
         m = self._model
-        return _repaid(m.amp2_main(ubar, self._Y),
-                       m.gate(ubar, self.grid.theta_2d, self.grid.phi_2d),
-                       self.kappa_repay, m.repay_shape(ubar))
+        out = m.amp2_main(ubar, self._Y)
+        if self._cap.size:
+            flat = out.reshape(-1)
+            flat[self._cap] = _repaid(
+                flat[self._cap], m.gate(ubar, self._cap_theta, self._cap_phi),
+                self._cap_kappa, m.repay_shape(ubar))
+        return out
 
     def amp2_at(self, ubar):
-        """Squared shear amplitude on the full sphere grid at ``ubar``."""
-        return self._amp2(ubar)
+        """Squared shear amplitude on the full sphere grid at ``ubar``.
+
+        The result is read-only.  The last few distinct times are
+        memoised, keyed on the bits of ``float(ubar)``, so a repeated
+        time returns the same array.
+        """
+        key = float(ubar).hex()
+        out = self._memo.get(key)
+        if out is None:
+            out = self._amp2(ubar)
+            out.flags.writeable = False
+            if len(self._memo) == _AMP2_MEMO:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = out
+        return out
 
     def amp2_at_point(self, ubar, theta, phi):
         """Amplitude at one arbitrary angular point (diagnostic use)."""
@@ -399,29 +455,40 @@ def _repayment(model: _ProfileModel, ubar, grid: SphereGrid):
     """Per-angle gain that repays, in the grid trapezoid quadrature, what
     the zero notch removed, and ``corr``, the cumulative shear it adds."""
     Y = angular_wobble(grid.theta_2d, grid.phi_2d)
+    cap = model.cap_nodes(grid.theta_2d, grid.phi_2d)
+    theta, phi = grid.theta_2d.ravel()[cap], grid.phi_2d.ravel()[cap]
     nu = len(ubar)
-    main = np.empty((nu, grid.n_theta, grid.n_phi))
-    gate = np.empty_like(main)
+    main = np.empty((nu, Y.size))
+    gate = np.empty((nu, cap.size))
     repay = np.empty(nu)
     for k, u in enumerate(ubar):
-        main[k] = model.amp2_main(u, Y)
-        gate[k] = model.gate(u, grid.theta_2d, grid.phi_2d)
+        main[k] = model.amp2_main(u, Y).ravel()
+        gate[k] = model.gate(u, theta, phi)
         repay[k] = model.repay_shape(u)
 
-    deficit = np.trapezoid(main * (1.0 - gate), ubar, axis=0)
-    den = np.trapezoid(main * gate * repay[:, None, None], ubar, axis=0)
-    kappa = deficit / den
+    # Off the cap nodes gate is 1.0: nothing is cut and main * gate is
+    # main.  The sums run over full-grid rows, since numpy adds the rows
+    # of a narrow array in another order.
+    cut = np.zeros_like(main)
+    cut[:, cap] = main[:, cap] * (1.0 - gate)
+    kept = main * repay[:, None]
+    kept[:, cap] = main[:, cap] * gate * repay[:, None]
+    kappa = np.trapezoid(cut, ubar, axis=0) / np.trapezoid(kept, ubar, axis=0)
+    del cut, kept
     if np.max(np.abs(kappa)) > 0.5:
         raise ConstraintError(
             "topological_fact_deficit",
             "moving-zero notch removes too much shear to repay smoothly; "
             "shrink cap_width or widen the repay window")
 
-    amp2 = _repaid(main, gate, kappa, repay[:, None, None])
+    amp2 = main.copy()
+    amp2[:, cap] = _repaid(main[:, cap], gate, kappa[cap], repay[:, None])
     if np.min(amp2) < -1e-12 * np.max(amp2):
         raise ConstraintError("smoothness_nonnegative",
                               "|chihat_0|^2 went negative")
-    return kappa, _cumtrapz(np.maximum(amp2, 0.0) - main, ubar)
+    corr = np.maximum(amp2, 0.0) - main
+    return (kappa.reshape(Y.shape),
+            _cumtrapz(corr.reshape((nu,) + Y.shape), ubar))
 
 
 def build_profile(params: RegimeParameters, spec: ProfileSpec,

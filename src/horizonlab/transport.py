@@ -6,14 +6,21 @@ vanishes, so the outgoing Raychaudhuri equation closes per angle:
     d(trchi)/dubar = -trchi^2 / 2 - |chihat_0|^2(ubar, omega),
 
 integrated with classical fixed-step RK4 and a step-halving error
-estimate.  In the interior the expansion is not evolved; it is modeled
-by its certified leading term 2/u - I(ubar, omega)/u^2 together with an
+estimate.  The sweep with n steps and the one with n // 2 steps advance
+in lockstep, whichever is behind in ubar first.  For even n the coarse
+step is exactly twice the fine one, so the times the two sweeps share
+reach ``amp2_at`` within a few calls of each other, and the profile's
+small memo (``ShearProfile.amp2_at``) evaluates each distinct time once.
+
+In the interior the expansion is not evolved; it is modeled by its
+certified leading term 2/u - I(ubar, omega)/u^2 together with an
 absolute envelope ubar*sqrt(a)*b^(1/4)/u^2 on the correction, so that
 "trapped" can be certified rather than merely observed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,41 +47,63 @@ class ConeState:
     n_steps: int
 
 
+def _rk4_sweep(rhs, ubar_end, steps, y, blow):
+    """Fixed-step RK4 for dy/du = rhs(u, y) from u = 0: yields (u, y)
+    after each step, and raises FocusingError where y diverges."""
+    h = ubar_end / steps
+    u = 0.0
+    for k in range(steps):
+        k1 = rhs(u, y)
+        k2 = rhs(u + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(u + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(u + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = (k + 1) * h
+        if not np.all(np.isfinite(y)) or np.min(y) < -blow:
+            raise FocusingError(u)
+        yield u, y
+
+
 def integrate_cone(amp2_at, ubar_end, n_steps, grid, trchi0=2.0,
                    n_store=33):
     """RK4 integration of the focusing equation for all angles at once.
 
     ``amp2_at(ubar)`` must return the squared shear on the grid.  Raises
-    FocusingError with the offending ubar if trchi diverges.
+    FocusingError with the offending ubar if trchi diverges: the full
+    sweep's point if it diverges, otherwise the half sweep's.
     """
     def rhs(u, y):
         return -0.5 * y * y - amp2_at(u)
 
-    def sweep(steps):
-        h = ubar_end / steps
-        y = np.full((grid.n_theta, grid.n_phi), float(trchi0))
-        stride = max(1, steps // max(n_store - 1, 1))
-        nodes, snaps = [0.0], [y.copy()]
-        u = 0.0
-        blow = 1e6 * abs(trchi0)
-        for k in range(steps):
-            k1 = rhs(u, y)
-            k2 = rhs(u + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(u + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(u + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            u = (k + 1) * h
-            if not np.all(np.isfinite(y)) or np.min(y) < -blow:
-                raise FocusingError(u)
-            if (k + 1) % stride == 0 or k == steps - 1:
-                nodes.append(u)
-                snaps.append(y.copy())
-        return np.array(nodes), np.array(snaps)
+    y0 = np.full((grid.n_theta, grid.n_phi), float(trchi0))
+    blow = 1e6 * abs(trchi0)
+    half = _rk4_sweep(rhs, ubar_end, max(2, n_steps // 2), y0, blow)
+    half_u, half_y, half_blowup = 0.0, y0, None
 
-    nodes, snaps = sweep(n_steps)
-    _, snaps_half = sweep(max(2, n_steps // 2))
-    err = float(np.max(np.abs(snaps[-1] - snaps_half[-1]))) / 15.0
-    return ConeState(grid=grid, ubar_nodes=nodes, trchi=snaps,
+    def advance_half(until):
+        nonlocal half_u, half_y, half_blowup
+        try:
+            while half_u < until:
+                half_u, half_y = next(half)
+        except StopIteration:
+            pass
+        except FocusingError as exc:
+            half_blowup = exc
+
+    stride = max(1, n_steps // max(n_store - 1, 1))
+    nodes, snaps = [0.0], [y0]
+    for k, (u, y) in enumerate(_rk4_sweep(rhs, ubar_end, n_steps, y0, blow),
+                               start=1):
+        if k % stride == 0 or k == n_steps:
+            nodes.append(u)
+            snaps.append(y)
+        advance_half(u)
+    advance_half(math.inf)
+    if half_blowup is not None:
+        raise half_blowup
+    snaps = np.array(snaps)
+    err = float(np.max(np.abs(snaps[-1] - half_y))) / 15.0
+    return ConeState(grid=grid, ubar_nodes=np.array(nodes), trchi=snaps,
                      trchi_final=snaps[-1], step_error=err, n_steps=n_steps)
 
 

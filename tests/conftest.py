@@ -1,5 +1,6 @@
 import pytest
 
+from horizonlab import shear
 from horizonlab.regime import default_regime
 from horizonlab.shear import ProfileSpec, build_profile
 from horizonlab.sphere import get_grid
@@ -30,3 +31,23 @@ def profile_plain(params, grid_mid):
     """Wobble-free variant: f and zeta carry no angular dependence."""
     spec = ProfileSpec(n_ubar=193, wobble_frac=0.0, zeta_wobble_frac=0.0)
     return build_profile(params, spec, grid_mid)
+
+
+@pytest.fixture(scope="session")
+def profile_notch(params, grid_small):
+    """cap_width 0.1: the moving zero's notch reaches grid nodes."""
+    return build_profile(params, ProfileSpec(n_ubar=129, cap_width=0.1),
+                         grid_small)
+
+
+@pytest.fixture(scope="session")
+def full_grid_amp2():
+    """The amplitude formula with the gate on every node and no memo,
+    which ``ShearProfile.amp2_at`` must reproduce bit for bit."""
+    def amp2(profile, ubar):
+        m, g = profile._model, profile.grid
+        Y = shear.angular_wobble(g.theta_2d, g.phi_2d)
+        return shear._repaid(m.amp2_main(ubar, Y),
+                             m.gate(ubar, g.theta_2d, g.phi_2d),
+                             profile.kappa_repay, m.repay_shape(ubar))
+    return amp2

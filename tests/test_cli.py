@@ -5,9 +5,12 @@ import json
 import os
 import shutil
 import stat
+import subprocess
+import sys
 
 import pytest
 
+import horizonlab
 from horizonlab.cli import STAGES, default_config_text, main, parse_config
 from horizonlab.errors import ConfigError
 from horizonlab.mots import MotsSolution, make_problem, verify_apriori
@@ -298,3 +301,16 @@ def test_check_key_sets(params, profile_mid):
         diagnostics={})
     assert keys(verify_apriori(solution, problem, params)) == {
         frozenset(common | {"value", "threshold", "ratio"})}
+
+
+def test_import_leaves_scipy_out():
+    # scipy is imported on the first GMRES solve, not at start-up
+    src = os.path.dirname(os.path.dirname(horizonlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import horizonlab.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' "
+            "or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

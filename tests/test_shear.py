@@ -11,6 +11,8 @@ from horizonlab.errors import ConstraintError, ResolutionError
 from horizonlab.regime import default_regime
 from horizonlab.shear import (ProfileSpec, ShearProfile, build_profile,
                               scale_critical_norm, verify_profile)
+from horizonlab.sphere import get_grid
+from horizonlab.transport import integrate_cone
 
 
 def tamper(profile, **arrays):
@@ -226,3 +228,72 @@ class TestClosures:
         k = len(profile_mid.ubar_grid) // 2
         u = profile_mid.ubar_grid[k]
         assert np.array_equal(profile_mid.amp2_at(u), profile_mid.amp2[k])
+
+
+def oracle_times(profile, n_steps=64):
+    """Every ubar node, every midpoint, and the stage times of a sweep."""
+    ub = profile.ubar_grid
+    seen = []
+    integrate_cone(lambda u: seen.append(u) or 0.0, profile.derived.ubar_end,
+                   n_steps, profile.grid)
+    return list(ub) + list(0.5 * (ub[1:] + ub[:-1])) + seen
+
+
+@pytest.fixture(scope="module")
+def profile_notch_default_grid(params):
+    # notch-cone's cap width on the default grid: the notch reaches nodes
+    return build_profile(params, ProfileSpec(cap_width=0.014),
+                         get_grid(64, 128))
+
+
+class TestCapSet:
+    def test_empty_at_default_config(self, params):
+        grid = get_grid(64, 128)
+        model = shear._ProfileModel(params, ProfileSpec())
+        assert model.cap_nodes(grid.theta_2d, grid.phi_2d).size == 0
+
+    @pytest.mark.parametrize("name", ["profile_notch",
+                                      "profile_notch_default_grid"])
+    def test_amp2_at_matches_full_grid_gate(self, name, request,
+                                            full_grid_amp2):
+        # Two nodes beside the locus meridian, and their mirror images on
+        # the other half of its great circle, which the bound keeps.
+        profile = request.getfixturevalue(name)
+        g, m = profile.grid, profile._model
+        cap = m.cap_nodes(g.theta_2d, g.phi_2d)
+        assert cap.size == 4
+        assert np.count_nonzero(profile.kappa_repay) == 2
+        assert set(np.flatnonzero(profile.kappa_repay)) <= set(cap)
+        reached = np.zeros(g.theta_2d.size, dtype=bool)
+        for u in oracle_times(profile):
+            want = full_grid_amp2(profile, u)
+            assert profile.amp2_at(u).tobytes() == want.tobytes(), u
+            reached |= m.gate(u, g.theta_2d, g.phi_2d).ravel() < 1.0
+        assert np.any(reached)
+        assert set(np.flatnonzero(reached)) <= set(cap)
+
+    def test_amp2_table_matches_full_grid_gate(self, profile_notch,
+                                               full_grid_amp2):
+        for k, u in enumerate(profile_notch.ubar_grid):
+            want = np.maximum(full_grid_amp2(profile_notch, u), 0.0)
+            assert profile_notch.amp2[k].tobytes() == want.tobytes()
+
+
+class TestAmp2Memo:
+    def test_read_only(self, profile_notch):
+        out = profile_notch.amp2_at(0.3 * profile_notch.derived.ubar_lambda)
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0, 0] = 1.0
+
+    def test_repeated_time_same_bits(self, profile_notch,
+                                     full_grid_amp2):
+        d = profile_notch.derived
+        u = 0.45 * d.ubar_lambda
+        first = profile_notch.amp2_at(u).copy()
+        assert profile_notch.amp2_at(np.float64(u)).tobytes() \
+            == first.tobytes()
+        for v in np.linspace(0.0, d.ubar_end, 20):
+            profile_notch.amp2_at(v)
+        assert profile_notch.amp2_at(u).tobytes() == first.tobytes()
+        assert first.tobytes() == full_grid_amp2(profile_notch, u).tobytes()

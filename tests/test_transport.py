@@ -29,6 +29,43 @@ def zero_amp(u):
     return 0.0
 
 
+def sequential_cone(amp2_at, ubar_end, n_steps, grid, trchi0=2.0,
+                    n_store=33):
+    """Reference: the full sweep, then the half sweep, one after the other.
+
+    ``integrate_cone`` runs the two in lockstep and must match this bit
+    for bit; returns (nodes, snaps, step_error).
+    """
+    def rhs(u, y):
+        return -0.5 * y * y - amp2_at(u)
+
+    def sweep(steps):
+        h = ubar_end / steps
+        y = np.full((grid.n_theta, grid.n_phi), float(trchi0))
+        stride = max(1, steps // max(n_store - 1, 1))
+        nodes, snaps = [0.0], [y.copy()]
+        u = 0.0
+        blow = 1e6 * abs(trchi0)
+        for k in range(steps):
+            k1 = rhs(u, y)
+            k2 = rhs(u + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(u + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(u + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u = (k + 1) * h
+            if not np.all(np.isfinite(y)) or np.min(y) < -blow:
+                raise FocusingError(u)
+            if (k + 1) % stride == 0 or k == steps - 1:
+                nodes.append(u)
+                snaps.append(y.copy())
+        return np.array(nodes), np.array(snaps)
+
+    nodes, snaps = sweep(n_steps)
+    _, snaps_half = sweep(max(2, n_steps // 2))
+    err = float(np.max(np.abs(snaps[-1] - snaps_half[-1]))) / 15.0
+    return nodes, snaps, err
+
+
 class TestRiccati:
     def test_zero_shear_closed_form(self, grid_small):
         state = integrate_cone(zero_amp, 1.0, 512, grid_small)
@@ -83,7 +120,49 @@ class TestRiccati:
     def test_blowup_detected(self, grid_small):
         with pytest.raises(FocusingError) as err:
             integrate_cone(lambda u: 50.0, 1.0, 2048, grid_small)
-        assert 0.0 < err.value.ubar <= 1.0
+        assert err.value.ubar == 0.35400390625
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("n_steps, n_store", [(256, 33), (101, 9),
+                                                  (3, 33)])
+    def test_matches_sequential_sweeps(self, profile_notch, n_steps,
+                                       n_store, full_grid_amp2):
+        ubar_end = profile_notch.derived.ubar_end
+        state = integrate_cone(profile_notch.amp2_at, ubar_end, n_steps,
+                               profile_notch.grid, n_store=n_store)
+        nodes, snaps, err = sequential_cone(
+            lambda u: full_grid_amp2(profile_notch, u), ubar_end, n_steps,
+            profile_notch.grid, n_store=n_store)
+        assert state.ubar_nodes.tobytes() == nodes.tobytes()
+        assert state.trchi.tobytes() == snaps.tobytes()
+        assert state.trchi_final.tobytes() == snaps[-1].tobytes()
+        assert state.step_error == err
+        assert state.n_steps == n_steps
+
+    def test_full_sweep_blowup_wins(self, grid_small):
+        # The spike at ubar = 0.25 is a stage time of the 2-step half sweep
+        # only, and blows it up at 0.5; the 5-step full sweep diverges
+        # later, at 1.0, and its point is the one reported.
+        def amp(u):
+            return 1.0e4 if u == 0.25 else 12.0
+
+        with pytest.raises(FocusingError) as ref:
+            sequential_cone(amp, 1.0, 5, grid_small)
+        with pytest.raises(FocusingError) as got:
+            integrate_cone(amp, 1.0, 5, grid_small)
+        assert got.value.ubar == ref.value.ubar == 1.0
+
+    def test_half_sweep_blowup_reported(self, grid_small):
+        # The same spike alone: only the half sweep diverges.
+        def spike(u):
+            return 1.0e4 if u == 0.25 else 0.0
+
+        with pytest.raises(FocusingError) as ref:
+            sequential_cone(spike, 1.0, 5, grid_small)
+        with pytest.raises(FocusingError) as got:
+            integrate_cone(spike, 1.0, 5, grid_small)
+        assert got.value.ubar == ref.value.ubar == 0.5
 
 
 class TestSlabModel:
