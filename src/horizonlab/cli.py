@@ -4,14 +4,18 @@ report.
 Configuration is an INI file with sections [regime], [grid], [profile],
 [solver], [bounds], [toggles], [sweep], [output]; every value has a
 default except solver.seed, which is mandatory for reproducibility.
+The keys, kinds and defaults of [regime], [profile] and [solver] are the
+init fields of ``RegimeParameters``, ``ProfileSpec`` (but for n_ubar,
+which [grid] sets, plus norm_budget) and ``SolveOptions`` (plus the
+seed, beta and the slice counts); those of [bounds] are ``mots.BOUNDS``.
 Each artifact embeds the hash of the numeric-relevant configuration, and
 downstream subcommands refuse to run against artifacts produced from a
 different configuration.  Reruns with identical config and seed emit
 byte-identical numeric JSON; wall-clock metadata lives in run_meta.json
 only.
 
-Exit codes: 0 ok, 2 config or dependency error, 3 constraint failure,
-4 solver non-convergence.
+Exit codes: 0 ok, 2 config or dependency error or a grid size the library
+refuses, 3 constraint failure, 4 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +35,9 @@ from . import horizon as horizon_mod
 from . import penrose as penrose_mod
 from .errors import (ConfigError, ConstraintError, DependencyError,
                      HorizonLabError, MalformedParametersError,
-                     NonConvergenceError)
-from .mots import (MotsSolution, SolveOptions, make_problem, solve_slice,
-                   verify_apriori)
+                     NonConvergenceError, ResolutionError)
+from .mots import (BOUNDS, MotsSolution, SolveOptions, c0_band, make_problem,
+                   solve_slice, verify_apriori)
 from .regime import RegimeParameters, derive, validate
 from .reporting import (config_hash, gnuplot_script, svg_class_map,
                         svg_line_chart, write_csv, write_dat, write_json)
@@ -44,38 +48,38 @@ from .transport import SlabModel, detect_trapped, integrate_data_cone
 
 ENV_OUTDIR = "HORIZONLAB_OUT"
 
+_KINDS = {"float": "float", "int": "int", "bool": "bool",
+          "float | None": "optfloat"}
+
+
+def _field_schema(cls, skip=()):
+    """``(kind, default)`` per init field of dataclass ``cls``, in field
+    order, the kind read off the field's annotation."""
+    return {f.name: (_KINDS[f.type], f.default) for f in fields(cls)
+            if f.init and f.name not in skip}
+
+
+def _record(cls, section, **extra):
+    """``cls`` built from the keys of a config section named after its
+    init fields."""
+    return cls(**{f.name: section[f.name] for f in fields(cls)
+                  if f.init and f.name in section}, **extra)
+
+
 _SCHEMA = {
-    "regime": {
-        "a": ("float", 1.0e4), "kappa": ("float", 0.6),
-        "y": ("float", 10.0), "t": ("float", 0.3), "mu": ("optfloat", None),
-        "gamma": ("float", 0.05), "lambda_lo": ("float", 0.88),
-        "lambda_hi": ("float", 0.91), "c1": ("float", 20.0),
-        "c2_zeta": ("float", 20.0), "c2_unknown_bound": ("float", 1.0),
-        "o1": ("float", 0.05), "d0": ("float", 20.0),
-        "f0": ("float", 100.0), "C_eps": ("float", 1.0),
-        "penrose_coupling": ("bool", True),
-    },
+    "regime": _field_schema(RegimeParameters),
     "grid": {
         "n_theta": ("int", 64), "n_phi": ("int", 128),
         "n_ubar": ("int", 257), "cone_steps": ("int", 2048),
     },
-    "profile": {
-        "wobble_frac": ("float", 0.5), "zeta_wobble_frac": ("float", 0.5),
-        "cap_width": ("float", 3.0e-4), "park_frac": ("float", 0.25),
-        "phi0": ("float", 0.7), "repay_lo": ("float", 0.30),
-        "repay_hi": ("float", 0.70), "norm_budget": ("float", NORM_BUDGET),
-    },
+    "profile": {**_field_schema(ProfileSpec, skip=("n_ubar",)),
+                "norm_budget": ("float", NORM_BUDGET)},
     "solver": {
-        "seed": ("int", None), "newton_tol": ("float", 1.0e-9),
-        "max_iter": ("int", 50), "lin_tol": ("float", 1.0e-10),
-        "dlam_init": ("float", 0.1), "dlam_floor": ("float", 1.0e-4),
+        "seed": ("int", None), **_field_schema(SolveOptions),
         "beta": ("float", 0.4), "n_window_slices": ("int", 16),
         "n_transition_slices": ("int", 4), "n_null_slices": ("int", 4),
     },
-    "bounds": {
-        "c1_threshold": ("float", 0.1), "hess_threshold": ("float", 0.1),
-        "w12_threshold": ("float", 0.1), "h_threshold": ("float", 1.5),
-    },
+    "bounds": {key: ("float", v) for key, v in BOUNDS.items()},
     "toggles": {
         "disc_hypothesis": ("bool", True),
         "envelope_multiplier": ("float", 1.0),
@@ -124,29 +128,15 @@ class RunConfig:
         return self.resolved[section]
 
     def params(self) -> RegimeParameters:
-        r = dict(self.resolved["regime"])
-        return RegimeParameters(**r)
+        return _record(RegimeParameters, self.resolved["regime"])
 
     def profile_spec(self) -> ProfileSpec:
-        p = dict(self.resolved["profile"])
-        p.pop("norm_budget")
-        return ProfileSpec(n_ubar=self.resolved["grid"]["n_ubar"], **p)
+        return _record(ProfileSpec, self.resolved["profile"],
+                       n_ubar=self.resolved["grid"]["n_ubar"])
 
     def grid(self):
         g = self.resolved["grid"]
         return get_grid(g["n_theta"], g["n_phi"])
-
-    def solve_options(self) -> SolveOptions:
-        s = self.resolved["solver"]
-        return SolveOptions(newton_tol=s["newton_tol"],
-                            max_iter=s["max_iter"], lin_tol=s["lin_tol"],
-                            dlam_init=s["dlam_init"],
-                            dlam_floor=s["dlam_floor"])
-
-    def thresholds(self):
-        b = self.resolved["bounds"]
-        return {"c1": b["c1_threshold"], "hess": b["hess_threshold"],
-                "w12": b["w12_threshold"], "h": b["h_threshold"]}
 
 
 def parse_config(path, overrides=(), outdir_flag=None) -> RunConfig:
@@ -218,7 +208,7 @@ def _meta(cfg: RunConfig):
     # every JSON report header carries the derived regime scalars
     header = {"config_hash": cfg.hash, "tool": "horizonlab"}
     try:
-        header["derived"] = derive(cfg.params()).as_dict()
+        header["derived"] = asdict(derive(cfg.params()))
     except HorizonLabError:
         pass
     return header
@@ -274,7 +264,7 @@ def cmd_gen_data(cfg: RunConfig, inputs):
     write_csv(outdir / "cumulative_shear.csv",
               ("ubar", "theta", "phi", "I"), rows, stamp=cfg.hash)
     payload = {"constraints": report.as_dict(),
-               "scale_critical_norm": norm, "derived": d.as_dict()}
+               "scale_critical_norm": norm, "derived": asdict(d)}
     failures = [c.as_dict() for c in report.failing()]
     if not norm["passed"]:
         failures.append({"name": "scale_critical_norm", **norm})
@@ -322,7 +312,7 @@ def cmd_evolve(cfg: RunConfig, inputs):
             "n_steps": cone.n_steps,
             "trchi_final_min": float(np.min(cone.trchi_final)),
             "trchi_final_max": float(np.max(cone.trchi_final)),
-            "trapped_at_predicted_sphere": verdict.as_dict(),
+            "trapped_at_predicted_sphere": asdict(verdict),
             "trapped_map": [row[:3] for row in map_rows]}, None
 
 
@@ -330,7 +320,7 @@ def cmd_find_mots(cfg: RunConfig, inputs):
     outdir = cfg.outdir
     profile = ShearProfile.load(outdir / "profile")
     params = profile.params
-    opts = cfg.solve_options()
+    opts = _record(SolveOptions, cfg["solver"])
     seed = cfg["solver"]["seed"]
     beta = cfg["solver"]["beta"]
     ladder = _slice_ladder(cfg, profile.derived)
@@ -341,8 +331,7 @@ def cmd_find_mots(cfg: RunConfig, inputs):
         problem = make_problem(profile, float(ub), seed=seed + idx,
                                beta=beta)
         solution = solve_slice(problem, opts)
-        bounds = verify_apriori(solution, problem, params,
-                                cfg.thresholds())
+        bounds = verify_apriori(solution, problem, params, cfg["bounds"])
         solution.save(outdir / "mots" / f"slice_{idx:03d}",
                       config_hash=cfg.hash)
         for rec in solution.newton_trace:
@@ -355,9 +344,7 @@ def cmd_find_mots(cfg: RunConfig, inputs):
             "lambda_path": [float(v) for v in solution.lambda_path],
             "newton_iterations": [r.get("iterations", len(r["norms"]) - 1)
                                   for r in solution.newton_trace],
-            "diagnostics": {
-                "c0_band": list(solution.diagnostics["c0_band"]),
-                "tol_abs": solution.diagnostics["tol_abs"]},
+            "diagnostics": solution.diagnostics,
             "M0_min": float(np.min(problem.M0.values)),
             "M0_max": float(np.max(problem.M0.values)),
             "zbar": problem.zbar,
@@ -398,12 +385,12 @@ def cmd_horizon(cfg: RunConfig, inputs):
             "ubar": float(ub),
             "R_min": float(np.min(solutions[k].R.values)),
             "R_max": float(np.max(solutions[k].R.values)),
-            "area": est.as_dict(),
+            "area": asdict(est),
             "dR_dubar_min": (float(np.min(dr.values)) if dr else None),
             "dR_dubar_max": (float(np.max(dr.values)) if dr else None),
             "h_slope": (assembly.h_values[k]
                         if assembly.h_values else None),
-            "spacelike": sl.as_dict(),
+            "spacelike": asdict(sl),
         })
     return {"slices": rows,
             "disc_hypothesis": assembly.disc_hypothesis}, None
@@ -420,10 +407,9 @@ def cmd_penrose(cfg: RunConfig, inputs):
         cls = penrose_mod.classify_regime(params, row["ubar"]) \
             if params.penrose_coupling else None
         slices_out.append({"ubar": row["ubar"],
-                           "margin": mg.as_dict(),
-                           "classification": (cls.as_dict() if cls
-                                              else None)})
-    payload = {"adm_mass": penrose_mod.adm_mass(params).as_dict(),
+                           "margin": asdict(mg),
+                           "classification": asdict(cls) if cls else None})
+    payload = {"adm_mass": asdict(penrose_mod.adm_mass(params)),
                "eps_glue": d.eps_glue,
                "exponents": penrose_mod.exponent_ledger(params),
                "margin_exponent_forms":
@@ -455,12 +441,10 @@ def cmd_report(cfg: RunConfig, inputs):
     m0 = d.m0
     rmin = [s["diagnostics"]["c0_band"][0] / m0 for s in mots["slices"]]
     rmax = [s["diagnostics"]["c0_band"][1] / m0 for s in mots["slices"]]
-    lo, hi = [], []
-    for s in mots["slices"]:
-        lo.append((1 - 1 / params.c1) * (1 - 1 / params.c2_zeta)
-                  * (0.5 - params.o1) * s["M0_min"] / m0)
-        hi.append((1 + 1 / params.c1) * (1 + 1 / params.c2_zeta)
-                  * (0.5 + params.o1) * s["M0_max"] / m0)
+    bands = [c0_band(params, s["M0_min"], s["M0_max"])
+             for s in mots["slices"]]
+    lo = [b_lo / m0 for b_lo, _ in bands]
+    hi = [b_hi / m0 for _, b_hi in bands]
     svg_line_chart(outdir / "r_band.svg",
                    "MOTS radius against the C0 band", "ubar/delta", "R/m0",
                    [{"x": xs, "y": rmin, "label": "min R", "color": "#125"},
@@ -521,7 +505,7 @@ def cmd_report(cfg: RunConfig, inputs):
             in_area_band.append(band_lo <= rp <= band_hi)
     summary = {
         "regime": {"validation": validate(params).as_dict(),
-                   "derived": d.as_dict()},
+                   "derived": asdict(d)},
         "profile_checks_passed":
             inputs["constraint_report.json"]["constraints"]["passed"],
         "trapped_at_predicted_sphere":
@@ -625,7 +609,8 @@ def main(argv=None):
         run(args.subcommand, args.config, args.overrides, args.out)
         print(f"{args.subcommand}: ok")
         return 0
-    except (ConfigError, DependencyError, MalformedParametersError) as exc:
+    except (ConfigError, DependencyError, MalformedParametersError,
+            ResolutionError) as exc:
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
         return 2
     except ConstraintError as exc:

@@ -42,8 +42,8 @@ class FocusingError(HorizonLabError):
         super().__init__(f"{message} at ubar={ubar!r}")
 
 
-class ResolutionError(HorizonLabError):
-    """Requested difference order exceeds what the grid supports."""
+class ResolutionError(HorizonLabError, ValueError):
+    """A grid size the discretisation cannot support was requested."""
 
 
 class NonConvergenceError(HorizonLabError):

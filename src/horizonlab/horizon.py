@@ -99,11 +99,6 @@ class AreaEstimate:
     radius_proxy_mid: float
     radius_proxy_hi: float
 
-    def as_dict(self):
-        return {k: float(getattr(self, k)) for k in
-                ("ubar", "area_lo", "area_mid", "area_hi",
-                 "radius_proxy_lo", "radius_proxy_mid", "radius_proxy_hi")}
-
 
 def area(assembly: HorizonAssembly, ubar) -> AreaEstimate:
     """Area interval of one MOTS under the determinant distortion band."""
@@ -127,11 +122,6 @@ class SpacelikeResult:
     reason: str
     min_schur: float                  # adversarial-direction margin
     min_sampled: float
-
-    def as_dict(self):
-        return {"status": self.status, "reason": self.reason,
-                "min_schur": float(self.min_schur),
-                "min_sampled": float(self.min_sampled)}
 
 
 def spacelike_check(assembly: HorizonAssembly, ubar) -> SpacelikeResult:

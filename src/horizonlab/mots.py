@@ -233,8 +233,7 @@ class MotsSolution:
                 "config_hash": config_hash, "ubar": self.ubar,
                 "residual_norm": self.residual_norm,
                 "lambda_path": [float(v) for v in self.lambda_path],
-                "diagnostics": {k: (list(v) if isinstance(v, tuple) else v)
-                                for k, v in self.diagnostics.items()},
+                "diagnostics": self.diagnostics,
                 "grid": {"n_theta": self.R.grid.n_theta,
                          "n_phi": self.R.grid.n_phi}}
         save_artifact(stem, meta, {"R": self.R.values})
@@ -419,15 +418,24 @@ def solve_slice(problem: MotsProblem, options: SolveOptions | None = None,
 
 # -- a-priori bound verification --------------------------------------------
 
-DEFAULT_THRESHOLDS = {"c1": 0.1, "hess": 0.1, "w12": 0.1, "h": 1.5}
+# Thresholds of the a-priori bounds, keyed as in the config's [bounds].
+BOUNDS = {"c1_threshold": 0.1, "hess_threshold": 0.1,
+          "w12_threshold": 0.1, "h_threshold": 1.5}
+
+
+def c0_band(params: RegimeParameters, m0_min, m0_max):
+    """The C0 band (1 -+ 1/c1)(1 -+ 1/c2)(1/2 -+ o1) M0 of the radius,
+    from the extremes of the mass profile M0."""
+    lo = ((1.0 - 1.0 / params.c1) * (1.0 - 1.0 / params.c2_zeta)
+          * (0.5 - params.o1) * m0_min)
+    hi = ((1.0 + 1.0 / params.c1) * (1.0 + 1.0 / params.c2_zeta)
+          * (0.5 + params.o1) * m0_max)
+    return lo, hi
 
 
 def verify_apriori(solution: MotsSolution, problem: MotsProblem,
-                   params: RegimeParameters,
-                   thresholds=None) -> Report:
+                   params: RegimeParameters, bounds=BOUNDS) -> Report:
     """Check every a-priori bound the continuity argument relies on."""
-    th = dict(DEFAULT_THRESHOLDS)
-    th.update(thresholds or {})
     grid = problem.grid
     Rv = solution.R.values
     M0 = problem.M0.values
@@ -438,10 +446,7 @@ def verify_apriori(solution: MotsSolution, problem: MotsProblem,
                                            "threshold": threshold,
                                            "ratio": ratio}, detail))
 
-    lo = ((1.0 - 1.0 / params.c1) * (1.0 - 1.0 / params.c2_zeta)
-          * (0.5 - params.o1) * float(np.min(M0)))
-    hi = ((1.0 + 1.0 / params.c1) * (1.0 + 1.0 / params.c2_zeta)
-          * (0.5 + params.o1) * float(np.max(M0)))
+    lo, hi = c0_band(params, float(np.min(M0)), float(np.max(M0)))
     rmin, rmax = float(np.min(Rv)), float(np.max(Rv))
     viol = max(lo - rmin, rmax - hi) / (hi - lo)
     add("c0_band", rmin >= lo and rmax <= hi, viol, 0.0, max(viol, 0.0),
@@ -451,21 +456,25 @@ def verify_apriori(solution: MotsSolution, problem: MotsProblem,
             * problem.zbar + (1.0 - problem.zbar) * 4.0 * problem.m0)
     gt, gp = grid.gradient_values(Rv)
     w12 = float(np.sum(grid.weights * (gt * gt + gp * gp)))
-    add("w12", w12 <= th["w12"] * mbar, w12, th["w12"] * mbar,
-        w12 / (th["w12"] * mbar), "int |grad R|^2 dA << mass scale")
+    w12_bound = bounds["w12_threshold"] * mbar
+    add("w12", w12 <= w12_bound, w12, w12_bound, w12 / w12_bound,
+        "int |grad R|^2 dA << mass scale")
 
     grad_max = float(np.max(np.hypot(gt, gp) / Rv))
-    add("c1_gradient", grad_max <= th["c1"], grad_max, th["c1"],
-        grad_max / th["c1"], "max |grad R| << 1")
+    c1_bound = bounds["c1_threshold"]
+    add("c1_gradient", grad_max <= c1_bound, grad_max, c1_bound,
+        grad_max / c1_bound, "max |grad R| << 1")
 
     hess = _hessian_max(grid, Rv)
-    add("c2_hessian", hess <= th["hess"] * mbar, hess, th["hess"] * mbar,
-        hess / (th["hess"] * mbar), "max |second derivatives of R| << mass")
+    hess_bound = bounds["hess_threshold"] * mbar
+    add("c2_hessian", hess <= hess_bound, hess, hess_bound, hess / hess_bound,
+        "max |second derivatives of R| << mass")
 
     center = 0.5 * mbar
     hvals = 1.0 + 8.0 / (mbar * mbar) * (Rv - center) ** 2
     hmax = float(np.max(hvals))
-    add("h_weight", hmax <= th["h"] and float(np.min(hvals)) >= 1.0,
-        hmax, th["h"], (hmax - 1.0) / (th["h"] - 1.0),
+    h_bound = bounds["h_threshold"]
+    add("h_weight", hmax <= h_bound and float(np.min(hvals)) >= 1.0,
+        hmax, h_bound, (hmax - 1.0) / (h_bound - 1.0),
         "Bochner weight stays positive and order one")
     return Report(tuple(checks))

@@ -17,7 +17,7 @@ a violation: the error in m - m0 is one-sided information only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError, ConstraintError, MalformedParametersError
 from .regime import RegimeParameters, derive, validate
@@ -38,9 +38,6 @@ class Interval:
 
     def __sub__(self, other):
         return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def as_dict(self):
-        return {"lo": float(self.lo), "hi": float(self.hi)}
 
 
 def exponent_ledger(params: RegimeParameters):
@@ -68,11 +65,6 @@ class MarginResult:
     numeric: Interval
     analytic_lo: float
     analytic_hi: float
-
-    def as_dict(self):
-        return {"ubar": float(self.ubar), "numeric": self.numeric.as_dict(),
-                "analytic_lo": float(self.analytic_lo),
-                "analytic_hi": float(self.analytic_hi)}
 
 
 def margin(params: RegimeParameters, radius_proxy_interval: Interval,
@@ -125,13 +117,6 @@ class RegimeClassification:
     reasons: tuple
     log_slack: float                  # ln(o1 * a^(ty-1/2)) - ln(c2 bound)
     exponents: dict
-
-    def as_dict(self):
-        return {"status": self.status, "upper_side": self.upper_side,
-                "reasons": list(self.reasons),
-                "log_slack": float(self.log_slack),
-                "exponents": {k: float(v) for k, v in
-                              self.exponents.items()}}
 
 
 def classify_regime(params: RegimeParameters, ubar) -> RegimeClassification:
@@ -195,8 +180,8 @@ def sweep(base: RegimeParameters, axes: dict, ubar_fracs=None):
             for t in ts:
                 row = {"kappa": float(kap), "y": float(y), "t": float(t)}
                 try:
-                    p = base.with_(kappa=float(kap), y=float(y),
-                                   t=float(t), mu=None)
+                    p = replace(base, kappa=float(kap), y=float(y),
+                                t=float(t), mu=None)
                     rep = validate(p)
                     if not rep.passed:
                         raise ConstraintError(rep.failing()[0].name,

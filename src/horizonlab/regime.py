@@ -10,16 +10,10 @@ with its numeric slack; ``derive`` refuses to run on an invalid regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 from .errors import ConstraintError, MalformedParametersError
 from .reporting import Check, Report
-
-# Default regime: chosen to satisfy every constraint with visible slack
-# (a=1e4, kappa=0.6, y=10, t=0.3 couples to mu=12.5).
-DEFAULTS = dict(a=1.0e4, kappa=0.6, y=10.0, t=0.3, gamma=0.05,
-                lambda_lo=0.88, lambda_hi=0.91, c1=20.0, c2_zeta=20.0,
-                c2_unknown_bound=1.0, o1=0.05, d0=20.0, f0=100.0, C_eps=1.0)
 
 
 def coupled_mu(kappa, y, t):
@@ -33,35 +27,35 @@ class RegimeParameters:
 
     With ``penrose_coupling`` enabled (the default), ``mu`` may be omitted
     and is then fixed by the coupling identity; an explicit ``mu`` is kept
-    as given and checked by ``validate``.
+    as given and checked by ``validate``.  The defaults are the default
+    regime, chosen to satisfy every constraint with visible slack (a=1e4,
+    kappa=0.6, y=10, t=0.3 couples to mu=12.5).
     """
 
-    a: float
-    kappa: float
-    y: float
-    t: float
+    a: float = 1.0e4
+    kappa: float = 0.6
+    y: float = 10.0
+    t: float = 0.3
     mu: float | None = None
-    gamma: float = DEFAULTS["gamma"]
-    lambda_lo: float = DEFAULTS["lambda_lo"]
-    lambda_hi: float = DEFAULTS["lambda_hi"]
-    c1: float = DEFAULTS["c1"]
-    c2_zeta: float = DEFAULTS["c2_zeta"]
-    c2_unknown_bound: float = DEFAULTS["c2_unknown_bound"]
-    o1: float = DEFAULTS["o1"]
-    d0: float = DEFAULTS["d0"]
-    f0: float = DEFAULTS["f0"]
-    C_eps: float = DEFAULTS["C_eps"]
+    gamma: float = 0.05
+    lambda_lo: float = 0.88
+    lambda_hi: float = 0.91
+    c1: float = 20.0
+    c2_zeta: float = 20.0
+    c2_unknown_bound: float = 1.0
+    o1: float = 0.05
+    d0: float = 20.0
+    f0: float = 100.0
+    C_eps: float = 1.0
     penrose_coupling: bool = True
     b: float = field(init=False)
     delta: float = field(init=False)
     m0: float = field(init=False)
 
     def __post_init__(self):
-        raw = [self.a, self.kappa, self.y, self.t, self.gamma,
-               self.lambda_lo, self.lambda_hi, self.c1, self.c2_zeta,
-               self.c2_unknown_bound, self.o1, self.d0, self.f0, self.C_eps]
-        if self.mu is not None:
-            raw.append(self.mu)
+        raw = [getattr(self, f.name) for f in fields(self)
+               if f.init and f.type != "bool"
+               and not (f.name == "mu" and self.mu is None)]
         for v in raw:
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise MalformedParametersError(
@@ -79,15 +73,6 @@ class RegimeParameters:
         m0 = (self.b ** self.mu * math.sqrt(self.a) * self.lambda_lo
               * self.delta * (1.0 + self.o1) / 4.0)
         object.__setattr__(self, "m0", m0)
-
-    def with_(self, **kw):
-        return replace(self, **kw)
-
-
-def default_regime(**overrides):
-    kw = dict(DEFAULTS)
-    kw.update(overrides)
-    return RegimeParameters(**kw)
 
 
 def validate(params: RegimeParameters) -> Report:
@@ -149,12 +134,6 @@ class DerivedScalars:
     ubar_end: float           # 2 delta
     u_trapped: float          # b delta a^(1/2)
     eps_glue: float           # C a^(1/2) delta^(1/2)
-
-    def as_dict(self):
-        return {k: float(getattr(self, k)) for k in
-                ("b", "delta", "m0", "shear_amp", "ubar_start",
-                 "ubar_lambda", "ubar_lambda_hi", "ubar_end",
-                 "u_trapped", "eps_glue")}
 
 
 def derive(params: RegimeParameters) -> DerivedScalars:

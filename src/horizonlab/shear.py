@@ -25,7 +25,7 @@ rather than approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -67,12 +67,7 @@ def smoothramp(t):
     return np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, out))
 
 
-RAMP_H = 1e-7     # central-difference step of smoothramp_deriv
-
-
-def smoothramp_deriv(t):
-    t = np.asarray(t, dtype=float)
-    return (smoothramp(t + RAMP_H) - smoothramp(t - RAMP_H)) / (2.0 * RAMP_H)
+RAMP_H = 1e-7     # central-difference step of the ramp derivative
 
 
 def bump(x):
@@ -104,9 +99,6 @@ class ProfileSpec:
     phi0: float = 0.7              # meridian carrying the zero set
     repay_lo: float = 0.30         # repay bump support, fractions of
     repay_hi: float = 0.70         # lambda*delta
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def angular_wobble(theta, phi):
@@ -153,7 +145,7 @@ class _ProfileModel:
         return smoothramp(ubar / self.w0)
 
     def rho_drho(self, ubar):
-        # rho and drho = smoothramp_deriv(t) / w0 from one smoothramp call
+        # rho and its central difference drho from one smoothramp call
         t = ubar / self.w0
         r = smoothramp(np.array([t, t + RAMP_H, t - RAMP_H]))
         return r[0], (r[1] - r[2]) / (2.0 * RAMP_H) / self.w0
@@ -425,8 +417,8 @@ class ShearProfile:
         meta = {
             "kind": "horizonlab-shear-profile",
             "config_hash": config_hash,
-            "params": {k: v for k, v in asdict(self.params).items()},
-            "spec": self.spec.as_dict(),
+            "params": asdict(self.params),
+            "spec": asdict(self.spec),
             "grid": {"n_theta": self.grid.n_theta, "n_phi": self.grid.n_phi},
             "m0": self.m0,
             "shear_amp": self.shear_amp,
@@ -438,10 +430,9 @@ class ShearProfile:
     def load(stem):
         """Reload a saved profile; see ``reporting.load_artifact``."""
         meta, loaded = load_artifact(stem, _PROFILE_ARRAYS, "gen-data")
-        pd = meta["params"]
-        for k in ("b", "delta", "m0"):
-            pd.pop(k, None)
-        params = RegimeParameters(**pd)
+        params = RegimeParameters(**{f.name: meta["params"][f.name]
+                                     for f in fields(RegimeParameters)
+                                     if f.init})
         spec = ProfileSpec(**meta["spec"])
         grid = get_grid(meta["grid"]["n_theta"], meta["grid"]["n_phi"])
         return ShearProfile(params=params, spec=spec, grid=grid, **loaded)

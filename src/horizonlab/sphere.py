@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, PositivityError
+from .errors import GridMismatchError, PositivityError, ResolutionError
 
 
 def _legendre_tables(x, lmax):
@@ -143,9 +143,11 @@ class SphereGrid:
 
     @staticmethod
     def create(n_theta, n_phi):
+        if n_theta < 1:
+            raise ResolutionError("n_theta must be at least 1")
         if n_phi < 2 * n_theta:
-            raise ValueError("n_phi must be at least 2*n_theta for an "
-                             "alias-free harmonic transform")
+            raise ResolutionError("n_phi must be at least 2*n_theta for an "
+                                  "alias-free harmonic transform")
         x_ext, w_ext = _gauss_legendre(n_theta)
         x, w = x_ext.astype(float), w_ext.astype(float)
         theta = np.arccos(x)

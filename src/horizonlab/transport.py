@@ -154,12 +154,6 @@ class TrappedVerdict:
     max_leading: float
     envelope: float
 
-    def as_dict(self):
-        return {"status": self.status,
-                "min_leading": self.min_leading,
-                "max_leading": self.max_leading,
-                "envelope": self.envelope}
-
 
 def detect_trapped(slab: SlabModel, u, ubar) -> TrappedVerdict:
     """Interval classification of the sphere S_(u, ubar).

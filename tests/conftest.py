@@ -1,7 +1,7 @@
 import pytest
 
 from horizonlab import shear
-from horizonlab.regime import default_regime
+from horizonlab.regime import RegimeParameters
 from horizonlab.shear import ProfileSpec, build_profile
 from horizonlab.sphere import get_grid
 
@@ -18,7 +18,7 @@ def grid_mid():
 
 @pytest.fixture(scope="session")
 def params():
-    return default_regime()
+    return RegimeParameters()
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from horizonlab.horizon import area, assemble
 from horizonlab.mots import make_problem, solve_slice, verify_apriori
 from horizonlab.penrose import (CERTIFIED_POSITIVE, INCONCLUSIVE,
                                 classify_regime, margin_exponent_forms)
-from horizonlab.regime import default_regime
+from horizonlab.regime import RegimeParameters
 from horizonlab.shear import ProfileSpec, build_profile, verify_profile
 from horizonlab.sphere import SphereField, get_grid
 from horizonlab.transport import (SlabModel, detect_trapped, integrate_cone,
@@ -36,7 +36,7 @@ def grid64():
 
 @pytest.fixture(scope="module")
 def profile64(grid64):
-    return build_profile(default_regime(), ProfileSpec(), grid64)
+    return build_profile(RegimeParameters(), ProfileSpec(), grid64)
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +223,7 @@ def test_criterion_08_null_approach(profile64, ladder64):
 
 
 def test_criterion_09_penrose_exponents():
-    params = default_regime()
+    params = RegimeParameters()
     forms = margin_exponent_forms(params)
     rel = abs(forms["direct"] - forms["factored"]) / abs(forms["direct"])
     assert rel <= 64 * np.finfo(float).eps

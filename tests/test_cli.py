@@ -11,11 +11,13 @@ import sys
 import pytest
 
 import horizonlab
-from horizonlab.cli import STAGES, default_config_text, main, parse_config
+from horizonlab.cli import (STAGES, _record, default_config_text, main,
+                            parse_config)
 from horizonlab.errors import ConfigError
-from horizonlab.mots import MotsSolution, make_problem, verify_apriori
-from horizonlab.regime import default_regime, validate
-from horizonlab.shear import verify_profile
+from horizonlab.mots import (BOUNDS, MotsSolution, SolveOptions, make_problem,
+                             verify_apriori)
+from horizonlab.regime import RegimeParameters, validate
+from horizonlab.shear import ProfileSpec, verify_profile
 from horizonlab.sphere import SphereField
 
 FAST_OVERRIDES = [
@@ -82,6 +84,32 @@ class TestConfig:
             parse_config(cfg_path, overrides=["nonsense"])
         with pytest.raises(ConfigError):
             parse_config(cfg_path, overrides=["regime.bogus=1"])
+
+    def test_defaults_are_the_records(self, tmp_path):
+        # [regime], [profile], [solver] and [bounds] are read off the
+        # dataclass fields and mots.BOUNDS; the text and the hash of the
+        # default config are pinned, so a reordered or retyped field shows.
+        text = default_config_text(1234)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "055f8943517d7177c6f315aba0177ed95c134af572b50c03be5f6b55f5447cfa")
+        path = tmp_path / "default.ini"
+        path.write_text(text)
+        cfg = parse_config(path)
+        assert cfg.hash == "3eefaa4ee4c62951"
+        assert cfg.params() == RegimeParameters()
+        assert cfg.profile_spec() == ProfileSpec()
+        assert _record(SolveOptions, cfg["solver"]) == SolveOptions()
+        assert cfg["bounds"] == BOUNDS
+
+    @pytest.mark.parametrize("override", [
+        "grid.n_phi=100", "grid.n_theta=0", "grid.n_ubar=40"])
+    def test_refused_grid_size_exit_code(self, cfg_path, tmp_path, capsys,
+                                         override):
+        rc = main(["gen-data", "--config", str(cfg_path), "--out",
+                   str(tmp_path), "--set", override])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err and "at least" in err
 
     def test_hash_ignores_output_section(self, cfg_path):
         a = parse_config(cfg_path, overrides=["output.directory=x"])
@@ -290,7 +318,7 @@ def test_check_key_sets(params, profile_mid):
         return {frozenset(c) for c in report.as_dict()["checks"]}
 
     common = {"name", "passed", "detail"}
-    assert keys(validate(default_regime())) == {
+    assert keys(validate(RegimeParameters())) == {
         frozenset(common | {"slack"})}
     assert keys(verify_profile(profile_mid)) == {
         frozenset(common | {"measured", "threshold"})}
@@ -301,6 +329,38 @@ def test_check_key_sets(params, profile_mid):
         diagnostics={})
     assert keys(verify_apriori(solution, problem, params)) == {
         frozenset(common | {"value", "threshold", "ratio"})}
+
+
+def test_record_key_sets(pipeline_out):
+    # The result records serialise through dataclasses.asdict: these key
+    # sets are their fields, as the stage JSONs carry them.
+    def load(name):
+        return json.loads((pipeline_out / name).read_text())
+
+    derived = {"b", "delta", "m0", "shear_amp", "ubar_start", "ubar_lambda",
+               "ubar_lambda_hi", "ubar_end", "u_trapped", "eps_glue"}
+    assert set(load("constraint_report.json")["derived"]) == derived
+    assert set(load("summary.json")["regime"]["derived"]) == derived
+    assert set(load("evolve.json")["meta"]["derived"]) == derived
+    assert set(load("evolve.json")["trapped_at_predicted_sphere"]) == {
+        "status", "min_leading", "max_leading", "envelope"}
+    for s in load("mots_report.json")["slices"]:
+        assert set(s["diagnostics"]) == {"c0_band", "tol_abs"}
+    for row in load("horizon.json")["slices"]:
+        assert set(row["area"]) == {
+            "ubar", "area_lo", "area_mid", "area_hi", "radius_proxy_lo",
+            "radius_proxy_mid", "radius_proxy_hi"}
+        assert set(row["spacelike"]) == {
+            "status", "reason", "min_schur", "min_sampled"}
+    audit = load("penrose_audit.json")
+    assert set(audit["adm_mass"]) == {"lo", "hi"}
+    assert audit["slices"]
+    for s in audit["slices"]:
+        assert set(s["margin"]) == {
+            "ubar", "numeric", "analytic_lo", "analytic_hi"}
+        assert set(s["margin"]["numeric"]) == {"lo", "hi"}
+        assert set(s["classification"]) == {
+            "status", "upper_side", "reasons", "log_slack", "exponents"}
 
 
 def test_import_leaves_scipy_out():

@@ -1,6 +1,7 @@
 """Horizon assembly, areas, ubar-derivatives, and the spacelike test."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ class TestArea:
                              ubar=float(u), residual_norm=0.0,
                              newton_trace=[], lambda_path=[1.0],
                              diagnostics={}) for u in (0.1, 0.2, 0.3)]
-        big_f0 = params.with_(f0=1e15)
+        big_f0 = replace(params, f0=1e15)
         asm = assemble(big_f0, None, [None] * 3, sols)
         est = area(asm, 0.2)
         assert est.area_mid == pytest.approx(4 * math.pi * r * r,

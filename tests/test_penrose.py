@@ -1,6 +1,7 @@
 """Mass window, margins, exponent consistency, and regime sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from horizonlab.penrose import (CERTIFIED_POSITIVE, INCONCLUSIVE,
                                 VIOLATED_NEVER, Interval, adm_mass,
                                 classify_regime, exponent_ledger, margin,
                                 margin_exponent_forms, sweep)
-from horizonlab.regime import default_regime, derive
+from horizonlab.regime import RegimeParameters, derive
 
 
 class TestAdmMass:
     def test_degenerate_at_zero_constant(self):
-        p = default_regime(C_eps=0.0)
+        p = RegimeParameters(C_eps=0.0)
         iv = adm_mass(p)
         assert iv.lo == iv.hi == pytest.approx(p.m0)
 
@@ -58,7 +59,7 @@ class TestMargin:
     @given(st.floats(0.01, 0.4), st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_interval_soundness(self, halfwidth, frac):
-        params = default_regime()
+        params = RegimeParameters()
         d = derive(params)
         rp_center = 0.25 * d.shear_amp * d.ubar_lambda * 0.5
         rp = Interval(rp_center * (1 - halfwidth),
@@ -109,7 +110,7 @@ class TestClassify:
         assert cls.log_slack == pytest.approx(math.log(0.05e10), rel=1e-9)
 
     def test_boundary_exponent_inconclusive(self):
-        p = default_regime(t=0.05, y=10.0)     # t*y = 1/2 exactly
+        p = RegimeParameters(t=0.05, y=10.0)     # t*y = 1/2 exactly
         d = derive(p)
         cls = classify_regime(p, d.ubar_start)
         assert cls.status == INCONCLUSIVE
@@ -128,12 +129,12 @@ class TestClassify:
             assert classify_regime(params, ub).upper_side == VIOLATED_NEVER
 
     def test_requires_coupling(self):
-        p = default_regime(mu=12.5, penrose_coupling=False)
+        p = RegimeParameters(mu=12.5, penrose_coupling=False)
         with pytest.raises(ConfigError):
             classify_regime(p, p.delta * 0.01)
 
     def test_large_unknown_constant_inconclusive(self, params):
-        p = params.with_(c2_unknown_bound=1e12)
+        p = replace(params, c2_unknown_bound=1e12)
         d = derive(p)
         assert classify_regime(p, d.ubar_start).status == INCONCLUSIVE
 

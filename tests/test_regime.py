@@ -1,13 +1,14 @@
 """Parameter validation, derived scalars, and the coupling identity."""
 
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horizonlab.errors import ConstraintError, MalformedParametersError
-from horizonlab.regime import (coupled_mu, default_regime, derive,
+from horizonlab.regime import (RegimeParameters, coupled_mu, derive,
                                validate)
 
 
@@ -25,15 +26,15 @@ class TestValidate:
             pytest.approx(-2.0)
 
     def test_kappa_below_half_fails_kappa_entry(self):
-        p = default_regime(kappa=0.4)
+        p = RegimeParameters(kappa=0.4)
         report = validate(p)
         assert not report.passed
         assert not check_names(report)["kappa_gt_half"]
 
     def test_scale_exponent_violation(self):
         # kappa*mu - y + 1/2 = 0.9*2 - 2 + 0.5 = +0.3 must fail.
-        p = default_regime(kappa=0.9, y=2.0, mu=2.0, t=0.3,
-                           penrose_coupling=False)
+        p = RegimeParameters(kappa=0.9, y=2.0, mu=2.0, t=0.3,
+                             penrose_coupling=False)
         report = validate(p)
         assert not check_names(report)["scale_exponent"]
         entry = [c for c in report.checks if c.name == "scale_exponent"][0]
@@ -41,16 +42,16 @@ class TestValidate:
 
     def test_nonfinite_raises(self):
         with pytest.raises(MalformedParametersError):
-            default_regime(a=float("nan"))
+            RegimeParameters(a=float("nan"))
 
     def test_mu_required_without_coupling(self):
         with pytest.raises(MalformedParametersError):
-            default_regime(penrose_coupling=False)
+            RegimeParameters(penrose_coupling=False)
 
     def test_coupling_identity_checked(self):
-        p = default_regime(mu=12.5)
+        p = RegimeParameters(mu=12.5)
         assert check_names(validate(p))["penrose_coupling_identity"]
-        bad = default_regime(mu=12.6)
+        bad = RegimeParameters(mu=12.6)
         assert not check_names(validate(bad))["penrose_coupling_identity"]
 
     def test_both_smallness_conditions_present(self, params):
@@ -62,14 +63,14 @@ class TestValidate:
     @settings(max_examples=30, deadline=None)
     def test_slack_monotone_flip_below_half(self, kappa):
         # Shrinking kappa below 1/2 flips exactly the kappa-bound entry.
-        names = check_names(validate(default_regime(kappa=kappa)))
+        names = check_names(validate(RegimeParameters(kappa=kappa)))
         assert not names.pop("kappa_gt_half")
         assert all(names.values())
 
     @given(st.floats(0.5001, 0.72))
     @settings(max_examples=30, deadline=None)
     def test_all_pass_above_half(self, kappa):
-        assert validate(default_regime(kappa=kappa)).passed
+        assert validate(RegimeParameters(kappa=kappa)).passed
 
 
 class TestDerive:
@@ -79,7 +80,7 @@ class TestDerive:
         assert d.delta == pytest.approx(1e-40, rel=1e-14)
 
     def test_m0_exact_at_zero_o1(self):
-        p = default_regime(o1=1e-9, d0=1e9)
+        p = RegimeParameters(o1=1e-9, d0=1e9)
         # with o1 -> 0 the mass is exactly amp * lambda * delta / 4
         d = derive(p)
         amp = math.sqrt(p.a) * p.b ** p.mu
@@ -102,14 +103,14 @@ class TestDerive:
             params.b * params.delta * math.sqrt(params.a), rel=1e-14)
 
     def test_refuses_invalid_with_constraint_name(self):
-        p = default_regime(kappa=0.4)
+        p = RegimeParameters(kappa=0.4)
         with pytest.raises(ConstraintError) as err:
             derive(p)
         assert "kappa_gt_half" in str(err.value)
 
     def test_deterministic_bit_identical(self, params):
-        a = derive(params).as_dict()
-        b = derive(params).as_dict()
+        a = asdict(derive(params))
+        b = asdict(derive(params))
         assert a == b
         r1 = validate(params).as_dict()
         r2 = validate(params).as_dict()
@@ -118,14 +119,14 @@ class TestDerive:
 
 class TestCoupling:
     def test_mu_derived(self):
-        p = default_regime()
+        p = RegimeParameters()
         assert p.mu == pytest.approx(12.5, rel=1e-15)
         assert coupled_mu(0.6, 10.0, 0.3) == pytest.approx(12.5)
 
     @given(st.floats(0.05, 0.45), st.floats(4.0, 30.0))
     @settings(max_examples=40, deadline=None)
     def test_identity_holds_to_ulp(self, t, y):
-        p = default_regime(t=t, y=y)
+        p = RegimeParameters(t=t, y=y)
         lhs = p.kappa * p.mu + 0.5
         rhs = (0.5 + t) * y
         assert abs(lhs - rhs) <= 64 * math.ulp(max(abs(rhs), 1.0))

@@ -5,7 +5,7 @@ import pytest
 
 from horizonlab.mots import make_problem, solve_slice, verify_apriori
 from horizonlab.penrose import CERTIFIED_POSITIVE, classify_regime
-from horizonlab.regime import default_regime, validate
+from horizonlab.regime import RegimeParameters, validate
 from horizonlab.shear import ProfileSpec, build_profile, verify_profile
 from horizonlab.sphere import get_grid
 from horizonlab.transport import SlabModel, detect_trapped
@@ -14,7 +14,7 @@ from horizonlab.transport import SlabModel, detect_trapped
 @pytest.fixture(scope="module")
 def alt_params():
     # Milder amplitude and separation: a = 100, delta = 1e-8.
-    return default_regime(a=100.0, y=4.0)
+    return RegimeParameters(a=100.0, y=4.0)
 
 
 @pytest.fixture(scope="module")

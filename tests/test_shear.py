@@ -8,7 +8,7 @@ import pytest
 
 from horizonlab import shear
 from horizonlab.errors import ConstraintError, ResolutionError
-from horizonlab.regime import default_regime
+from horizonlab.regime import RegimeParameters
 from horizonlab.shear import (ProfileSpec, ShearProfile, build_profile,
                               scale_critical_norm, verify_profile)
 from horizonlab.sphere import get_grid
@@ -84,19 +84,19 @@ class TestBuildIdentities:
 
 class TestFeasibilityErrors:
     def test_c1_floor(self, grid_small):
-        p = default_regime(c1=10.0)
+        p = RegimeParameters(c1=10.0)
         with pytest.raises(ConstraintError) as err:
             build_profile(p, ProfileSpec(n_ubar=129), grid_small)
         assert "f_budget" in err.value.constraint
 
     def test_lambda_headroom(self, grid_small):
-        p = default_regime(lambda_hi=0.93)   # > lambda*(1+o1) = 0.924
+        p = RegimeParameters(lambda_hi=0.93)   # > lambda*(1+o1) = 0.924
         with pytest.raises(ConstraintError) as err:
             build_profile(p, ProfileSpec(n_ubar=129), grid_small)
         assert err.value.constraint == "averaged_angular_independence"
 
     def test_dominance_conflict(self, grid_small):
-        p = default_regime(d0=10.0)          # 1/o1 = 20 is forced
+        p = RegimeParameters(d0=10.0)          # 1/o1 = 20 is forced
         with pytest.raises(ConstraintError) as err:
             build_profile(p, ProfileSpec(n_ubar=129), grid_small)
         assert err.value.constraint == "dominant_contribution"
