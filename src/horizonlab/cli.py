@@ -14,8 +14,9 @@ different configuration.  Reruns with identical config and seed emit
 byte-identical numeric JSON; wall-clock metadata lives in run_meta.json
 only.
 
-Exit codes: 0 ok, 2 config or dependency error or a grid size the library
-refuses, 3 constraint failure, 4 solver non-convergence.
+Exit codes: 0 ok, 2 config or dependency error, a grid size the library
+refuses or a value no stage can run with (``_RANGES``), 3 constraint
+failure, 4 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -90,6 +91,18 @@ _SCHEMA = {
     },
     "output": {"directory": ("str", "runs/default")},
 }
+
+
+# Values no stage can run with, refused at parse time: (keys, test of
+# their sum, requirement).  The step-error estimate halves cone_steps.
+_SLICES = tuple(f"solver.n_{k}_slices" for k in ("window", "transition",
+                                                  "null"))
+_RANGES = (
+    (("grid.cone_steps",), lambda v: v >= 4 and v % 2 == 0,
+     "an even number of at least 4"),
+    *(((key,), lambda v: v >= 0, "at least 0") for key in _SLICES),
+    (_SLICES, lambda v: v >= 1, "at least 1 in sum"),
+    (("solver.dlam_init",), lambda v: v > 0.0, "positive"))
 
 
 def _convert(kind, raw, where):
@@ -177,6 +190,12 @@ def parse_config(path, overrides=(), outdir_flag=None) -> RunConfig:
                                           target)
     if resolved["solver"]["seed"] is None:
         raise ConfigError("solver.seed is mandatory for reproducibility")
+    for keys, ok, want in _RANGES:
+        value = sum(resolved[s][k] for s, k in (key.split(".")
+                                               for key in keys))
+        if not ok(value):
+            raise ConfigError(f"bad value for {' + '.join(keys)}: "
+                              f"{value!r} (must be {want})")
     outdir = (Path(outdir_flag) if outdir_flag
               else Path(os.environ.get(ENV_OUTDIR) or
                         resolved["output"]["directory"]))

@@ -137,18 +137,8 @@ class _ProfileModel:
     def fbg(self, ubar, Y):
         return 1.0 + self.wf * np.sin(np.pi * ubar / self.ulam) * Y
 
-    def dfbg(self, ubar, Y):
-        return (self.wf * (np.pi / self.ulam)
-                * np.cos(np.pi * ubar / self.ulam) * Y)
-
     def rho(self, ubar):
         return smoothramp(ubar / self.w0)
-
-    def rho_drho(self, ubar):
-        # rho and its central difference drho from one smoothramp call
-        t = ubar / self.w0
-        r = smoothramp(np.array([t, t + RAMP_H, t - RAMP_H]))
-        return r[0], (r[1] - r[2]) / (2.0 * RAMP_H) / self.w0
 
     def zbar(self, ubar):
         return 1.0 - smoothstep5((ubar - self.ulam) / self.zwindow)
@@ -162,14 +152,26 @@ class _ProfileModel:
         return (self.A * self.fbg(ubar, Y) * ubar * self.rho(ubar) * zb
                 + (1.0 - zb) * self.four_m0)
 
+    def amp2_factors(self, ubar):
+        """(alpha, beta) at each time of the 1-D array ``ubar``: the main
+        amplitude d/dubar I_main, affine in Y through f = 1 + a1 Y, is
+        alpha + beta * Y.  rho' is a central difference, step RAMP_H."""
+        x = np.pi * ubar / self.ulam
+        a1 = self.wf * np.sin(x)
+        a2 = self.wf * (np.pi / self.ulam) * np.cos(x)
+        t = ubar / self.w0
+        r = smoothramp(np.array([t, t + RAMP_H, t - RAMP_H]))
+        rho, drho = r[0], (r[1] - r[2]) / (2.0 * RAMP_H) / self.w0
+        zb, dzb = self.zbar(ubar), self.dzbar(ubar)
+        A = self.A
+        core = A * rho * zb
+        L = A * zb * ubar * drho + dzb * A * ubar * rho
+        return core + L - dzb * self.four_m0, core * (a2 * ubar + a1) + L * a1
+
     def amp2_main(self, ubar, Y):
-        f = self.fbg(ubar, Y)
-        df = self.dfbg(ubar, Y)
-        rho, drho = self.rho_drho(ubar)
-        zb = self.zbar(ubar)
-        dzb = self.dzbar(ubar)
-        core = self.A * ((df * ubar + f) * rho + f * ubar * drho)
-        return core * zb + dzb * (self.A * f * ubar * rho - self.four_m0)
+        """The main amplitude at one time ``ubar`` and wobble values Y."""
+        (alpha,), (beta,) = self.amp2_factors(np.array([ubar], dtype=float))
+        return alpha + beta * Y
 
     def locus_theta(self, ubar):
         u = np.minimum(np.asarray(ubar, dtype=float), self.ulamp)
@@ -219,9 +221,7 @@ def _build_ubar_grid(model: _ProfileModel, n_ubar: int):
     n1 = max(17, n_ubar // 4)           # ramp region [0, 1.2 w0]
     n3 = max(25, n_ubar // 3)           # window end + cutoff transition
     n4 = max(9, n_ubar // 8)            # constant tail
-    n2 = n_ubar - n1 - n3 - n4 + 3      # joints shared
-    if n2 < 9:
-        raise ResolutionError("n_ubar too small for the segment layout")
+    n2 = n_ubar - n1 - n3 - n4 + 3      # joints shared, at least 17
     a = np.linspace(0.0, 1.2 * model.w0, n1)
     b = np.linspace(1.2 * model.w0, 0.97 * model.ulam, n2)
     c = np.linspace(0.97 * model.ulam, model.ulamp, n3)
@@ -246,10 +246,15 @@ def _repaid(main, gate, kappa, repay):
     return main * gate * (1.0 + kappa * repay)
 
 
-# Distinct times ShearProfile.amp2_at keeps.  The lockstep RK4 sweeps of
-# transport.integrate_cone ask for a time again within five calls, which
-# span at most five distinct times.
+# Tabulated times whose grids ShearProfile.amp2_at keeps.  The lockstep
+# RK4 sweeps of transport.integrate_cone ask for a time again within five
+# calls, which span at most five distinct times.
 _AMP2_MEMO = 6
+
+# The empty table of an untabulated profile.  A table built at
+# construction stays allocated between gen-data's large temporaries and
+# raised its peak RSS by one 17 MB table (heap fragmentation).
+_NO_TIMES = np.empty(0)
 
 
 @dataclass
@@ -261,7 +266,9 @@ class ShearProfile:
     need a rebuild to reproduce; they are the arrays saved.  The 1-D node
     arrays are computed on construction, and the dense tables ``amp2``,
     ``I``, ``f_field`` and ``zeta_field`` on first read, then cached.
-    Instances are treated as immutable.
+    ``amp2_at`` reads the amplitude's time factors from a table that
+    ``tabulate`` fills for the times a caller is about to ask for; the
+    table changes no value.  Instances are treated as immutable.
     """
 
     params: RegimeParameters
@@ -284,7 +291,8 @@ class ShearProfile:
         self._cap_theta = g.theta_2d.ravel()[cap]
         self._cap_phi = g.phi_2d.ravel()[cap]
         self._cap_kappa = self.kappa_repay.ravel()[cap]
-        self._memo = {}
+        self._cap_Y = self._Y.ravel()[cap]
+        self._times, self._memo = _NO_TIMES, {}
 
     @property
     def m0(self):
@@ -304,32 +312,51 @@ class ShearProfile:
 
     # -- closed-form evaluators (exact, any ubar) ----------------------
 
-    def _amp2(self, ubar):
-        # amp2_at's formula, which the amp2 table shares
+    def _factors(self, ubar):
+        # alpha, beta and the repaid amplitude on the cap nodes at each
+        # time of the 1-D array ubar: amp2_at's formula, and the table's
         m = self._model
-        out = m.amp2_main(ubar, self._Y)
-        if self._cap.size:
-            flat = out.reshape(-1)
-            flat[self._cap] = _repaid(
-                flat[self._cap], m.gate(ubar, self._cap_theta, self._cap_phi),
-                self._cap_kappa, m.repay_shape(ubar))
+        alpha, beta = m.amp2_factors(ubar)
+        col = ubar[:, None]
+        cap = _repaid(alpha[:, None] + beta[:, None] * self._cap_Y,
+                      m.gate(col, self._cap_theta, self._cap_phi),
+                      self._cap_kappa, m.repay_shape(col))
+        return alpha, beta, cap
+
+    def _grid_amp2(self, alpha, beta, cap):
+        # alpha + beta * Y with the cap nodes set, one slice per time
+        out = np.multiply(self._Y, beta[..., None, None])
+        out += alpha[..., None, None]
+        out.reshape(out.shape[:-2] + (-1,))[..., self._cap] = cap
         return out
+
+    def tabulate(self, ubar):
+        """Evaluate the amplitude's factors at every time of ``ubar`` in
+        one pass; ``amp2_at`` then reads them at those times."""
+        self._times = np.unique(np.asarray(ubar, dtype=float))
+        self._alpha, self._beta, self._cap_amp2 = self._factors(self._times)
+        self._memo = {}
 
     def amp2_at(self, ubar):
         """Squared shear amplitude on the full sphere grid at ``ubar``.
 
-        The result is read-only.  The last few distinct times are
-        memoised, keyed on the bits of ``float(ubar)``, so a repeated
-        time returns the same array.
+        The result is read-only.  At a time ``tabulate`` was given the
+        factors are read from its table, elsewhere computed by the same
+        vectorised formula on a one-element array, so a time gets the
+        same bits either way.  The grids of the last few tabulated times
+        are kept, so a repeated time returns the same array.
         """
-        key = float(ubar).hex()
-        out = self._memo.get(key)
-        if out is None:
-            out = self._amp2(ubar)
-            out.flags.writeable = False
-            if len(self._memo) == _AMP2_MEMO:
+        i = int(self._times.searchsorted(ubar))
+        if i == self._times.size or self._times[i] != ubar:
+            out = self._grid_amp2(*self._factors(np.array([float(ubar)])))[0]
+        elif i in self._memo:
+            return self._memo[i]
+        else:
+            out = self._memo[i] = self._grid_amp2(
+                self._alpha[i], self._beta[i], self._cap_amp2[i])
+            if len(self._memo) > _AMP2_MEMO:
                 del self._memo[next(iter(self._memo))]
-            self._memo[key] = out
+        out.flags.writeable = False
         return out
 
     def amp2_at_point(self, ubar, theta, phi):
@@ -364,21 +391,16 @@ class ShearProfile:
 
     # -- tables at the ubar nodes, derived on first read ----------------
 
-    def _table(self, at):
-        out = np.empty((len(self.ubar_grid),) + self._Y.shape)
-        for k, u in enumerate(self.ubar_grid):
-            out[k] = at(u)
-        return out
-
     @cached_property
     def amp2(self):
-        out = self._table(self._amp2)
+        out = self._grid_amp2(*self._factors(self.ubar_grid))
         return np.maximum(out, 0.0, out=out)
 
     @cached_property
     def I(self):
-        out = self._table(lambda u: self._model.I_main(u, self._Y))
-        out += self.corr
+        out = self.corr.copy()
+        for k, u in enumerate(self.ubar_grid):
+            out[k] += self._model.I_main(u, self._Y)
         return out
 
     @cached_property
@@ -449,13 +471,11 @@ def _repayment(model: _ProfileModel, ubar, grid: SphereGrid):
     cap = model.cap_nodes(grid.theta_2d, grid.phi_2d)
     theta, phi = grid.theta_2d.ravel()[cap], grid.phi_2d.ravel()[cap]
     nu = len(ubar)
-    main = np.empty((nu, Y.size))
-    gate = np.empty((nu, cap.size))
-    repay = np.empty(nu)
-    for k, u in enumerate(ubar):
-        main[k] = model.amp2_main(u, Y).ravel()
-        gate[k] = model.gate(u, theta, phi)
-        repay[k] = model.repay_shape(u)
+    alpha, beta = model.amp2_factors(ubar)
+    main = beta[:, None] * Y.ravel()
+    main += alpha[:, None]
+    gate = model.gate(ubar[:, None], theta, phi)
+    repay = model.repay_shape(ubar)
 
     # Off the cap nodes gate is 1.0: nothing is cut and main * gate is
     # main.  The sums run over full-grid rows, since numpy adds the rows

@@ -7,10 +7,10 @@ vanishes, so the outgoing Raychaudhuri equation closes per angle:
 
 integrated with classical fixed-step RK4 and a step-halving error
 estimate.  The sweep with n steps and the one with n // 2 steps advance
-in lockstep, whichever is behind in ubar first.  For even n the coarse
-step is exactly twice the fine one, so the times the two sweeps share
-reach ``amp2_at`` within a few calls of each other, and the profile's
-small memo (``ShearProfile.amp2_at``) evaluates each distinct time once.
+in lockstep, whichever is behind in ubar first, each step in place.
+``integrate_data_cone`` first hands every stage time of both sweeps to
+the profile, which evaluates the amplitude's time factors in one
+vectorised pass.
 
 In the interior the expansion is not evolved; it is modeled by its
 certified leading term 2/u - I(ubar, omega)/u^2 together with an
@@ -47,19 +47,47 @@ class ConeState:
     n_steps: int
 
 
-def _rk4_sweep(rhs, ubar_end, steps, y, blow):
-    """Fixed-step RK4 for dy/du = rhs(u, y) from u = 0: yields (u, y)
-    after each step, and raises FocusingError where y diverges."""
+def _sweep_steps(n_steps):
+    # the full sweep and the half sweep of the step-halving estimate
+    return n_steps, max(2, n_steps // 2)
+
+
+def stage_times(ubar_end, steps):
+    """Start, midpoint and end of each of ``steps`` RK4 steps from 0."""
     h = ubar_end / steps
-    u = 0.0
-    for k in range(steps):
-        k1 = rhs(u, y)
-        k2 = rhs(u + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(u + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(u + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    u = np.arange(steps) * h
+    return u, u + 0.5 * h, u + h
+
+
+def _rk4_sweep(amp2_at, ubar_end, steps, y0, blow):
+    """Fixed-step RK4 for dy/du = -y^2/2 - amp2_at(u) from u = 0, in place
+    on preallocated buffers in the textbook operation order: yields (u, y)
+    after each step, y overwritten by the next, and raises FocusingError
+    where y diverges."""
+    h = ubar_end / steps
+    y = y0.copy()
+    k1, k2, k3, k4, ys = (np.empty_like(y) for _ in range(5))
+
+    def rhs(u, y, out):
+        np.multiply(y, -0.5, out=out)
+        out *= y
+        out -= amp2_at(u)
+
+    def shifted(k, c):                  # y + c k
+        return np.add(y, np.multiply(k, c, out=ys), out=ys)
+
+    times = zip(*(t.tolist() for t in stage_times(ubar_end, steps)))
+    for k, (u0, um, u1) in enumerate(times):
+        rhs(u0, y, k1)
+        rhs(um, shifted(k1, 0.5 * h), k2)
+        rhs(um, shifted(k2, 0.5 * h), k3)
+        rhs(u1, shifted(k3, h), k4)
+        acc = np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)
+        acc += np.multiply(k3, 2.0, out=k3)
+        acc += k4
+        y += np.multiply(acc, h / 6.0, out=acc)
         u = (k + 1) * h
-        if not np.all(np.isfinite(y)) or np.min(y) < -blow:
+        if not (y.min() >= -blow and y.max() < math.inf):   # or NaN
             raise FocusingError(u)
         yield u, y
 
@@ -72,12 +100,9 @@ def integrate_cone(amp2_at, ubar_end, n_steps, grid, trchi0=2.0,
     FocusingError with the offending ubar if trchi diverges: the full
     sweep's point if it diverges, otherwise the half sweep's.
     """
-    def rhs(u, y):
-        return -0.5 * y * y - amp2_at(u)
-
     y0 = np.full((grid.n_theta, grid.n_phi), float(trchi0))
     blow = 1e6 * abs(trchi0)
-    half = _rk4_sweep(rhs, ubar_end, max(2, n_steps // 2), y0, blow)
+    half = _rk4_sweep(amp2_at, ubar_end, _sweep_steps(n_steps)[1], y0, blow)
     half_u, half_y, half_blowup = 0.0, y0, None
 
     def advance_half(until):
@@ -91,27 +116,33 @@ def integrate_cone(amp2_at, ubar_end, n_steps, grid, trchi0=2.0,
             half_blowup = exc
 
     stride = max(1, n_steps // max(n_store - 1, 1))
-    nodes, snaps = [0.0], [y0]
-    for k, (u, y) in enumerate(_rk4_sweep(rhs, ubar_end, n_steps, y0, blow),
-                               start=1):
-        if k % stride == 0 or k == n_steps:
+    stored = {k for k in range(1, n_steps + 1)
+              if k % stride == 0 or k == n_steps}
+    nodes, snaps = [0.0], np.empty((len(stored) + 1,) + y0.shape)
+    snaps[0] = y0
+    sweep = _rk4_sweep(amp2_at, ubar_end, n_steps, y0, blow)
+    for k, (u, y) in enumerate(sweep, start=1):
+        if k in stored:
+            snaps[len(nodes)] = y
             nodes.append(u)
-            snaps.append(y)
         advance_half(u)
     advance_half(math.inf)
     if half_blowup is not None:
         raise half_blowup
-    snaps = np.array(snaps)
     err = float(np.max(np.abs(snaps[-1] - half_y))) / 15.0
     return ConeState(grid=grid, ubar_nodes=np.array(nodes), trchi=snaps,
                      trchi_final=snaps[-1], step_error=err, n_steps=n_steps)
 
 
 def integrate_data_cone(profile, n_steps=2048, n_store=33):
-    """Solve the focusing equation for a built shear profile on [0, 2delta]."""
-    return integrate_cone(profile.amp2_at, profile.derived.ubar_end,
-                          n_steps, profile.grid, trchi0=2.0,
-                          n_store=n_store)
+    """Solve the focusing equation for a built shear profile on [0, 2delta],
+    the amplitude tabulated at the stage times of both sweeps."""
+    ubar_end = profile.derived.ubar_end
+    profile.tabulate(np.concatenate([
+        t for steps in _sweep_steps(n_steps)
+        for t in stage_times(ubar_end, steps)]))
+    return integrate_cone(profile.amp2_at, ubar_end, n_steps, profile.grid,
+                          trchi0=2.0, n_store=n_store)
 
 
 @dataclass

@@ -111,6 +111,30 @@ class TestConfig:
         assert rc == 2
         assert "Traceback" not in err and "at least" in err
 
+    @pytest.mark.parametrize("stage, overrides", [
+        ("evolve", ["grid.cone_steps=0"]),
+        ("evolve", ["grid.cone_steps=-4"]),
+        ("evolve", ["grid.cone_steps=1"]),
+        ("evolve", ["grid.cone_steps=3"]),
+        ("find-mots", ["solver.n_window_slices=-1"]),
+        ("horizon", ["solver.n_window_slices=0",
+                     "solver.n_transition_slices=0",
+                     "solver.n_null_slices=0"]),
+        ("find-mots", ["solver.dlam_init=0"]),
+        ("find-mots", ["solver.dlam_init=-0.1"]),
+    ])
+    def test_refused_stage_value_exit_code(self, cfg_path, tmp_path, capsys,
+                                           stage, overrides):
+        # Refused while parsing, before the stage looks for its inputs.
+        args = [stage, "--config", str(cfg_path), "--out", str(tmp_path)]
+        for ov in overrides:
+            args += ["--set", ov]
+        rc = main(args)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert f"bad value for {overrides[0].split('=')[0]}" in err
+
     def test_hash_ignores_output_section(self, cfg_path):
         a = parse_config(cfg_path, overrides=["output.directory=x"])
         b = parse_config(cfg_path, overrides=["output.directory=y"])

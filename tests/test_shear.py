@@ -297,3 +297,46 @@ class TestAmp2Memo:
             profile_notch.amp2_at(v)
         assert profile_notch.amp2_at(u).tobytes() == first.tobytes()
         assert first.tobytes() == full_grid_amp2(profile_notch, u).tobytes()
+
+
+def expanded_amp2(profile, ubar):
+    """Reference: the amplitude in its expanded form, f and f' on the
+    grid, before it was written as alpha + beta * Y."""
+    m, g = profile._model, profile.grid
+    Y = shear.angular_wobble(g.theta_2d, g.phi_2d)
+    f = 1.0 + m.wf * np.sin(np.pi * ubar / m.ulam) * Y
+    df = m.wf * (np.pi / m.ulam) * np.cos(np.pi * ubar / m.ulam) * Y
+    t = ubar / m.w0
+    r = shear.smoothramp(np.array([t, t + shear.RAMP_H, t - shear.RAMP_H]))
+    rho, drho = r[0], (r[1] - r[2]) / (2.0 * shear.RAMP_H) / m.w0
+    zb, dzb = m.zbar(ubar), m.dzbar(ubar)
+    core = m.A * ((df * ubar + f) * rho + f * ubar * drho)
+    main = core * zb + dzb * (m.A * f * ubar * rho - m.four_m0)
+    return shear._repaid(main, m.gate(ubar, g.theta_2d, g.phi_2d),
+                         profile.kappa_repay, m.repay_shape(ubar))
+
+
+class TestAmp2Factors:
+    def test_vectorised_equals_per_time(self, profile_notch):
+        m = profile_notch._model
+        times = np.array(oracle_times(profile_notch))
+        alpha, beta = m.amp2_factors(times)
+        for k, u in enumerate(times):
+            (a,), (b,) = m.amp2_factors(np.array([u]))
+            assert a.tobytes() == alpha[k].tobytes(), u
+            assert b.tobytes() == beta[k].tobytes(), u
+        tabulated = copy.copy(profile_notch)
+        tabulated.tabulate(times)
+        for u in times:
+            assert tabulated.amp2_at(u).tobytes() \
+                == profile_notch.amp2_at(u).tobytes(), u
+
+    @pytest.mark.parametrize("name", ["profile_notch",
+                                      "profile_notch_default_grid"])
+    def test_matches_expanded_form(self, name, request):
+        profile = request.getfixturevalue(name)
+        for u in oracle_times(profile):
+            want = expanded_amp2(profile, u)
+            got = profile.amp2_at(u)
+            assert np.max(np.abs(got - want)) \
+                <= 1e-13 * np.max(np.abs(want)), u

@@ -1,5 +1,6 @@
 """Cone focusing integration, slab model, and trapped classification."""
 
+import copy
 import math
 
 import numpy as np
@@ -139,6 +140,19 @@ class TestLockstep:
         assert state.trchi_final.tobytes() == snaps[-1].tobytes()
         assert state.step_error == err
         assert state.n_steps == n_steps
+
+    @pytest.mark.parametrize("n_steps", [256, 4])
+    def test_data_cone_matches_sequential_sweeps(self, profile_notch, n_steps,
+                                                 full_grid_amp2):
+        # integrate_data_cone reads the amplitude from the profile's table
+        # of stage times, and must give the untabulated formula's bits.
+        state = integrate_data_cone(copy.copy(profile_notch), n_steps)
+        nodes, snaps, err = sequential_cone(
+            lambda u: full_grid_amp2(profile_notch, u),
+            profile_notch.derived.ubar_end, n_steps, profile_notch.grid)
+        assert state.ubar_nodes.tobytes() == nodes.tobytes()
+        assert state.trchi.tobytes() == snaps.tobytes()
+        assert state.step_error == err
 
     def test_full_sweep_blowup_wins(self, grid_small):
         # The spike at ubar = 0.25 is a stage time of the 2-step half sweep
