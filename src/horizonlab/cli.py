@@ -94,7 +94,8 @@ _SCHEMA = {
 
 
 # Values no stage can run with, refused at parse time: (keys, test of
-# their sum, requirement).  The step-error estimate halves cone_steps.
+# their sum, requirement).  The step-error estimate halves cone_steps;
+# beta scales the perturbation fields against their b^(1/4) bound.
 _SLICES = tuple(f"solver.n_{k}_slices" for k in ("window", "transition",
                                                   "null"))
 _RANGES = (
@@ -102,7 +103,8 @@ _RANGES = (
      "an even number of at least 4"),
     *(((key,), lambda v: v >= 0, "at least 0") for key in _SLICES),
     (_SLICES, lambda v: v >= 1, "at least 1 in sum"),
-    (("solver.dlam_init",), lambda v: v > 0.0, "positive"))
+    (("solver.dlam_init",), lambda v: v > 0.0, "positive"),
+    (("solver.beta",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]"))
 
 
 def _convert(kind, raw, where):

@@ -19,6 +19,13 @@ Consequences used throughout the package and its tests:
   They are evaluated in extended precision at the unrounded nodes: at the
   rounded ones the quadrature leaks about l^2 eps between degrees, which
   the Laplacian amplifies by l(l+1).
+* Every transform and operator takes a stack of slices on leading axes,
+  (..., n_theta, n_phi) <-> (..., l, m), through the same code as a
+  single slice.  The matmul operand is a contiguous complex
+  [m, node, stack] (or [m, l, stack]) array read as real pairs, so each
+  order is one [l, node] x [node, 2 * stack] gemm.  A stack of one rounds
+  exactly as a single slice; in a larger stack the gemm may round a slice
+  differently, by about eps relative.
 * The discrete Laplacian is exactly self-adjoint with respect to the
   quadrature inner product (analysis is a weighted orthogonal projector).
 * Eigenvalues -l(l+1) are reproduced to roundoff for resolved degrees.
@@ -160,21 +167,37 @@ class SphereGrid:
     # -- transforms -----------------------------------------------------
 
     def analyze(self, values):
-        """Project grid values onto harmonic coefficients C[l, m]."""
-        g = np.fft.rfft(values, axis=1, norm="forward")[:, : self.lmax + 1]
-        g = g.T * self.w_theta
-        c = self._p @ np.stack([g.real, g.imag], axis=-1)
-        return (c[..., 0] + 1j * c[..., 1]).T
+        """Project grid values (..., n_theta, n_phi) onto harmonic
+        coefficients C[..., l, m].
+
+        Leading axes are a stack of slices.  The Legendre pass is one real
+        matmul per order m, [l, node] @ [node, 2 * stack], against the
+        complex [m, node, stack] FFT coefficients read as real pairs, so a
+        one-slice stack costs and rounds as a single slice does."""
+        lead, n = values.shape[:-2], self.lmax + 1
+        g = np.fft.rfft(values.reshape(-1, self.n_theta, self.n_phi),
+                        axis=-1, norm="forward")[..., :n]
+        h = np.empty((n, self.n_theta, g.shape[0]), dtype=complex)
+        np.multiply(g.transpose(2, 1, 0), self.w_theta[:, None], out=h)
+        c = (self._p @ h.view(float)).view(complex)
+        return c.transpose(2, 1, 0).reshape(lead + (n, n))
 
     def synthesize(self, coeff, tables=None):
-        """Real grid values of sum_{l,m} C[l, m] T[m, l] e^{i m phi} (m < 0
-        by conjugate symmetry) for an [m, l, node] table T, Pbar by
-        default."""
+        """Real grid values (..., n_theta, n_phi) of
+        sum_{l,m} C[..., l, m] T[m, l] e^{i m phi} (m < 0 by conjugate
+        symmetry) for an [m, l, node] table T, Pbar by default.
+
+        Leading axes are a stack, as in ``analyze``: the coefficients go
+        to the matmul as a complex [m, l, stack] array read as real pairs,
+        and the irfft gets a contiguous [stack, node, m] array."""
         tables = self._p if tables is None else tables
-        c = coeff.T
-        h = tables.transpose(0, 2, 1) @ np.stack([c.real, c.imag], axis=-1)
-        return np.fft.irfft((h[..., 0] + 1j * h[..., 1]).T, n=self.n_phi,
-                            axis=1, norm="forward")
+        lead, n = coeff.shape[:-2], self.lmax + 1
+        c = np.ascontiguousarray(coeff.reshape(-1, n, n).transpose(2, 1, 0),
+                                 dtype=complex)
+        h = (tables.transpose(0, 2, 1) @ c.view(float)).view(complex)
+        f = np.fft.irfft(np.ascontiguousarray(h.transpose(2, 1, 0)),
+                         n=self.n_phi, axis=-1, norm="forward")
+        return f.reshape(lead + (self.n_theta, self.n_phi))
 
     def synthesize_dphi_over_sin(self, coeff):
         return self.synthesize(coeff * self._dphi, self._ps)

@@ -122,6 +122,8 @@ class TestConfig:
                      "solver.n_null_slices=0"]),
         ("find-mots", ["solver.dlam_init=0"]),
         ("find-mots", ["solver.dlam_init=-0.1"]),
+        ("find-mots", ["solver.beta=2"]),
+        ("find-mots", ["solver.beta=-0.1"]),
     ])
     def test_refused_stage_value_exit_code(self, cfg_path, tmp_path, capsys,
                                            stage, overrides):

@@ -141,6 +141,35 @@ class TestBatchedTransforms:
             assert table.shape == (g.lmax + 1, g.lmax + 1, g.n_theta)
             assert np.all(table[below] == 0.0)
 
+    def test_stack_matches_loop_per_slice(self, case):
+        g, _ = case
+        stack = np.random.default_rng(g.n_theta + 1).standard_normal(
+            (3, g.n_theta, g.n_phi))
+        coeff = g.analyze(stack)
+        assert coeff.shape == (3, g.lmax + 1, g.lmax + 1)
+        outs = ((g.synthesize(coeff), g._p, False),
+                (g.synthesize_dphi_over_sin(coeff), g._ps, True),
+                *zip(g.gradient_values(stack), (g._dp, g._ps), (False, True)))
+        for k, values in enumerate(stack):
+            want = loop_analyze(g, values)
+            assert self.close(coeff[k], want)
+            for out, tables, dphi in outs:
+                assert out.shape == stack.shape
+                assert self.close(out[k],
+                                  loop_synthesize(g, want, tables, dphi))
+
+    def test_stack_of_one_equals_single_slice_exactly(self, case):
+        g, values = case
+        coeff = g.analyze(values)
+        assert np.array_equal(g.analyze(values[None])[0], coeff)
+        assert np.array_equal(g.synthesize(coeff[None])[0],
+                              g.synthesize(coeff))
+        assert np.array_equal(g.synthesize_dphi_over_sin(coeff[None])[0],
+                              g.synthesize_dphi_over_sin(coeff))
+        for got, want in zip(g.gradient_values(values[None]),
+                             g.gradient_values(values)):
+            assert np.array_equal(got[0], want)
+
     def test_derivatives_equal_separate_calls_exactly(self, case):
         g, values = case
         lap, gt, gp = g.derivatives(values)
