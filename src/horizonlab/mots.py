@@ -20,8 +20,9 @@ continuation parameter; G(., 0) is the unperturbed equation whose
 constant-coefficient case has the explicit solution R = M0/2, and
 G(., 1) recovers the discretized trchi' = 0 equation.  Each Newton step
 solves the exact linearization (including the metric-variation terms)
-matrix-free with GMRES, preconditioned by a constant-coefficient
-Helmholtz inverse applied in the harmonic basis.
+matrix-free with the restarted GMRES below (Saad and Schultz, SIAM J.
+Sci. Stat. Comput. 7 (1986) 856), left-preconditioned by a
+constant-coefficient Helmholtz inverse applied in the harmonic basis.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ class MotsProblem:
     slice), the c-fields are the frozen perturbation coefficients in the
     unit-sphere orthonormal frame, and ``pert_scale`` is their common
     prefactor ubar * sqrt(a).  ``c2`` is isotropic: the symmetric tensor
-    c2 * identity, the one shape the background-field route of
-    ``expansion_of_graph`` realizes.
+    c2 * identity, the one shape an omegabar background field realizes.
     """
 
     grid: object
@@ -162,46 +162,6 @@ def residual_H(problem: MotsProblem, R: SphereField) -> SphereField:
     return SphereField(problem.grid, res)
 
 
-def residual_G(problem: MotsProblem, R: SphereField, lam) -> SphereField:
-    """Continuity family G: H with the perturbation coefficients scaled by
-    lam.  G(., 0) has the explicit constant-coefficient solution and
-    G(., 1) is the discretized trchi' = 0 equation.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("continuation parameter must lie in [0, 1]")
-    res, _ = _eval_residual(problem, R.values, c_scale=lam)
-    return SphereField(problem.grid, res)
-
-
-def expansion_of_graph(problem: MotsProblem, R: SphereField) -> SphereField:
-    """Null expansion trchi' of the graph sphere, via the background route.
-
-    Reconstructs the interior fields realizing the slice coefficients
-    (lapse 1, trchibar = -2/R, eta and omegabar from c1 and c2, trchi
-    from the leading model plus c3) and evaluates the frame-transformed
-    expansion directly.  Up to the factor -2 this must reproduce
-    residual_H; the two routes share no algebra beyond the operators.
-    """
-    grid = problem.grid
-    Rv = R.values
-    s = problem.pert_scale
-    lap = grid.laplacian_values(Rv)
-    gt, gp = grid.gradient_values(Rv)
-    R2 = Rv * Rv
-    eta_t = s * problem.c1_theta / (2.0 * R2)
-    eta_p = s * problem.c1_phi / (2.0 * R2)
-    omegabar = s * problem.c2 / (4.0 * R2)
-    trchibar = -2.0 / Rv
-    trchi = (2.0 / Rv - problem.M0.values / R2
-             - 2.0 * s * problem.c3 / R2)
-    lap_prime = lap / R2
-    gsq_prime = (gt * gt + gp * gp) / R2
-    eta_dot = (eta_t * gt + eta_p * gp) / Rv
-    out = (trchi - 2.0 * lap_prime - 4.0 * eta_dot
-           - trchibar * gsq_prime - 8.0 * omegabar * gsq_prime)
-    return SphereField(grid, out)
-
-
 # -- Newton / continuation solver -------------------------------------------
 
 MAX_BACKTRACKS = 6
@@ -267,10 +227,67 @@ def _hessian_max(grid, values):
                      np.max(np.abs(h_pp))))
 
 
-def gmres(*args, **kwargs):
-    """scipy's GMRES, imported on first use to keep scipy out of start-up."""
-    from scipy.sparse.linalg import gmres as scipy_gmres
-    return scipy_gmres(*args, **kwargs)
+def gmres(matvec, b, psolve, rtol, restart, maxiter):
+    """Restarted GMRES from x = 0, left-preconditioned by ``psolve``.
+
+    Returns (x, info, iterations); info is 0 when |b - A x| <= rtol |b|
+    and ``maxiter`` otherwise.  A cycle ends at breakdown or once the
+    preconditioned residual meets rtol |M b|, a target each restart
+    rescales by the share of rtol |b| the true residual still misses.
+    """
+    restart = min(restart, b.size)
+    eps = np.finfo(float).eps
+    atol = rtol * np.linalg.norm(b)
+    ptol = rtol * np.linalg.norm(psolve(b))
+    x, r = np.zeros(b.shape), b
+    v = np.empty((restart + 1,) + b.shape)
+    h = np.zeros((restart, restart))        # row j: Hessenberg column j
+    iterations, factor = 0, 1.0
+    for _ in range(maxiter):
+        v[0] = psolve(r)
+        S = np.zeros(restart + 1)
+        S[0] = np.linalg.norm(v[0])
+        v[0] *= 1.0 / S[0]
+        rotations = []
+        for j in range(restart):
+            w = psolve(matvec(v[j]))
+            h0 = np.linalg.norm(w)
+            for k in range(j + 1):
+                h[j, k] = np.vdot(v[k], w)
+                w -= h[j, k] * v[k]
+            h1 = np.linalg.norm(w)
+            breakdown = h1 <= eps * h0
+            g = 0.0 if breakdown else h1
+            v[j + 1] = w if breakdown else w * (1.0 / h1)
+            for k, (c, s) in enumerate(rotations):
+                h[j, k], h[j, k + 1] = (c * h[j, k] + s * h[j, k + 1],
+                                        c * h[j, k + 1] - s * h[j, k])
+            f = h[j, j]         # the Givens rotation LAPACK lartg takes,
+            if g == 0.0:        # (1, 0) also where f = g = 0
+                c, s = 1.0, 0.0
+            else:
+                d = math.sqrt(f * f + g * g)
+                h[j, j] = math.copysign(d, f)
+                c, s = abs(f) / d, g / h[j, j]
+            rotations.append((c, s))
+            S[j], S[j + 1] = c * S[j], -s * S[j]
+            presid = abs(S[j + 1])
+            iterations += 1
+            if presid <= ptol or breakdown:
+                break
+        y = S[:j + 1]           # a zero pivot (a singular system) drops
+        for k in range(j, -1, -1):      # its component: a pseudo-solve
+            y[k] = y[k] / h[k, k] if h[k, k] != 0.0 else 0.0
+            y[:k] -= y[k] * h[k, :k]
+        x += np.tensordot(y, v[:j + 1], 1)
+        r = b - matvec(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        factor = (max(eps, 0.25 * factor) if presid <= ptol
+                  else min(1.0, 1.5 * factor))
+        ptol = presid * min(factor, atol / rnorm)
+    return x, 0 if rnorm <= atol else maxiter, iterations
 
 
 def _quad_mean(grid, values):
@@ -278,9 +295,7 @@ def _quad_mean(grid, values):
 
 
 def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage):
-    from scipy.sparse.linalg import LinearOperator
     grid = problem.grid
-    n = Rv.size
     l = np.arange(grid.lmax + 1, dtype=float)
     eig = -l * (l + 1.0)
     rec = {"stage": stage, "lambda": c_scale, "norms": [], "gmres_iters": []}
@@ -288,10 +303,12 @@ def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage):
     res, aux = _eval_residual(problem, Rv, c_scale)
     norm = l2_norm(SphereField(grid, res))
     rec["norms"].append(norm)
-    for _ in range(opts.max_iter):
+    for it in range(opts.max_iter + 1):
         if norm <= tol_abs:
-            rec["iterations"] = len(rec["norms"]) - 1
+            rec["iterations"] = it
             return Rv, norm
+        if it == opts.max_iter:
+            raise _NewtonFail(f"no convergence in {it} iterations")
         wt, wp, diag, R2 = _jacobian_parts(problem, Rv, aux, c_scale)
         # Solve the R^2-rescaled system: its principal part is exactly the
         # unit-sphere Laplacian and its diagonal sits near -1, so one
@@ -301,9 +318,8 @@ def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage):
         swt, swp = R2 * wt, R2 * wp
 
         def matvec(v):
-            vv = v.reshape(Rv.shape)
-            lapv, gtv, gpv = grid.derivatives(vv)
-            return (lapv + swt * gtv + swp * gpv + sdiag * vv).ravel()
+            lapv, gtv, gpv = grid.derivatives(v)
+            return lapv + swt * gtv + swp * gpv + sdiag * v
 
         shift = min(_quad_mean(grid, sdiag), -0.25)
         diag_safe = np.minimum(sdiag, 0.01 * shift)
@@ -313,30 +329,18 @@ def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage):
             # content beyond the band sees only the pointwise diagonal,
             # so divide it by that to keep the preconditioned operator
             # nonsingular on the whole discrete space.
-            vv = v.reshape(Rv.shape)
-            coeff = grid.analyze(vv)
+            coeff = grid.analyze(v)
             band = grid.synthesize(coeff / (eig[:, None] + shift))
-            perp = vv - grid.synthesize(coeff)
-            return (band + perp / diag_safe).ravel()
+            perp = v - grid.synthesize(coeff)
+            return band + perp / diag_safe
 
-        A = LinearOperator((n, n), matvec=matvec)
-        M = LinearOperator((n, n), matvec=precond)
-        counter = {"n": 0}
-
-        def cb(_):
-            counter["n"] += 1
-
-        dR, info = gmres(A, (-R2 * res).ravel(), rtol=opts.lin_tol,
-                         atol=0.0, restart=GMRES_RESTART,
-                         maxiter=GMRES_MAXITER, M=M, callback=cb,
-                         callback_type="pr_norm")
-        rec["gmres_iters"].append(counter["n"])
-        if info < 0 or not np.all(np.isfinite(dR)):
+        dR, info, iters = gmres(matvec, -R2 * res, precond,
+                                opts.lin_tol, GMRES_RESTART, GMRES_MAXITER)
+        rec["gmres_iters"].append(iters)
+        if not np.all(np.isfinite(dR)):
             raise _NewtonFail(f"linear solve broke down (info={info})")
-        # info > 0 means the Krylov residual stalled at its roundoff
-        # floor just above rtol; the step itself is still validated (and
-        # rejected if actually bad) by the decrease test below.
-        dR = dR.reshape(Rv.shape)
+        # info > 0 (the Krylov residual stalled at its roundoff floor just
+        # above rtol) is left to the decrease test below to reject.
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS + 1):
             R_try = Rv + alpha * dR
@@ -350,10 +354,6 @@ def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage):
         else:
             raise _NewtonFail("backtracking stalled")
         rec["norms"].append(norm)
-    if norm <= tol_abs:
-        rec["iterations"] = len(rec["norms"]) - 1
-        return Rv, norm
-    raise _NewtonFail(f"no convergence in {opts.max_iter} iterations")
 
 
 def solve_slice(problem: MotsProblem, options: SolveOptions | None = None,

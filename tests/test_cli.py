@@ -389,14 +389,26 @@ def test_record_key_sets(pipeline_out):
             "status", "upper_side", "reasons", "log_slack", "exponents"}
 
 
-def test_import_leaves_scipy_out():
-    # scipy is imported on the first GMRES solve, not at start-up
+def test_find_mots_runs_without_scipy(tmp_path):
+    # find-mots solves its Newton steps with the in-repo GMRES: a full
+    # run in a fresh process ends with no scipy module loaded
     src = os.path.dirname(os.path.dirname(horizonlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import horizonlab.cli, sys; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' "
-            "or m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(default_config_text(seed=3))
+    args = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    for ov in FAST_OVERRIDES:
+        args += ["--set", ov]
+    proc = subprocess.run([sys.executable, "-m", "horizonlab", "gen-data",
+                           *args], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    code = ("import sys; from horizonlab.cli import main; "
+            "rc = main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m == 'scipy' "
+            "or m.startswith('scipy.'))); sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", code, "find-mots", *args],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    report = json.loads((tmp_path / "out" / "mots_report.json").read_text())
+    assert sum(sum(s["newton_iterations"]) for s in report["slices"]) > 0

@@ -4,11 +4,50 @@ import numpy as np
 import pytest
 
 from horizonlab.errors import PositivityError
-from horizonlab.mots import (MotsProblem, SolveOptions, expansion_of_graph,
-                             make_problem, residual_G, residual_H,
+from horizonlab.mots import (MotsProblem, SolveOptions, _eval_residual,
+                             gmres, make_problem, residual_H,
                              sample_perturbations, solve_slice,
                              verify_apriori)
 from horizonlab.sphere import SphereField, get_grid, integrate
+
+
+def residual_G(problem, R, lam):
+    """Continuity family G: H with the perturbation coefficients scaled by
+    lam, the residual the solver drives to zero at each continuation
+    step.  G(., 0) has the explicit constant-coefficient solution and
+    G(., 1) is the discretized trchi' = 0 equation.
+    """
+    res, _ = _eval_residual(problem, R.values, c_scale=lam)
+    return SphereField(problem.grid, res)
+
+
+def expansion_of_graph(problem, R):
+    """Null expansion trchi' of the graph sphere, via the background route.
+
+    Reconstructs the interior fields realizing the slice coefficients
+    (lapse 1, trchibar = -2/R, eta and omegabar from c1 and c2, trchi
+    from the leading model plus c3) and evaluates the frame-transformed
+    expansion directly.  Up to the factor -2 this must reproduce
+    residual_H; the two routes share no algebra beyond the operators.
+    """
+    grid = problem.grid
+    Rv = R.values
+    s = problem.pert_scale
+    lap = grid.laplacian_values(Rv)
+    gt, gp = grid.gradient_values(Rv)
+    R2 = Rv * Rv
+    eta_t = s * problem.c1_theta / (2.0 * R2)
+    eta_p = s * problem.c1_phi / (2.0 * R2)
+    omegabar = s * problem.c2 / (4.0 * R2)
+    trchibar = -2.0 / Rv
+    trchi = (2.0 / Rv - problem.M0.values / R2
+             - 2.0 * s * problem.c3 / R2)
+    lap_prime = lap / R2
+    gsq_prime = (gt * gt + gp * gp) / R2
+    eta_dot = (eta_t * gt + eta_p * gp) / Rv
+    out = (trchi - 2.0 * lap_prime - 4.0 * eta_dot
+           - trchibar * gsq_prime - 8.0 * omegabar * gsq_prime)
+    return SphereField(grid, out)
 
 
 def make_synthetic(grid, M0_values, pert_scale=0.0, coeff_bound=1.0,
@@ -116,10 +155,60 @@ class TestContinuityFamilies:
         full = residual_H(prob, R)
         assert np.max(np.abs(full.values)) > 1e-3   # perturbations matter
 
-    def test_lambda_range_checked(self, window_problem, grid_mid):
-        R = SphereField(grid_mid, window_problem.M0.values / 2)
-        with pytest.raises(ValueError):
-            residual_G(window_problem, R, 1.5)
+
+class TestGmres:
+    @pytest.fixture()
+    def system(self):
+        # diagonally dominant, nonsymmetric, diagonal spread over two
+        # decades so the Jacobi preconditioner does real work
+        rng = np.random.default_rng(3)
+        n = 12
+        A = np.diag(np.logspace(0, 2, n)) + rng.standard_normal((n, n))
+        return A, rng.standard_normal(n)
+
+    def test_matches_dense_solve(self, system):
+        A, b = system
+        d = np.diag(A).copy()
+        x, info, iterations = gmres(lambda v: A @ v, b, lambda v: v / d,
+                                    1e-12, 60, 4)
+        assert info == 0
+        assert 0 < iterations <= b.size
+        assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+        ref = np.linalg.solve(A, b)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_restart_reaches_true_tolerance(self):
+        # Jacobi over four decades: the preconditioned residual meets
+        # rtol |M b| before the true one meets rtol |b|, so the restarts
+        # must aim lower than the first target to converge at all
+        rng = np.random.default_rng(1)
+        d = np.logspace(0, 4, 20)
+        A = np.diag(d) + rng.standard_normal((20, 20))
+        b = rng.standard_normal(20)
+        x, info, _ = gmres(lambda v: A @ v, b, lambda v: v / d, 1e-10, 11, 4)
+        assert info == 0
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+
+    def test_exhausted_iterations_report_info(self, system):
+        A, b = system
+        x, info, iterations = gmres(lambda v: A @ v, b, lambda v: v,
+                                    1e-12, 2, 1)
+        assert info > 0
+        assert iterations == 2
+        assert np.all(np.isfinite(x))
+
+    def test_singular_system_reports_info(self):
+        # b lies outside the range of A: the Krylov basis breaks down at
+        # once on a zero Hessenberg column, which must end as info > 0,
+        # with no 0/0 in the rotation or the triangular solve
+        A = np.array([[1.0, 0.0], [0.0, 0.0]])
+        b = np.array([0.0, 1.0])
+        with np.errstate(all="raise"):
+            x, info, iterations = gmres(lambda v: A @ v, b, lambda v: v,
+                                        1e-10, 60, 4)
+        assert info > 0
+        assert iterations == 1
+        assert np.array_equal(x, np.zeros(2))
 
 
 class TestSolve:
