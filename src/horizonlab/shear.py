@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,10 +233,12 @@ def _build_ubar_grid(model: _ProfileModel, n_ubar: int):
 
 
 def _cumtrapz(y, x):
-    dx = np.diff(x)
-    seg = 0.5 * (y[1:] + y[:-1]) * dx[:, None, None]
+    """Cumulative trapezoid of y along its first axis, any trailing shape."""
+    dx = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    seg = 0.5 * (y[1:] + y[:-1]) * dx
     out = np.zeros_like(y)
-    # Row by row: the same sums as cumsum(axis=0), without its strided pass.
+    # Row by row: the same sums as cumsum(axis=0), without its strided pass,
+    # and as numpy's sum over the rows of a wide array, whatever the width.
     for k in range(len(seg)):
         np.add(out[k], seg[k], out=out[k + 1])
     return out
@@ -269,8 +271,8 @@ class ShearProfile:
     The recipe (``params``, ``spec``, ``grid``) fixes every closed form.
     Only ``kappa_repay`` and ``corr``, quadratures of the built amplitude,
     need a rebuild to reproduce; they are the arrays saved.  The 1-D node
-    arrays are computed on construction, and the dense tables ``amp2``,
-    ``I``, ``f_field`` and ``zeta_field`` on first read, then cached.
+    arrays are computed on construction.  No dense table is kept:
+    ``profile_tables`` builds those at the nodes for gen-data's checks.
     ``amp2_at`` reads the amplitude's time factors from a table that
     ``tabulate`` fills for the times a caller is about to ask for; the
     table changes no value.  Instances are treated as immutable.
@@ -394,50 +396,6 @@ class ShearProfile:
     def locus_theta_at(self, ubar):
         return float(self._model.locus_theta(ubar))
 
-    # -- tables at the ubar nodes, derived on first read ----------------
-
-    @cached_property
-    def amp2(self):
-        out = self._grid_amp2(*self._factors(self.ubar_grid))
-        return np.maximum(out, 0.0, out=out)
-
-    @cached_property
-    def I(self):
-        out = self.corr.copy()
-        for k, u in enumerate(self.ubar_grid):
-            out[k] += self._model.I_main(u, self._Y)
-        return out
-
-    @cached_property
-    def zeta_field(self):
-        # Unity before the window, wobbled cutoff across it, zero after.
-        m = self._model
-        shape = np.clip((self.ubar_grid - m.ulam) / m.zwindow, 0.0, 1.0)
-        swob = (4.0 * shape * (1.0 - shape)) ** 2
-        Z = zeta_wobble_pattern(self.grid.theta_2d, self.grid.phi_2d)
-        return (self.zbar[:, None, None]
-                * (1.0 + m.wz * swob[:, None, None] * Z[None]))
-
-    @cached_property
-    def f_field(self):
-        # Pinned by the window identity where it applies, derived from the
-        # transition identity across the cutoff, background value elsewhere.
-        m = self._model
-        I, zeta, zbar = self.I, self.zeta_field, self.zbar
-        f = np.empty_like(I)
-        rho = m.rho(self.ubar_grid)
-        for k, u in enumerate(self.ubar_grid):
-            if u <= 0.0 or rho[k] < 1e-300:
-                f[k] = m.fbg(u, self._Y)
-            elif u <= m.ulam:
-                f[k] = I[k] / (m.A * u * rho[k])
-            elif zbar[k] > 1e-9:
-                f[k] = ((I[k] - (1.0 - zeta[k]) * m.four_m0)
-                        / (m.A * zeta[k] * u))
-            else:
-                f[k] = m.fbg(u, self._Y)
-        return f
-
     # -- persistence ----------------------------------------------------
 
     def save(self, stem, config_hash=""):
@@ -482,15 +440,11 @@ def _repayment(model: _ProfileModel, ubar, grid: SphereGrid):
     gate = model.gate(ubar[:, None], theta, phi)
     repay = model.repay_shape(ubar)
 
-    # Off the cap nodes gate is 1.0: nothing is cut and main * gate is
-    # main.  The sums run over full-grid rows, since numpy adds the rows
-    # of a narrow array in another order.
-    cut = np.zeros_like(main)
-    cut[:, cap] = main[:, cap] * (1.0 - gate)
-    kept = main * repay[:, None]
-    kept[:, cap] = main[:, cap] * gate * repay[:, None]
-    kappa = np.trapezoid(cut, ubar, axis=0) / np.trapezoid(kept, ubar, axis=0)
-    del cut, kept
+    # Off the cap nodes gate is 1.0: nothing is cut and kappa is +0.0.
+    kappa = np.zeros(Y.size)
+    on_cap = main[:, cap]
+    kappa[cap] = (_cumtrapz(on_cap * (1.0 - gate), ubar)[-1]
+                  / _cumtrapz(on_cap * gate * repay[:, None], ubar)[-1])
     if np.max(np.abs(kappa)) > 0.5:
         raise ConstraintError(
             "topological_fact_deficit",
@@ -498,7 +452,7 @@ def _repayment(model: _ProfileModel, ubar, grid: SphereGrid):
             "shrink cap_width or widen the repay window")
 
     amp2 = main.copy()
-    amp2[:, cap] = _repaid(main[:, cap], gate, kappa[cap], repay[:, None])
+    amp2[:, cap] = _repaid(on_cap, gate, kappa[cap], repay[:, None])
     if np.min(amp2) < -1e-12 * np.max(amp2):
         raise ConstraintError("smoothness_nonnegative",
                               "|chihat_0|^2 went negative")
@@ -535,25 +489,49 @@ def build_profile(params: RegimeParameters, spec: ProfileSpec,
     model = _ProfileModel(params, spec)
     kappa, corr = _repayment(model, _build_ubar_grid(model, spec.n_ubar),
                              grid)
-    profile = ShearProfile(params=params, spec=spec, grid=grid,
-                           kappa_repay=kappa, corr=corr)
-
-    ubar = profile.ubar_grid
-    win = (ubar >= model.w0) & (ubar <= model.ulamp)
-    fdev = np.max(np.abs(profile.f_field[win] - 1.0)) * params.c1
-    if fdev > 1.0:
-        raise ConstraintError(
-            "u_dependence_f_bounds",
-            f"derived f leaves the [1-1/c1, 1+1/c1] band "
-            f"(c1*|f-1| reaches {fdev:.3f}); reduce wobble_frac or "
-            f"cap_width")
-    return profile
+    return ShearProfile(params=params, spec=spec, grid=grid,
+                        kappa_repay=kappa, corr=corr)
 
 
 # -- verification ----------------------------------------------------------
 
-def verify_profile(profile: ShearProfile) -> Report:
-    """Numerically audit every data requirement; returns a full report."""
+class ProfileTables(NamedTuple):
+    """Dense (n_ubar, n_theta, n_phi) tables at the ubar nodes."""
+
+    amp2: np.ndarray    # squared amplitude, not clipped at zero
+    I: np.ndarray       # cumulative shear
+    f: np.ndarray       # window factor
+    zeta: np.ndarray    # cutoff across the transition
+
+
+def profile_tables(profile: ShearProfile) -> ProfileTables:
+    """The tables ``verify_profile`` and ``scale_critical_norm`` read."""
+    m, g, Y = profile._model, profile.grid, profile._Y
+    ubar, zbar = profile.ubar_grid, profile.zbar
+    u = ubar[:, None, None]
+    amp2 = profile._grid_amp2(*profile._factors(ubar))
+    I = profile.corr + m.I_main(u, Y)
+    # Unity before the window, wobbled cutoff across it, zero after.
+    shape = np.clip((ubar - m.ulam) / m.zwindow, 0.0, 1.0)
+    swob = (4.0 * shape * (1.0 - shape)) ** 2
+    Z = zeta_wobble_pattern(g.theta_2d, g.phi_2d)
+    zeta = zbar[:, None, None] * (1.0 + m.wz * swob[:, None, None] * Z[None])
+    # f is pinned by the window identity where it applies, derived from the
+    # transition identity across the cutoff, background value elsewhere.
+    rho = m.rho(ubar)
+    live = (ubar > 0.0) & (rho >= 1e-300)
+    win = live & (ubar <= m.ulam)
+    tra = live & (ubar > m.ulam) & (zbar > 1e-9)
+    f = m.fbg(u, Y)
+    f[win] = I[win] / (m.A * ubar[win] * rho[win])[:, None, None]
+    f[tra] = ((I[tra] - (1.0 - zeta[tra]) * m.four_m0)
+              / (m.A * zeta[tra] * u[tra]))
+    return ProfileTables(amp2, I, f, zeta)
+
+
+def verify_profile(profile: ShearProfile, tables: ProfileTables) -> Report:
+    """Numerically audit every data requirement on ``profile_tables``'
+    output; returns a full report."""
     p = profile.params
     m = profile._model
     ubar = profile.ubar_grid
@@ -566,17 +544,17 @@ def verify_profile(profile: ShearProfile) -> Report:
                             detail))
 
     # Total shear: exactly 4 m0, independent of angle.
-    ratio_dev = np.abs(profile.I[-1] / four_m0 - 1.0)
+    ratio_dev = np.abs(tables.I[-1] / four_m0 - 1.0)
     add("total_equals_4m0", float(np.max(ratio_dev)), 1.0e-6,
         "max_omega |I(2delta)/4m0 - 1|")
-    spread = (np.max(profile.I[-1]) - np.min(profile.I[-1])) / four_m0
+    spread = (np.max(tables.I[-1]) - np.min(tables.I[-1])) / four_m0
     add("total_angular_independence", float(spread), 1.0e-6)
 
     # Window identity on [w0, lambda delta].
     win = (ubar >= m.w0) & (ubar <= m.ulam) & (ubar > 0)
     if np.any(win):
-        lhs = profile.I[win]
-        rhs = A * profile.f_field[win] * ubar[win, None, None]
+        lhs = tables.I[win]
+        rhs = A * tables.f[win] * ubar[win, None, None]
         rel = np.max(np.abs(lhs - rhs) / rhs)
         add("window_identity", float(rel), 1.0e-8,
             "I = shear_amp * f * ubar on the main window")
@@ -584,20 +562,20 @@ def verify_profile(profile: ShearProfile) -> Report:
     # Transition identity on [lambda delta, lambda' delta].
     tra = (ubar > m.ulam) & (ubar < m.ulamp)
     if np.any(tra):
-        lhs = profile.I[tra]
-        rhs = (A * profile.f_field[tra] * profile.zeta_field[tra]
+        lhs = tables.I[tra]
+        rhs = (A * tables.f[tra] * tables.zeta[tra]
                * ubar[tra, None, None]
-               + (1.0 - profile.zeta_field[tra]) * four_m0)
+               + (1.0 - tables.zeta[tra]) * four_m0)
         rel = np.max(np.abs(lhs - rhs)) / four_m0
         add("transition_identity", float(rel), 1.0e-8)
 
     # Bounds on f and zeta.
     band = (ubar >= m.w0) & (ubar <= m.ulamp)
-    fdev = np.max(np.abs(profile.f_field[band] - 1.0)) * p.c1
+    fdev = np.max(np.abs(tables.f[band] - 1.0)) * p.c1
     add("f_bounds", float(fdev), 1.0 + 1e-9, "c1 * |f - 1| <= 1")
     zb = profile.zbar
     mask = zb > 1e-9
-    zdev = np.max(np.abs(profile.zeta_field[mask] / zb[mask, None, None]
+    zdev = np.max(np.abs(tables.zeta[mask] / zb[mask, None, None]
                          - 1.0)) * p.c2_zeta
     add("zeta_bounds", float(zdev), 1.0 + 1e-9, "c2 * |zeta/zetabar - 1| <= 1")
 
@@ -606,20 +584,20 @@ def verify_profile(profile: ShearProfile) -> Report:
     gmax = 0.0
     for u in samples:
         k = int(np.argmin(np.abs(ubar - u)))
-        fld = SphereField(profile.grid, profile.f_field[k])
+        fld = SphereField(profile.grid, tables.f[k])
         gt, gp = profile.grid.gradient_values(fld.values)
         gmax = max(gmax, float(np.max(np.hypot(gt, gp))))
     add("f_angular_smooth", gmax, 4.0, "max |grad_omega f| bounded")
 
     # Monotonicity / nonnegativity.
-    add("amp2_nonnegative", float(-np.min(profile.amp2)),
-        1e-12 * float(np.max(profile.amp2)))
-    dI = np.diff(profile.I, axis=0)
+    add("amp2_nonnegative", float(-np.min(tables.amp2)),
+        1e-12 * float(np.max(tables.amp2)))
+    dI = np.diff(tables.I, axis=0)
     add("I_monotone", float(-np.min(dI)), 1e-9 * four_m0)
 
     # I(ubar >= lambda' delta) stays pinned at the total.
     tail = ubar >= m.ulamp
-    tail_dev = np.max(np.abs(profile.I[tail] / four_m0 - 1.0))
+    tail_dev = np.max(np.abs(tables.I[tail] / four_m0 - 1.0))
     add("tail_constant", float(tail_dev), 1.0e-6)
 
     # Dominance of the window contribution over the cutoff tail.
@@ -631,24 +609,24 @@ def verify_profile(profile: ShearProfile) -> Report:
 
     # Smooth vanishing of amp2 at ubar = 0 and at the support end.
     scale = A
-    add("endpoint_zero_start", float(np.max(np.abs(profile.amp2[0]))) / scale,
+    add("endpoint_zero_start", float(np.max(np.abs(tables.amp2[0]))) / scale,
         1e-12)
     k_end = int(np.searchsorted(ubar, m.ulamp)) - 1
     s_loc = (ubar[k_end] - ubar[k_end - 1]) / m.zwindow
-    end_val = np.max(np.abs(profile.amp2[k_end])) / scale
+    end_val = np.max(np.abs(tables.amp2[k_end])) / scale
     add("endpoint_vanish_end", float(end_val) / (s_loc * s_loc), 40.0,
         "amp2 at the last support node vanishes at the cutoff's C^1 order")
-    slope_start = np.max(np.abs(profile.amp2[1] - profile.amp2[0])) \
+    slope_start = np.max(np.abs(tables.amp2[1] - tables.amp2[0])) \
         / (ubar[1] - ubar[0])
     add("endpoint_vanish_start", float(slope_start) / (scale / m.w0), 0.5)
 
     # zeta smoothness: no jumps, flat endpoint departure.
-    dz = np.abs(np.diff(profile.zeta_field, axis=0)).max(axis=(1, 2))
+    dz = np.abs(np.diff(tables.zeta, axis=0)).max(axis=(1, 2))
     add("zeta_no_jump", float(np.max(dz)), 0.9,
         "single-step jump in zeta flags a discontinuous cutoff")
     kl = int(np.searchsorted(ubar, m.ulam, side="right"))
     if kl < len(ubar) - 1:
-        s0 = abs(float(np.mean(profile.zeta_field[kl]))
+        s0 = abs(float(np.mean(tables.zeta[kl]))
                  - profile.zbar_at(ubar[kl - 1])) \
             / max((ubar[kl] - ubar[kl - 1]) / m.zwindow, 1e-30)
         add("zeta_endpoint_derivative", s0, 0.2,
@@ -673,27 +651,28 @@ def verify_profile(profile: ShearProfile) -> Report:
     add("zero_locus_monotone", float(-mono), 1e-15)
 
     # Quadrature consistency between amp2 and I.
-    recon = _cumtrapz(profile.amp2, ubar)
-    cons = np.max(np.abs(recon - (profile.I - profile.I[0]))) / four_m0
+    recon = _cumtrapz(tables.amp2, ubar)
+    cons = np.max(np.abs(recon - (tables.I - tables.I[0]))) / four_m0
     add("amp2_I_consistency", float(cons), 1.0e-4,
         "trapezoid of amp2 reproduces I at the grid's convergence order")
 
     return Report(tuple(checks))
 
 
-def scale_critical_norm(profile: ShearProfile, budget=NORM_BUDGET):
+def scale_critical_norm(profile: ShearProfile, amp2, budget=NORM_BUDGET):
     """Discrete surrogate of the scale-critical data norm.
 
     Sums delta^j * a^(-1/2) * max_ubar L2(S^2) of j-th ubar finite
     differences and i-th angular derivative magnitudes of the amplitude
-    |chihat_0| = sqrt(amp2), for j, i <= 2.  The budget was calibrated
+    |chihat_0| = sqrt(amp2), for j, i <= 2, from the table ``amp2`` at
+    the profile's ubar nodes, clipped at zero.  The budget was calibrated
     once on the default regime at exactly those orders and frozen; the
     norm is homogeneous of degree one in the amplitude, so a profile
     built at the wrong amplitude power fails by the corresponding factor.
     """
     nu = len(profile.ubar_grid)
     grid = profile.grid
-    du_j = np.maximum(profile.amp2, 0.0)
+    du_j = np.maximum(amp2, 0.0)
     np.sqrt(du_j, out=du_j)
     p = profile.params
     total = 0.0

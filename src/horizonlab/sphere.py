@@ -202,9 +202,6 @@ class SphereGrid:
     def synthesize_dphi_over_sin(self, coeff):
         return self.synthesize(coeff * self._dphi, self._ps)
 
-    def laplacian_values(self, values):
-        return self.synthesize(self.analyze(values) * self._eig[:, None])
-
     def gradient_values(self, values):
         """Unit-sphere orthonormal-frame gradient (e_theta, e_phi parts)."""
         coeff = self.analyze(values)
@@ -213,7 +210,7 @@ class SphereGrid:
 
     def derivatives(self, values):
         """(Laplacian, e_theta and e_phi gradient parts) from one analysis;
-        each equals laplacian_values or gradient_values exactly."""
+        the gradient parts equal gradient_values exactly."""
         coeff = self.analyze(values)
         return (self.synthesize(coeff * self._eig[:, None]),
                 self.synthesize(coeff, self._dp),

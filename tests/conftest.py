@@ -27,6 +27,11 @@ def profile_mid(params, grid_mid):
 
 
 @pytest.fixture(scope="session")
+def tables_mid(profile_mid):
+    return shear.profile_tables(profile_mid)
+
+
+@pytest.fixture(scope="session")
 def profile_plain(params, grid_mid):
     """Wobble-free variant: f and zeta carry no angular dependence."""
     spec = ProfileSpec(n_ubar=193, wobble_frac=0.0, zeta_wobble_frac=0.0)

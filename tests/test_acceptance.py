@@ -19,7 +19,8 @@ from horizonlab.mots import make_problem, solve_slice, verify_apriori
 from horizonlab.penrose import (CERTIFIED_POSITIVE, INCONCLUSIVE,
                                 classify_regime, margin_exponent_forms)
 from horizonlab.regime import RegimeParameters
-from horizonlab.shear import ProfileSpec, build_profile, verify_profile
+from horizonlab.shear import (ProfileSpec, build_profile, profile_tables,
+                              verify_profile)
 from horizonlab.sphere import SphereField, get_grid
 from horizonlab.transport import (SlabModel, detect_trapped, integrate_cone,
                                   integrate_data_cone)
@@ -238,15 +239,9 @@ def test_criterion_09_penrose_exponents():
               f"regime certified-positive; window-end inconclusive")
 
 
-def tamper(profile, **arrays):
-    # The tables are cached properties, so an instance entry overrides them.
-    bad = copy.copy(profile)
-    vars(bad).update(arrays)
-    return bad
-
-
 def test_criterion_10_shear_verifier(profile64):
-    rep = verify_profile(profile64)
+    tables = profile_tables(profile64)
+    rep = verify_profile(profile64, tables)
     assert rep.passed
     assert rep["total_equals_4m0"]["threshold"] == 1e-6
     assert rep["window_identity"]["threshold"] == 1e-8
@@ -259,21 +254,19 @@ def test_criterion_10_shear_verifier(profile64):
     d = profile64.derived
     mid = 0.5 * (d.ubar_lambda + d.ubar_lambda_hi)
     step = (ub < mid).astype(float)
-    bad_zeta = tamper(
-        profile64, zeta_field=np.broadcast_to(
-            step[:, None, None], profile64.zeta_field.shape).copy())
-    assert not verify_profile(bad_zeta)["zeta_no_jump"].passed
+    bad_zeta = tables._replace(zeta=np.broadcast_to(
+        step[:, None, None], tables.zeta.shape).copy())
+    assert not verify_profile(profile64, bad_zeta)["zeta_no_jump"].passed
 
-    bad_scale = tamper(profile64, amp2=1.5 * profile64.amp2,
-                       I=1.5 * profile64.I)
-    entry = verify_profile(bad_scale)["total_equals_4m0"]
+    bad_scale = tables._replace(amp2=1.5 * tables.amp2, I=1.5 * tables.I)
+    entry = verify_profile(profile64, bad_scale)["total_equals_4m0"]
     assert not entry.passed
     assert entry["measured"] == pytest.approx(0.5, rel=1e-9)
 
-    frozen = tamper(
-        profile64, zero_locus_theta=np.full_like(
-            profile64.zero_locus_theta, np.pi / 2))
-    assert not verify_profile(frozen)["zero_locus_moving"].passed
+    frozen = copy.copy(profile64)
+    frozen.zero_locus_theta = np.full_like(profile64.zero_locus_theta,
+                                           np.pi / 2)
+    assert not verify_profile(frozen, tables)["zero_locus_moving"].passed
     report(10, "builder output passes all data checks; step zeta, x1.5 "
                "scaling (ratio 1.500), and frozen locus each flagged")
 

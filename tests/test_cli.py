@@ -198,6 +198,20 @@ class TestPipeline:
                               .read_text())
         assert failures["failures"][0]["name"] == "dominant_contribution"
 
+    def test_f_band_failure_leaves_the_report(self, cfg_path, tmp_path):
+        # A wobble past the 1/c1 budget still builds; the verifier's
+        # f_bounds check fails, with the constraint report on disk.
+        out = tmp_path / "wobble"
+        args = ["gen-data", "--config", str(cfg_path), "--out", str(out)]
+        for ov in FAST_OVERRIDES + ["profile.wobble_frac=1.2"]:
+            args += ["--set", ov]
+        assert main(args) == 3
+        failures = json.loads((out / "failures.json").read_text())
+        assert [f["name"] for f in failures["failures"]] == ["f_bounds"]
+        report = json.loads((out / "constraint_report.json").read_text())
+        checks = {c["name"]: c for c in report["constraints"]["checks"]}
+        assert not checks["f_bounds"]["passed"]
+
     def test_failures_json_names_the_latest_failure(self, cfg_path,
                                                     tmp_path):
         # A failure under one config, a success, then a failure under
@@ -336,7 +350,7 @@ class TestStageTable:
         assert "stale" in err and "missing" not in err
 
 
-def test_check_key_sets(params, profile_mid):
+def test_check_key_sets(params, profile_mid, tables_mid):
     # write_json sorts keys, so these sets are what keeps the report
     # JSONs byte-identical across changes to the check type.
     def keys(report):
@@ -346,7 +360,7 @@ def test_check_key_sets(params, profile_mid):
     common = {"name", "passed", "detail"}
     assert keys(validate(RegimeParameters())) == {
         frozenset(common | {"slack"})}
-    assert keys(verify_profile(profile_mid)) == {
+    assert keys(verify_profile(profile_mid, tables_mid)) == {
         frozenset(common | {"measured", "threshold"})}
     problem = make_problem(profile_mid, 1.5 * profile_mid.derived.delta)
     solution = MotsSolution(

@@ -33,7 +33,7 @@ def expansion_of_graph(problem, R):
     grid = problem.grid
     Rv = R.values
     s = problem.pert_scale
-    lap = grid.laplacian_values(Rv)
+    lap = grid.derivatives(Rv)[0]
     gt, gp = grid.gradient_values(Rv)
     R2 = Rv * Rv
     eta_t = s * problem.c1_theta / (2.0 * R2)
@@ -113,7 +113,7 @@ class TestResidual:
         prob = make_synthetic(grid_small, M0)
         R = SphereField(grid_small, M0 / 2)
         res = residual_H(prob, R)
-        lap_term = grid_small.laplacian_values(M0 / 2) / (M0 / 2) ** 2
+        lap_term = grid_small.derivatives(M0 / 2)[0] / (M0 / 2) ** 2
         # residual = Delta'(M0/2) - |grad R|^2/R: remainder is O(eps^2)
         assert np.max(np.abs(res.values - lap_term)) < 2 * eps**2
 
@@ -341,7 +341,7 @@ class TestHessianDiagnostic:
 
         vals = fn(g.theta_2d, g.phi_2d)
         h_tt, h_tp, h_pp = g.hessian_values(vals)
-        lap = g.laplacian_values(vals)
+        lap = g.derivatives(vals)[0]
         assert np.max(np.abs(h_tt + h_pp - lap)) < 1e-10
 
     def test_component_oracle_quadrupole(self, grid_mid):

@@ -10,21 +10,15 @@ from horizonlab import shear
 from horizonlab.errors import ConstraintError, ResolutionError
 from horizonlab.regime import RegimeParameters
 from horizonlab.shear import (ProfileSpec, ShearProfile, build_profile,
-                              scale_critical_norm, verify_profile)
+                              profile_tables, scale_critical_norm,
+                              verify_profile)
 from horizonlab.sphere import get_grid
 from horizonlab.transport import integrate_cone
 
 
-def tamper(profile, **arrays):
-    # The tables are cached properties, so an instance entry overrides them.
-    bad = copy.copy(profile)
-    vars(bad).update(arrays)
-    return bad
-
-
 class TestBuildIdentities:
-    def test_default_profile_verifies(self, profile_mid):
-        report = verify_profile(profile_mid)
+    def test_default_profile_verifies(self, profile_mid, tables_mid):
+        report = verify_profile(profile_mid, tables_mid)
         failing = [c.name for c in report.checks if not c.passed]
         assert report.passed, failing
 
@@ -35,30 +29,30 @@ class TestBuildIdentities:
         expected = d.shear_amp * d.ubar_lambda
         assert np.max(np.abs(I / expected - 1)) < 1e-12
 
-    def test_total_is_4m0_everywhere(self, profile_mid):
+    def test_total_is_4m0_everywhere(self, profile_mid, tables_mid):
         I = profile_mid.I_at(profile_mid.derived.ubar_lambda_hi)
         assert np.max(np.abs(I / (4 * profile_mid.m0) - 1)) < 1e-12
-        I2 = profile_mid.I[-1]
+        I2 = tables_mid.I[-1]
         assert np.max(np.abs(I2 / (4 * profile_mid.m0) - 1)) < 1e-12
 
-    def test_empty_start(self, profile_mid):
-        assert np.max(np.abs(profile_mid.I[0])) == 0.0
-        assert np.max(np.abs(profile_mid.amp2[0])) == 0.0
+    def test_empty_start(self, tables_mid):
+        assert np.max(np.abs(tables_mid.I[0])) == 0.0
+        assert np.max(np.abs(tables_mid.amp2[0])) == 0.0
 
-    def test_monotone_and_nonnegative(self, profile_mid):
-        assert np.min(profile_mid.amp2) >= 0.0
-        assert np.min(np.diff(profile_mid.I, axis=0)) >= -1e-12 \
+    def test_monotone_and_nonnegative(self, profile_mid, tables_mid):
+        assert np.min(tables_mid.amp2) >= 0.0
+        assert np.min(np.diff(tables_mid.I, axis=0)) >= -1e-12 \
             * 4 * profile_mid.m0
 
-    def test_f_and_zeta_bounds(self, profile_mid):
+    def test_f_and_zeta_bounds(self, profile_mid, tables_mid):
         p = profile_mid.params
         ub = profile_mid.ubar_grid
         m = (ub >= profile_mid.derived.ubar_start) \
             & (ub <= profile_mid.derived.ubar_lambda_hi)
-        assert np.max(np.abs(profile_mid.f_field[m] - 1)) <= 1 / p.c1
+        assert np.max(np.abs(tables_mid.f[m] - 1)) <= 1 / p.c1
         zb = profile_mid.zbar
         sel = zb > 1e-9
-        dev = np.abs(profile_mid.zeta_field[sel]
+        dev = np.abs(tables_mid.zeta[sel]
                      / zb[sel, None, None] - 1)
         assert np.max(dev) <= 1 / p.c2_zeta
 
@@ -107,33 +101,35 @@ class TestFeasibilityErrors:
 
 
 class TestVerifierDefects:
-    def test_scaling_defect_flagged_with_ratio(self, profile_mid):
-        bad = tamper(profile_mid, amp2=1.5 * profile_mid.amp2,
-                     I=1.5 * profile_mid.I)
-        report = verify_profile(bad)
+    def test_scaling_defect_flagged_with_ratio(self, profile_mid,
+                                               tables_mid):
+        bad = tables_mid._replace(amp2=1.5 * tables_mid.amp2,
+                                  I=1.5 * tables_mid.I)
+        report = verify_profile(profile_mid, bad)
         entry = report["total_equals_4m0"]
         assert not entry.passed
         assert entry["measured"] == pytest.approx(0.5, rel=1e-9)
 
-    def test_step_zeta_flagged(self, profile_mid):
+    def test_step_zeta_flagged(self, profile_mid, tables_mid):
         ub = profile_mid.ubar_grid
         d = profile_mid.derived
         mid = 0.5 * (d.ubar_lambda + d.ubar_lambda_hi)
         step = (ub < mid).astype(float)
         zeta = np.broadcast_to(step[:, None, None],
-                               profile_mid.zeta_field.shape).copy()
-        bad = tamper(profile_mid, zeta_field=zeta)
-        report = verify_profile(bad)
+                               tables_mid.zeta.shape).copy()
+        bad = tables_mid._replace(zeta=zeta)
+        report = verify_profile(profile_mid, bad)
         assert not report["zeta_no_jump"].passed
 
-    def test_frozen_locus_flagged(self, profile_mid):
-        frozen = np.full_like(profile_mid.zero_locus_theta, np.pi / 2)
-        bad = tamper(profile_mid, zero_locus_theta=frozen)
-        report = verify_profile(bad)
+    def test_frozen_locus_flagged(self, profile_mid, tables_mid):
+        bad = copy.copy(profile_mid)
+        bad.zero_locus_theta = np.full_like(profile_mid.zero_locus_theta,
+                                            np.pi / 2)
+        report = verify_profile(bad, tables_mid)
         assert not report["zero_locus_moving"].passed
 
-    def test_builder_output_all_pass(self, profile_mid):
-        assert verify_profile(profile_mid).passed
+    def test_builder_output_all_pass(self, profile_mid, tables_mid):
+        assert verify_profile(profile_mid, tables_mid).passed
 
 
 class TestQuadratureConsistency:
@@ -141,17 +137,17 @@ class TestQuadratureConsistency:
         errs = []
         for n in (97, 193):
             prof = build_profile(params, ProfileSpec(n_ubar=n), grid_small)
-            rep = verify_profile(prof)
+            rep = verify_profile(prof, profile_tables(prof))
             errs.append(rep["amp2_I_consistency"]["measured"])
         assert errs[1] < errs[0] / 2.5   # second-order trapezoid
 
 
-def per_slice_norm(profile):
+def per_slice_norm(profile, amp2):
     """Reference: the scale-critical norm one slice and one gradient call
     at a time, with np.hypot, before the angular chain was stacked."""
     nu = len(profile.ubar_grid)
     grid = profile.grid
-    amp = np.sqrt(np.maximum(profile.amp2, 0.0))
+    amp = np.sqrt(np.maximum(amp2, 0.0))
     p = profile.params
     total = 0.0
     du_j = amp
@@ -176,45 +172,125 @@ class TestScaleCriticalNorm:
     @pytest.mark.parametrize("name", ["profile_mid", "profile_notch"])
     def test_matches_per_slice_reference(self, name, request):
         profile = request.getfixturevalue(name)
-        want = per_slice_norm(profile)
-        got = scale_critical_norm(profile)["value"]
+        amp2 = profile_tables(profile).amp2
+        want = per_slice_norm(profile, amp2)
+        got = scale_critical_norm(profile, amp2)["value"]
         assert abs(got - want) <= 1e-13 * want
 
-    def test_zero_profile(self, profile_mid):
-        quiet = tamper(profile_mid, amp2=0.0 * profile_mid.amp2)
-        assert scale_critical_norm(quiet)["value"] == 0.0
+    def test_zero_profile(self, profile_mid, tables_mid):
+        quiet = 0.0 * tables_mid.amp2
+        assert scale_critical_norm(profile_mid, quiet)["value"] == 0.0
 
-    def test_homogeneity(self, profile_mid):
-        base = scale_critical_norm(profile_mid)["value"]
-        loud = tamper(profile_mid, amp2=4.0 * profile_mid.amp2)
-        assert scale_critical_norm(loud)["value"] == \
+    def test_homogeneity(self, profile_mid, tables_mid):
+        base = scale_critical_norm(profile_mid, tables_mid.amp2)["value"]
+        loud = 4.0 * tables_mid.amp2
+        assert scale_critical_norm(profile_mid, loud)["value"] == \
             pytest.approx(2.0 * base, rel=1e-12)
 
-    def test_default_within_budget(self, profile_mid):
-        out = scale_critical_norm(profile_mid)
+    def test_default_within_budget(self, profile_mid, tables_mid):
+        out = scale_critical_norm(profile_mid, tables_mid.amp2)
         assert out["passed"]
 
-    def test_wrong_amplitude_power_fails(self, profile_mid):
+    def test_wrong_amplitude_power_fails(self, profile_mid, tables_mid):
         # amplitude a instead of sqrt(a): amp2 gains a factor sqrt(a),
         # the norm gains ~a^(1/4)*... enough to blow the frozen budget.
         a = profile_mid.params.a
-        loud = tamper(profile_mid, amp2=math.sqrt(a) * profile_mid.amp2)
-        assert not scale_critical_norm(loud)["passed"]
+        loud = math.sqrt(a) * tables_mid.amp2
+        assert not scale_critical_norm(profile_mid, loud)["passed"]
+
+
+def loop_tables(profile, full_grid_amp2):
+    """Reference: the dense tables as the profile once cached them, I and
+    f filled one ubar node at a time, amp2 one full-grid gate per node."""
+    m, g = profile._model, profile.grid
+    Y = shear.angular_wobble(g.theta_2d, g.phi_2d)
+    ubar, zbar = profile.ubar_grid, profile.zbar
+    amp2 = np.array([full_grid_amp2(profile, u) for u in ubar])
+    I = profile.corr.copy()
+    for k, u in enumerate(ubar):
+        I[k] += m.I_main(u, Y)
+    shape = np.clip((ubar - m.ulam) / m.zwindow, 0.0, 1.0)
+    swob = (4.0 * shape * (1.0 - shape)) ** 2
+    Z = shear.zeta_wobble_pattern(g.theta_2d, g.phi_2d)
+    zeta = zbar[:, None, None] * (1.0 + m.wz * swob[:, None, None] * Z[None])
+    f = np.empty_like(I)
+    rho = m.rho(ubar)
+    for k, u in enumerate(ubar):
+        if u <= 0.0 or rho[k] < 1e-300:
+            f[k] = m.fbg(u, Y)
+        elif u <= m.ulam:
+            f[k] = I[k] / (m.A * u * rho[k])
+        elif zbar[k] > 1e-9:
+            f[k] = ((I[k] - (1.0 - zeta[k]) * m.four_m0)
+                    / (m.A * zeta[k] * u))
+        else:
+            f[k] = m.fbg(u, Y)
+    return amp2, I, f, zeta
+
+
+def full_row_repayment(model, ubar, grid):
+    """Reference: ``_repayment`` with kappa from np.trapezoid over
+    full-grid rows, the cap columns set and every other column zero."""
+    Y = shear.angular_wobble(grid.theta_2d, grid.phi_2d)
+    cap = model.cap_nodes(grid.theta_2d, grid.phi_2d)
+    theta, phi = grid.theta_2d.ravel()[cap], grid.phi_2d.ravel()[cap]
+    alpha, beta = model.amp2_factors(ubar)
+    main = beta[:, None] * Y.ravel()
+    main += alpha[:, None]
+    gate = model.gate(ubar[:, None], theta, phi)
+    repay = model.repay_shape(ubar)
+    cut = np.zeros_like(main)
+    cut[:, cap] = main[:, cap] * (1.0 - gate)
+    kept = main * repay[:, None]
+    kept[:, cap] = main[:, cap] * gate * repay[:, None]
+    kappa = np.trapezoid(cut, ubar, axis=0) / np.trapezoid(kept, ubar, axis=0)
+    amp2 = main.copy()
+    amp2[:, cap] = shear._repaid(main[:, cap], gate, kappa[cap],
+                                 repay[:, None])
+    corr = np.maximum(amp2, 0.0) - main
+    return (kappa.reshape(Y.shape),
+            shear._cumtrapz(corr.reshape((len(ubar),) + Y.shape), ubar))
+
+
+class TestProfileTables:
+    @pytest.mark.parametrize("name", ["profile_mid", "profile_notch"])
+    def test_equal_per_node_loops(self, name, request, full_grid_amp2):
+        profile = request.getfixturevalue(name)
+        want = loop_tables(profile, full_grid_amp2)
+        for field, got, ref in zip(shear.ProfileTables._fields,
+                                   profile_tables(profile), want):
+            assert got.tobytes() == ref.tobytes(), field
+
+    @pytest.mark.parametrize("n, n_ubar, cap_width", [(16, 129, 0.1),
+                                                      (64, 257, 0.014)])
+    def test_repayment_equals_full_row_version(self, params, n, n_ubar,
+                                               cap_width):
+        # profile_notch's configuration and notch-cone's on the default grid
+        grid = get_grid(n, 2 * n)
+        model = shear._ProfileModel(
+            params, ProfileSpec(n_ubar=n_ubar, cap_width=cap_width))
+        ubar = shear._build_ubar_grid(model, n_ubar)
+        kappa, corr = shear._repayment(model, ubar, grid)
+        want_kappa, want_corr = full_row_repayment(model, ubar, grid)
+        assert np.count_nonzero(kappa) == 2
+        assert kappa.tobytes() == want_kappa.tobytes()
+        assert corr.tobytes() == want_corr.tobytes()
 
 
 class TestPersistence:
-    def test_save_load_roundtrip(self, profile_mid, tmp_path):
+    def test_save_load_roundtrip(self, profile_mid, tables_mid, tmp_path):
         stem = tmp_path / "prof"
         profile_mid.save(stem, config_hash="abc123")
         back = ShearProfile.load(stem)
-        assert np.array_equal(back.I, profile_mid.I)
-        assert np.array_equal(back.amp2, profile_mid.amp2)
-        assert np.array_equal(back.f_field, profile_mid.f_field)
+        tables = profile_tables(back)
+        assert np.array_equal(tables.I, tables_mid.I)
+        assert np.array_equal(tables.amp2, tables_mid.amp2)
+        assert np.array_equal(tables.f, tables_mid.f)
         d = profile_mid.derived
         for u in (0.3 * d.ubar_lambda, d.ubar_lambda, 1.2 * d.ubar_lambda):
             assert np.array_equal(back.amp2_at(u), profile_mid.amp2_at(u))
             assert np.array_equal(back.I_at(u), profile_mid.I_at(u))
-        assert verify_profile(back).passed
+        assert verify_profile(back, tables).passed
 
     def test_roundtrip_with_notch_on_grid_nodes(self, params, grid_small,
                                                 tmp_path, monkeypatch):
@@ -241,11 +317,15 @@ class TestPersistence:
             assert np.array_equal(back.I_at(u), built.I_at(u))
             assert back.zbar_at(u) == built.zbar_at(u)
         tables = ("amp2", "I", "f_field", "zeta_field")
-        assert not set(tables) & set(vars(back))
-        for name in tables + ("ubar_grid", "zbar", "zero_locus_theta",
-                              "kappa_repay", "corr"):
+        assert not any(hasattr(back, name) for name in tables)
+        for name in ("ubar_grid", "zbar", "zero_locus_theta", "kappa_repay",
+                     "corr"):
             assert np.array_equal(getattr(back, name), getattr(built, name)), \
                 name
+        for name, got, want in zip(shear.ProfileTables._fields,
+                                   profile_tables(back),
+                                   profile_tables(built)):
+            assert np.array_equal(got, want), name
 
 
 class TestClosures:
@@ -257,10 +337,10 @@ class TestClosures:
             / (2 * h)
         assert profile_mid.dzbar_at(u) == pytest.approx(fd, rel=1e-4)
 
-    def test_amp2_matches_stored_grid(self, profile_mid):
+    def test_amp2_matches_stored_grid(self, profile_mid, tables_mid):
         k = len(profile_mid.ubar_grid) // 2
         u = profile_mid.ubar_grid[k]
-        assert np.array_equal(profile_mid.amp2_at(u), profile_mid.amp2[k])
+        assert np.array_equal(profile_mid.amp2_at(u), tables_mid.amp2[k])
 
 
 def oracle_times(profile, n_steps=64):
@@ -307,9 +387,10 @@ class TestCapSet:
 
     def test_amp2_table_matches_full_grid_gate(self, profile_notch,
                                                full_grid_amp2):
+        amp2 = profile_tables(profile_notch).amp2
         for k, u in enumerate(profile_notch.ubar_grid):
-            want = np.maximum(full_grid_amp2(profile_notch, u), 0.0)
-            assert profile_notch.amp2[k].tobytes() == want.tobytes()
+            want = full_grid_amp2(profile_notch, u)
+            assert amp2[k].tobytes() == want.tobytes()
 
 
 class TestAmp2Memo:
