@@ -55,15 +55,15 @@ class NonConvergenceError(HorizonLabError):
 
 
 class DependencyError(HorizonLabError):
-    """An upstream artifact is missing, or stale: ``hashes`` is then the
-    (found, expected) pair of config hashes."""
+    """An upstream artifact is missing, or stale: ``found`` is then the
+    (found, expected) pair of its ``what``, by default its config hash."""
 
-    def __init__(self, path, producer, hashes=None):
+    def __init__(self, path, producer, found=None, what="config hash"):
         super().__init__(
             f"missing artifact {path!r}; run the {producer!r} subcommand "
-            f"first" if hashes is None else
-            f"stale artifact {path!r}: config hash {hashes[0]} != "
-            f"{hashes[1]}; rerun the {producer!r} subcommand")
+            f"first" if found is None else
+            f"stale artifact {path!r}: {what} {found[0]} != {found[1]}; "
+            f"rerun the {producer!r} subcommand")
 
 
 class ConfigError(HorizonLabError):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstraintError, ResolutionError
+from .errors import ConstraintError, DependencyError, ResolutionError
 from .regime import RegimeParameters, derive
 from .reporting import Check, Report, load_artifact, save_artifact
 from .sphere import SphereGrid, SphereField, get_grid
@@ -270,9 +270,11 @@ class ShearProfile:
 
     The recipe (``params``, ``spec``, ``grid``) fixes every closed form.
     Only ``kappa_repay`` and ``corr``, quadratures of the built amplitude,
-    need a rebuild to reproduce; they are the arrays saved.  The 1-D node
-    arrays are computed on construction.  No dense table is kept:
-    ``profile_tables`` builds those at the nodes for gen-data's checks.
+    need a rebuild to reproduce; they are the arrays saved.  I differs
+    from I_main only on the nodes the zero notch reaches, so ``corr`` has
+    one column per node of ``cap_nodes``.  The 1-D node arrays are
+    computed on construction.  No dense table is kept: ``profile_tables``
+    builds those at the nodes for gen-data's checks.
     ``amp2_at`` reads the amplitude's time factors from a table that
     ``tabulate`` fills for the times a caller is about to ask for; the
     table changes no value.  Instances are treated as immutable.
@@ -282,7 +284,7 @@ class ShearProfile:
     spec: ProfileSpec
     grid: SphereGrid
     kappa_repay: np.ndarray   # (n_theta, n_phi) per-angle repay gain
-    corr: np.ndarray          # (n_ubar, n_theta, n_phi) I - I_main
+    corr: np.ndarray          # (n_ubar, n_cap) I - I_main on the cap
     ubar_grid: np.ndarray = field(init=False)
     zbar: np.ndarray = field(init=False)   # angular-mean cutoff per node
     zero_locus_theta: np.ndarray = field(init=False)
@@ -384,8 +386,9 @@ class ShearProfile:
         k = min(max(k, 1), len(self.ubar_grid) - 1)
         x0, x1 = self.ubar_grid[k - 1], self.ubar_grid[k]
         w = 0.0 if x1 == x0 else (ubar - x0) / (x1 - x0)
-        corr = (1.0 - w) * self.corr[k - 1] + w * self.corr[k]
-        return base + corr
+        base.reshape(-1)[self._cap] += ((1.0 - w) * self.corr[k - 1]
+                                        + w * self.corr[k])
+        return base
 
     def zbar_at(self, ubar):
         return float(self._model.zbar(ubar))
@@ -420,7 +423,12 @@ class ShearProfile:
                                      if f.init})
         spec = ProfileSpec(**meta["spec"])
         grid = get_grid(meta["grid"]["n_theta"], meta["grid"]["n_phi"])
-        return ShearProfile(params=params, spec=spec, grid=grid, **loaded)
+        profile = ShearProfile(params=params, spec=spec, grid=grid, **loaded)
+        want = (len(profile.ubar_grid), len(profile._cap))
+        if profile.corr.shape != want:
+            raise DependencyError(f"{stem}.npz", "gen-data",
+                                  (profile.corr.shape, want), "corr shape")
+        return profile
 
 
 # The arrays ShearProfile saves, in their npz order.
@@ -429,36 +437,26 @@ _PROFILE_ARRAYS = ("kappa_repay", "corr")
 
 def _repayment(model: _ProfileModel, ubar, grid: SphereGrid):
     """Per-angle gain that repays, in the grid trapezoid quadrature, what
-    the zero notch removed, and ``corr``, the cumulative shear it adds."""
-    Y = angular_wobble(grid.theta_2d, grid.phi_2d)
+    the zero notch removed, and ``corr``, the cumulative shear it adds on
+    the cap nodes.  Off them gate is 1.0: nothing is cut, kappa is +0.0."""
     cap = model.cap_nodes(grid.theta_2d, grid.phi_2d)
     theta, phi = grid.theta_2d.ravel()[cap], grid.phi_2d.ravel()[cap]
-    nu = len(ubar)
     alpha, beta = model.amp2_factors(ubar)
-    main = beta[:, None] * Y.ravel()
-    main += alpha[:, None]
+    on_cap = alpha[:, None] + beta[:, None] * angular_wobble(theta, phi)
     gate = model.gate(ubar[:, None], theta, phi)
-    repay = model.repay_shape(ubar)
+    repay = model.repay_shape(ubar)[:, None]
 
-    # Off the cap nodes gate is 1.0: nothing is cut and kappa is +0.0.
-    kappa = np.zeros(Y.size)
-    on_cap = main[:, cap]
+    kappa = np.zeros(grid.theta_2d.size)
     kappa[cap] = (_cumtrapz(on_cap * (1.0 - gate), ubar)[-1]
-                  / _cumtrapz(on_cap * gate * repay[:, None], ubar)[-1])
+                  / _cumtrapz(on_cap * gate * repay, ubar)[-1])
     if np.max(np.abs(kappa)) > 0.5:
         raise ConstraintError(
             "topological_fact_deficit",
             "moving-zero notch removes too much shear to repay smoothly; "
             "shrink cap_width or widen the repay window")
-
-    amp2 = main.copy()
-    amp2[:, cap] = _repaid(on_cap, gate, kappa[cap], repay[:, None])
-    if np.min(amp2) < -1e-12 * np.max(amp2):
-        raise ConstraintError("smoothness_nonnegative",
-                              "|chihat_0|^2 went negative")
-    corr = np.maximum(amp2, 0.0) - main
-    return (kappa.reshape(Y.shape),
-            _cumtrapz(corr.reshape((nu,) + Y.shape), ubar))
+    amp2 = _repaid(on_cap, gate, kappa[cap], repay)
+    return (kappa.reshape(grid.theta_2d.shape),
+            _cumtrapz(np.maximum(amp2, 0.0) - on_cap, ubar))
 
 
 def build_profile(params: RegimeParameters, spec: ProfileSpec,
@@ -510,7 +508,8 @@ def profile_tables(profile: ShearProfile) -> ProfileTables:
     ubar, zbar = profile.ubar_grid, profile.zbar
     u = ubar[:, None, None]
     amp2 = profile._grid_amp2(*profile._factors(ubar))
-    I = profile.corr + m.I_main(u, Y)
+    I = m.I_main(u, Y)
+    I.reshape(len(ubar), -1)[:, profile._cap] += profile.corr
     # Unity before the window, wobbled cutoff across it, zero after.
     shape = np.clip((ubar - m.ulam) / m.zwindow, 0.0, 1.0)
     swob = (4.0 * shape * (1.0 - shape)) ** 2

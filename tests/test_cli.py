@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import horizonlab
@@ -198,19 +199,48 @@ class TestPipeline:
                               .read_text())
         assert failures["failures"][0]["name"] == "dominant_contribution"
 
-    def test_f_band_failure_leaves_the_report(self, cfg_path, tmp_path):
+    @pytest.mark.parametrize("wobble, failing", [
+        ("1.2", ["f_bounds"]),
+        ("20", ["f_bounds", "amp2_nonnegative", "I_monotone",
+                "endpoint_vanish_end", "amp2_I_consistency",
+                "scale_critical_norm"]),
+    ], ids=["wobble-1.2", "wobble-20"])
+    def test_f_band_failure_leaves_the_report(self, cfg_path, tmp_path,
+                                              wobble, failing):
         # A wobble past the 1/c1 budget still builds; the verifier's
-        # f_bounds check fails, with the constraint report on disk.
+        # f_bounds check fails, with the constraint report on disk.  Far
+        # past it the amplitude goes negative, which amp2_nonnegative
+        # reports.
         out = tmp_path / "wobble"
         args = ["gen-data", "--config", str(cfg_path), "--out", str(out)]
-        for ov in FAST_OVERRIDES + ["profile.wobble_frac=1.2"]:
+        for ov in FAST_OVERRIDES + [f"profile.wobble_frac={wobble}"]:
             args += ["--set", ov]
         assert main(args) == 3
         failures = json.loads((out / "failures.json").read_text())
-        assert [f["name"] for f in failures["failures"]] == ["f_bounds"]
+        assert [f["name"] for f in failures["failures"]] == failing
         report = json.loads((out / "constraint_report.json").read_text())
         checks = {c["name"]: c for c in report["constraints"]["checks"]}
-        assert not checks["f_bounds"]["passed"]
+        checks["scale_critical_norm"] = report["scale_critical_norm"]
+        assert not any(checks[name]["passed"] for name in failing)
+
+    def test_dense_corr_profile_rejected(self, cfg_path, pipeline_out,
+                                         tmp_path, capsys):
+        # An npz with the dense (n_ubar, n_theta, n_phi) corr of earlier
+        # releases and the right config hash: evolve refuses it on load.
+        out = tmp_path / "dense"
+        out.mkdir()
+        shutil.copy(pipeline_out / "profile.json", out)
+        with np.load(pipeline_out / "profile.npz") as z:
+            arrays = dict(z)
+        arrays["corr"] = np.zeros((129, 16, 32))
+        np.savez_compressed(out / "profile.npz", **arrays)
+        args = ["evolve", "--config", str(cfg_path), "--out", str(out)]
+        for ov in FAST_OVERRIDES:
+            args += ["--set", ov]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert str(out / "profile.npz") in err
+        assert "(129, 16, 32) != (129, 0)" in err and "gen-data" in err
 
     def test_failures_json_names_the_latest_failure(self, cfg_path,
                                                     tmp_path):

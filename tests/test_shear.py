@@ -206,7 +206,7 @@ def loop_tables(profile, full_grid_amp2):
     Y = shear.angular_wobble(g.theta_2d, g.phi_2d)
     ubar, zbar = profile.ubar_grid, profile.zbar
     amp2 = np.array([full_grid_amp2(profile, u) for u in ubar])
-    I = profile.corr.copy()
+    I = dense_corr(profile.corr, profile._cap, g)
     for k, u in enumerate(ubar):
         I[k] += m.I_main(u, Y)
     shape = np.clip((ubar - m.ulam) / m.zwindow, 0.0, 1.0)
@@ -226,6 +226,14 @@ def loop_tables(profile, full_grid_amp2):
         else:
             f[k] = m.fbg(u, Y)
     return amp2, I, f, zeta
+
+
+def dense_corr(corr, cap, grid):
+    """The cap columns ``corr`` scattered into a zero (n_ubar, n_theta,
+    n_phi) table: I - I_main at the ubar nodes."""
+    out = np.zeros((len(corr),) + grid.theta_2d.shape)
+    out.reshape(len(corr), -1)[:, cap] = corr
+    return out
 
 
 def full_row_repayment(model, ubar, grid):
@@ -274,7 +282,23 @@ class TestProfileTables:
         want_kappa, want_corr = full_row_repayment(model, ubar, grid)
         assert np.count_nonzero(kappa) == 2
         assert kappa.tobytes() == want_kappa.tobytes()
-        assert corr.tobytes() == want_corr.tobytes()
+        cap = model.cap_nodes(grid.theta_2d, grid.phi_2d)
+        assert dense_corr(corr, cap, grid).tobytes() == want_corr.tobytes()
+
+    def test_I_at_equals_dense_interpolation(self, profile_notch):
+        # I_at adds the cap columns to I_main; the dense oracle adds the
+        # whole (zero off the cap) interpolated correction.
+        m, ub = profile_notch._model, profile_notch.ubar_grid
+        Y = shear.angular_wobble(profile_notch.grid.theta_2d,
+                                 profile_notch.grid.phi_2d)
+        _, dense = full_row_repayment(m, ub, profile_notch.grid)
+        mids = [0.5 * (ub[k] + ub[k + 1]) for k in (0, 40, 64, 100)]
+        for u in list(ub) + mids:
+            k = min(max(np.searchsorted(ub, u), 1), len(ub) - 1)
+            w = (u - ub[k - 1]) / (ub[k] - ub[k - 1])
+            want = m.I_main(u, Y) + ((1.0 - w) * dense[k - 1]
+                                     + w * dense[k])
+            assert profile_notch.I_at(u).tobytes() == want.tobytes(), u
 
 
 class TestPersistence:
@@ -299,6 +323,7 @@ class TestPersistence:
         built = build_profile(params, ProfileSpec(n_ubar=129, cap_width=0.1),
                               grid_small)
         assert np.count_nonzero(built.kappa_repay) == 2
+        assert built.corr.shape == (129, 4)
         assert np.count_nonzero(built.corr) == 214
         stem = tmp_path / "prof"
         built.save(stem, config_hash="abc123")
@@ -364,6 +389,11 @@ class TestCapSet:
         grid = get_grid(64, 128)
         model = shear._ProfileModel(params, ProfileSpec())
         assert model.cap_nodes(grid.theta_2d, grid.phi_2d).size == 0
+
+    def test_default_config_has_no_cap_columns(self, params):
+        built = build_profile(params, ProfileSpec(), get_grid(64, 128))
+        assert built.corr.shape == (257, 0)
+        assert not built.kappa_repay.any()
 
     @pytest.mark.parametrize("name", ["profile_notch",
                                       "profile_notch_default_grid"])
