@@ -43,7 +43,7 @@ from .regime import RegimeParameters, derive, validate
 from .reporting import (config_hash, gnuplot_script, svg_class_map,
                         svg_line_chart, write_csv, write_dat, write_json)
 from .shear import (NORM_BUDGET, ProfileSpec, ShearProfile, build_profile,
-                    profile_tables, scale_critical_norm, verify_profile)
+                    scale_critical_norm, verify_profile)
 from .sphere import get_grid
 from .transport import SlabModel, detect_trapped, integrate_data_cone
 
@@ -270,10 +270,8 @@ def cmd_gen_data(cfg: RunConfig, inputs):
     grid = cfg.grid()
     profile = build_profile(cfg.params(), cfg.profile_spec(), grid)
     profile.save(outdir / "profile", config_hash=cfg.hash)
-    tables = profile_tables(profile)
-    report = verify_profile(profile, tables)
-    norm = scale_critical_norm(profile, tables.amp2,
-                               budget=cfg["profile"]["norm_budget"])
+    report = verify_profile(profile)
+    norm = scale_critical_norm(profile, budget=cfg["profile"]["norm_budget"])
     d = profile.derived
     rows = []
     for u in (d.ubar_start, 0.5 * d.ubar_lambda, d.ubar_lambda,

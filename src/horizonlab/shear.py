@@ -24,6 +24,7 @@ rather than approximate.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
@@ -39,9 +40,10 @@ from .sphere import SphereGrid, SphereField, get_grid
 # (measured 3.9e19 at the default grids, stable under refinement) and
 # frozen with headroom (see scale_critical_norm).
 NORM_BUDGET = 6.0e19
-# Slices per stacked gradient call in scale_critical_norm: at 64x128 the
-# fastest stack, and it keeps the angular work arrays small.
-NORM_CHUNK = 8
+# ubar nodes per chunk of verify_profile and scale_critical_norm: at 64x128
+# the fastest stack for the norm's gradient calls, and it keeps every work
+# array a few slices deep.
+UBAR_CHUNK = 8
 
 
 # -- smooth shape functions ----------------------------------------------
@@ -232,11 +234,13 @@ def _build_ubar_grid(model: _ProfileModel, n_ubar: int):
     return np.concatenate([a, b[1:], c[1:], dseg[1:]])
 
 
-def _cumtrapz(y, x):
-    """Cumulative trapezoid of y along its first axis, any trailing shape."""
+def _cumtrapz(y, x, start=0.0):
+    """Cumulative trapezoid of y along its first axis, any trailing shape,
+    from ``start`` at x[0]."""
     dx = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
     seg = 0.5 * (y[1:] + y[:-1]) * dx
-    out = np.zeros_like(y)
+    out = np.empty_like(y)
+    out[0] = start
     # Row by row: the same sums as cumsum(axis=0), without its strided pass,
     # and as numpy's sum over the rows of a wide array, whatever the width.
     for k in range(len(seg)):
@@ -264,6 +268,15 @@ _AMP2_MEMO = 6
 _NO_TIMES = np.empty(0)
 
 
+class ProfileTables(NamedTuple):
+    """(n, n_theta, n_phi) tables at n consecutive ubar nodes."""
+
+    amp2: np.ndarray    # squared amplitude, not clipped at zero
+    I: np.ndarray       # cumulative shear
+    f: np.ndarray       # window factor
+    zeta: np.ndarray    # cutoff across the transition
+
+
 @dataclass
 class ShearProfile:
     """Shear data on a (ubar x sphere) grid: its recipe and two arrays.
@@ -273,8 +286,8 @@ class ShearProfile:
     need a rebuild to reproduce; they are the arrays saved.  I differs
     from I_main only on the nodes the zero notch reaches, so ``corr`` has
     one column per node of ``cap_nodes``.  The 1-D node arrays are
-    computed on construction.  No dense table is kept: ``profile_tables``
-    builds those at the nodes for gen-data's checks.
+    computed on construction.  No dense table is kept: ``node_tables``
+    builds the tables of gen-data's checks a chunk of nodes at a time.
     ``amp2_at`` reads the amplitude's time factors from a table that
     ``tabulate`` fills for the times a caller is about to ask for; the
     table changes no value.  Instances are treated as immutable.
@@ -293,6 +306,7 @@ class ShearProfile:
         m = self._model = _ProfileModel(self.params, self.spec)
         g = self.grid
         self._Y = angular_wobble(g.theta_2d, g.phi_2d)
+        self._Z = zeta_wobble_pattern(g.theta_2d, g.phi_2d)
         self.ubar_grid = _build_ubar_grid(m, self.spec.n_ubar)
         self.zbar = m.zbar(self.ubar_grid)
         self.zero_locus_theta = m.locus_theta(self.ubar_grid)
@@ -367,6 +381,35 @@ class ShearProfile:
                 del self._memo[next(iter(self._memo))]
         out.flags.writeable = False
         return out
+
+    def node_amp2(self, lo, hi):
+        """The amplitude, not clipped at zero, at ubar nodes lo..hi-1."""
+        return self._grid_amp2(*self._factors(self.ubar_grid[lo:hi]))
+
+    def node_tables(self, lo, hi) -> ProfileTables:
+        """The tables at ubar nodes lo..hi-1.  A node's rows depend on that
+        node alone, so every chunking of the nodes gives the same bits."""
+        m, Y = self._model, self._Y
+        ubar, zbar = self.ubar_grid[lo:hi], self.zbar[lo:hi]
+        u = ubar[:, None, None]
+        I = m.I_main(u, Y)
+        I.reshape(len(ubar), -1)[:, self._cap] += self.corr[lo:hi]
+        # Unity before the window, wobbled cutoff across it, zero after.
+        shape = np.clip((ubar - m.ulam) / m.zwindow, 0.0, 1.0)
+        swob = (4.0 * shape * (1.0 - shape)) ** 2
+        zeta = zbar[:, None, None] * (1.0 + m.wz * swob[:, None, None]
+                                      * self._Z)
+        # f is pinned by the window identity where it applies, derived from
+        # the transition identity across the cutoff, background elsewhere.
+        rho = m.rho(ubar)
+        live = (ubar > 0.0) & (rho >= 1e-300)
+        win = live & (ubar <= m.ulam)
+        tra = live & (ubar > m.ulam) & (zbar > 1e-9)
+        f = m.fbg(u, Y)
+        f[win] = I[win] / (m.A * ubar[win] * rho[win])[:, None, None]
+        f[tra] = ((I[tra] - (1.0 - zeta[tra]) * m.four_m0)
+                  / (m.A * zeta[tra] * u[tra]))
+        return ProfileTables(self.node_amp2(lo, hi), I, f, zeta)
 
     def amp2_at_point(self, ubar, theta, phi):
         """Amplitude at one arbitrary angular point (diagnostic use)."""
@@ -493,48 +536,78 @@ def build_profile(params: RegimeParameters, spec: ProfileSpec,
 
 # -- verification ----------------------------------------------------------
 
-class ProfileTables(NamedTuple):
-    """Dense (n_ubar, n_theta, n_phi) tables at the ubar nodes."""
-
-    amp2: np.ndarray    # squared amplitude, not clipped at zero
-    I: np.ndarray       # cumulative shear
-    f: np.ndarray       # window factor
-    zeta: np.ndarray    # cutoff across the transition
+def _chunks(n):
+    """(lo, hi) of consecutive runs of UBAR_CHUNK of n ubar nodes."""
+    return [(lo, min(lo + UBAR_CHUNK, n)) for lo in range(0, n, UBAR_CHUNK)]
 
 
-def profile_tables(profile: ShearProfile) -> ProfileTables:
-    """The tables ``verify_profile`` and ``scale_critical_norm`` read."""
-    m, g, Y = profile._model, profile.grid, profile._Y
-    ubar, zbar = profile.ubar_grid, profile.zbar
-    u = ubar[:, None, None]
-    amp2 = profile._grid_amp2(*profile._factors(ubar))
-    I = m.I_main(u, Y)
-    I.reshape(len(ubar), -1)[:, profile._cap] += profile.corr
-    # Unity before the window, wobbled cutoff across it, zero after.
-    shape = np.clip((ubar - m.ulam) / m.zwindow, 0.0, 1.0)
-    swob = (4.0 * shape * (1.0 - shape)) ** 2
-    Z = zeta_wobble_pattern(g.theta_2d, g.phi_2d)
-    zeta = zbar[:, None, None] * (1.0 + m.wz * swob[:, None, None] * Z[None])
-    # f is pinned by the window identity where it applies, derived from the
-    # transition identity across the cutoff, background value elsewhere.
-    rho = m.rho(ubar)
-    live = (ubar > 0.0) & (rho >= 1e-300)
-    win = live & (ubar <= m.ulam)
-    tra = live & (ubar > m.ulam) & (zbar > 1e-9)
-    f = m.fbg(u, Y)
-    f[win] = I[win] / (m.A * ubar[win] * rho[win])[:, None, None]
-    f[tra] = ((I[tra] - (1.0 - zeta[tra]) * m.four_m0)
-              / (m.A * zeta[tra] * u[tra]))
-    return ProfileTables(amp2, I, f, zeta)
+def verify_profile(profile: ShearProfile, tables=None) -> Report:
+    """Numerically audit every data requirement; returns a full report.
 
-
-def verify_profile(profile: ShearProfile, tables: ProfileTables) -> Report:
-    """Numerically audit every data requirement on ``profile_tables``'
-    output; returns a full report."""
+    ``tables(lo, hi)`` gives the ``ProfileTables`` at ubar nodes lo..hi-1
+    (default ``profile.node_tables``).  Every check is a reduction over
+    ubar, so the tables are read in chunks of UBAR_CHUNK nodes, each with
+    the node before it for the checks on steps, and the rows the checks
+    at single nodes read are copied as the loop passes them: no (n_ubar,
+    n_theta, n_phi) table is held.
+    """
+    tables = tables or profile.node_tables
     p = profile.params
     m = profile._model
     ubar = profile.ubar_grid
+    n = len(ubar)
     A, four_m0 = m.A, m.four_m0
+    zb = profile.zbar
+    win = (ubar >= m.w0) & (ubar <= m.ulam) & (ubar > 0)
+    tra = (ubar > m.ulam) & (ubar < m.ulamp)
+    band = (ubar >= m.w0) & (ubar <= m.ulamp)
+    zmask = zb > 1e-9
+    tail = ubar >= m.ulamp
+    k_end = int(np.searchsorted(ubar, m.ulamp)) - 1
+    kl = int(np.searchsorted(ubar, m.ulam, side="right"))
+    sampled = [int(np.argmin(np.abs(ubar - u)))
+               for u in np.linspace(m.w0, m.ulamp, 5)]
+    want = {("I", 0), ("I", n - 1), ("amp2", 0), ("amp2", 1),
+            ("amp2", k_end), ("zeta", kl)} | {("f", k) for k in sampled}
+    row = {}
+
+    # Each chunk's maximum of each checked quantity, reduced after the loop.
+    part = collections.defaultdict(list)
+
+    def peak(key, values):
+        part[key].append(np.max(values, initial=-np.inf))
+
+    def top(key):
+        return np.max(part[key])
+
+    recon = None
+    for lo, hi in _chunks(n):
+        a = max(lo - 1, 0)
+        ext = tables(a, hi)
+        t = ProfileTables(*(x[lo - a:] for x in ext))
+        for name, k in want:
+            if lo <= k < hi:
+                row[name, k] = getattr(t, name)[k - lo].copy()
+        u = ubar[lo:hi, None, None]
+        w = win[lo:hi]
+        rhs = A * t.f[w] * u[w]
+        peak("window", np.abs(t.I[w] - rhs) / rhs)
+        w = tra[lo:hi]
+        rhs = A * t.f[w] * t.zeta[w] * u[w] + (1.0 - t.zeta[w]) * four_m0
+        peak("transition", np.abs(t.I[w] - rhs))
+        peak("f", np.abs(t.f[band[lo:hi]] - 1.0))
+        w = zmask[lo:hi]
+        peak("zeta", np.abs(t.zeta[w] / zb[lo:hi][w, None, None] - 1.0))
+        peak("amp2", t.amp2)
+        peak("-amp2", -t.amp2)
+        peak("tail", np.abs(t.I[tail[lo:hi]] / four_m0 - 1.0))
+        peak("-dI", -np.diff(ext.I, axis=0))
+        peak("dzeta", np.abs(np.diff(ext.zeta, axis=0)))
+        # The trapezoid of amp2 carries on from the node before the chunk.
+        recon = _cumtrapz(ext.amp2, ubar[a:hi],
+                          0.0 if recon is None else recon[-1])[lo - a:]
+        peak("cons", np.abs(recon - (t.I - row["I", 0])))
+
     checks = []
 
     def add(name, measured, threshold, detail=""):
@@ -543,61 +616,42 @@ def verify_profile(profile: ShearProfile, tables: ProfileTables) -> Report:
                             detail))
 
     # Total shear: exactly 4 m0, independent of angle.
-    ratio_dev = np.abs(tables.I[-1] / four_m0 - 1.0)
+    I_end = row["I", n - 1]
+    ratio_dev = np.abs(I_end / four_m0 - 1.0)
     add("total_equals_4m0", float(np.max(ratio_dev)), 1.0e-6,
         "max_omega |I(2delta)/4m0 - 1|")
-    spread = (np.max(tables.I[-1]) - np.min(tables.I[-1])) / four_m0
+    spread = (np.max(I_end) - np.min(I_end)) / four_m0
     add("total_angular_independence", float(spread), 1.0e-6)
 
     # Window identity on [w0, lambda delta].
-    win = (ubar >= m.w0) & (ubar <= m.ulam) & (ubar > 0)
     if np.any(win):
-        lhs = tables.I[win]
-        rhs = A * tables.f[win] * ubar[win, None, None]
-        rel = np.max(np.abs(lhs - rhs) / rhs)
-        add("window_identity", float(rel), 1.0e-8,
+        add("window_identity", float(top("window")), 1.0e-8,
             "I = shear_amp * f * ubar on the main window")
 
     # Transition identity on [lambda delta, lambda' delta].
-    tra = (ubar > m.ulam) & (ubar < m.ulamp)
     if np.any(tra):
-        lhs = tables.I[tra]
-        rhs = (A * tables.f[tra] * tables.zeta[tra]
-               * ubar[tra, None, None]
-               + (1.0 - tables.zeta[tra]) * four_m0)
-        rel = np.max(np.abs(lhs - rhs)) / four_m0
-        add("transition_identity", float(rel), 1.0e-8)
+        add("transition_identity", float(top("transition") / four_m0),
+            1.0e-8)
 
     # Bounds on f and zeta.
-    band = (ubar >= m.w0) & (ubar <= m.ulamp)
-    fdev = np.max(np.abs(tables.f[band] - 1.0)) * p.c1
-    add("f_bounds", float(fdev), 1.0 + 1e-9, "c1 * |f - 1| <= 1")
-    zb = profile.zbar
-    mask = zb > 1e-9
-    zdev = np.max(np.abs(tables.zeta[mask] / zb[mask, None, None]
-                         - 1.0)) * p.c2_zeta
-    add("zeta_bounds", float(zdev), 1.0 + 1e-9, "c2 * |zeta/zetabar - 1| <= 1")
+    add("f_bounds", float(top("f") * p.c1), 1.0 + 1e-9, "c1 * |f - 1| <= 1")
+    add("zeta_bounds", float(top("zeta") * p.c2_zeta), 1.0 + 1e-9,
+        "c2 * |zeta/zetabar - 1| <= 1")
 
     # Angular smoothness of f at sample slices.
-    samples = np.linspace(m.w0, m.ulamp, 5)
     gmax = 0.0
-    for u in samples:
-        k = int(np.argmin(np.abs(ubar - u)))
-        fld = SphereField(profile.grid, tables.f[k])
+    for k in sampled:
+        fld = SphereField(profile.grid, row["f", k])
         gt, gp = profile.grid.gradient_values(fld.values)
         gmax = max(gmax, float(np.max(np.hypot(gt, gp))))
     add("f_angular_smooth", gmax, 4.0, "max |grad_omega f| bounded")
 
     # Monotonicity / nonnegativity.
-    add("amp2_nonnegative", float(-np.min(tables.amp2)),
-        1e-12 * float(np.max(tables.amp2)))
-    dI = np.diff(tables.I, axis=0)
-    add("I_monotone", float(-np.min(dI)), 1e-9 * four_m0)
+    add("amp2_nonnegative", float(top("-amp2")), 1e-12 * float(top("amp2")))
+    add("I_monotone", float(top("-dI")), 1e-9 * four_m0)
 
     # I(ubar >= lambda' delta) stays pinned at the total.
-    tail = ubar >= m.ulamp
-    tail_dev = np.max(np.abs(tables.I[tail] / four_m0 - 1.0))
-    add("tail_constant", float(tail_dev), 1.0e-6)
+    add("tail_constant", float(top("tail")), 1.0e-6)
 
     # Dominance of the window contribution over the cutoff tail.
     I_lam = profile.I_at(m.ulam)
@@ -608,37 +662,33 @@ def verify_profile(profile: ShearProfile, tables: ProfileTables) -> Report:
 
     # Smooth vanishing of amp2 at ubar = 0 and at the support end.
     scale = A
-    add("endpoint_zero_start", float(np.max(np.abs(tables.amp2[0]))) / scale,
+    start = row["amp2", 0], row["amp2", 1]
+    add("endpoint_zero_start", float(np.max(np.abs(start[0]))) / scale,
         1e-12)
-    k_end = int(np.searchsorted(ubar, m.ulamp)) - 1
     s_loc = (ubar[k_end] - ubar[k_end - 1]) / m.zwindow
-    end_val = np.max(np.abs(tables.amp2[k_end])) / scale
+    end_val = np.max(np.abs(row["amp2", k_end])) / scale
     add("endpoint_vanish_end", float(end_val) / (s_loc * s_loc), 40.0,
         "amp2 at the last support node vanishes at the cutoff's C^1 order")
-    slope_start = np.max(np.abs(tables.amp2[1] - tables.amp2[0])) \
-        / (ubar[1] - ubar[0])
+    slope_start = np.max(np.abs(start[1] - start[0])) / (ubar[1] - ubar[0])
     add("endpoint_vanish_start", float(slope_start) / (scale / m.w0), 0.5)
 
     # zeta smoothness: no jumps, flat endpoint departure.
-    dz = np.abs(np.diff(tables.zeta, axis=0)).max(axis=(1, 2))
-    add("zeta_no_jump", float(np.max(dz)), 0.9,
+    add("zeta_no_jump", float(top("dzeta")), 0.9,
         "single-step jump in zeta flags a discontinuous cutoff")
-    kl = int(np.searchsorted(ubar, m.ulam, side="right"))
     if kl < len(ubar) - 1:
-        s0 = abs(float(np.mean(tables.zeta[kl]))
+        s0 = abs(float(np.mean(row["zeta", kl]))
                  - profile.zbar_at(ubar[kl - 1])) \
             / max((ubar[kl] - ubar[kl - 1]) / m.zwindow, 1e-30)
         add("zeta_endpoint_derivative", s0, 0.2,
             "cutoff leaves 1 with zero slope at lambda*delta")
 
     # Moving zero of the amplitude.
-    zs = ubar[(ubar > 0) & (ubar < m.ulamp)]
-    probe = zs[:: max(1, len(zs) // 9)]
+    zs = np.flatnonzero((ubar > 0) & (ubar < m.ulamp))
     worst = 0.0
-    for u in probe:
-        th0 = profile.locus_theta_at(float(u))
-        worst = max(worst, abs(profile.amp2_at_point(float(u), th0,
-                                                     profile.phi0)))
+    for k in zs[:: max(1, len(zs) // 9)]:
+        worst = max(worst, abs(profile.amp2_at_point(
+            float(ubar[k]), float(profile.zero_locus_theta[k]),
+            profile.phi0)))
     add("zero_locus_present", worst / scale, 1e-12,
         "amp2 vanishes at the stored locus point on every slice")
     in_support = ubar <= m.ulamp
@@ -650,39 +700,61 @@ def verify_profile(profile: ShearProfile, tables: ProfileTables) -> Report:
     add("zero_locus_monotone", float(-mono), 1e-15)
 
     # Quadrature consistency between amp2 and I.
-    recon = _cumtrapz(tables.amp2, ubar)
-    cons = np.max(np.abs(recon - (tables.I - tables.I[0]))) / four_m0
-    add("amp2_I_consistency", float(cons), 1.0e-4,
+    add("amp2_I_consistency", float(top("cons") / four_m0), 1.0e-4,
         "trapezoid of amp2 reproduces I at the grid's convergence order")
 
     return Report(tuple(checks))
 
 
-def scale_critical_norm(profile: ShearProfile, amp2, budget=NORM_BUDGET):
+def _ubar_gradient(f, x):
+    """``np.gradient(f, x, axis=0)`` by its formula for uneven spacing.
+
+    numpy takes its even-spacing formula, with other bits, wherever the
+    spacing of x is constant, as it can be on a chunk of the ubar nodes
+    but is not on all of them.
+    """
+    dx = np.diff(x).reshape((-1,) + (1,) * (f.ndim - 1))
+    dx1, dx2 = dx[:-1], dx[1:]
+    out = np.empty_like(f)
+    out[1:-1] = (-dx2 / (dx1 * (dx1 + dx2)) * f[:-2]
+                 + (dx2 - dx1) / (dx1 * dx2) * f[1:-1]
+                 + dx1 / (dx2 * (dx1 + dx2)) * f[2:])
+    out[0] = (f[1] - f[0]) / dx[0]
+    out[-1] = (f[-1] - f[-2]) / dx[-1]
+    return out
+
+
+def scale_critical_norm(profile: ShearProfile, amp2=None,
+                        budget=NORM_BUDGET):
     """Discrete surrogate of the scale-critical data norm.
 
     Sums delta^j * a^(-1/2) * max_ubar L2(S^2) of j-th ubar finite
     differences and i-th angular derivative magnitudes of the amplitude
-    |chihat_0| = sqrt(amp2), for j, i <= 2, from the table ``amp2`` at
-    the profile's ubar nodes, clipped at zero.  The budget was calibrated
-    once on the default regime at exactly those orders and frozen; the
-    norm is homogeneous of degree one in the amplitude, so a profile
-    built at the wrong amplitude power fails by the corresponding factor.
+    |chihat_0| = sqrt(amp2), for j, i <= 2, at the profile's ubar nodes,
+    amp2 clipped at zero.  ``amp2(lo, hi)`` gives the table at nodes
+    lo..hi-1 (default ``profile.node_amp2``); it is read in chunks of
+    UBAR_CHUNK nodes, each with the two nodes on either side that the
+    second ubar difference reaches, so no (n_ubar, n_theta, n_phi) array
+    is held.  The budget was calibrated once on the default regime at
+    exactly those orders and frozen; the norm is homogeneous of degree
+    one in the amplitude, so a profile built at the wrong amplitude power
+    fails by the corresponding factor.
     """
-    nu = len(profile.ubar_grid)
+    amp2 = amp2 or profile.node_amp2
+    ubar = profile.ubar_grid
+    nu = len(ubar)
     grid = profile.grid
-    du_j = np.maximum(amp2, 0.0)
-    np.sqrt(du_j, out=du_j)
     p = profile.params
-    total = 0.0
-    norms = np.empty((3, nu))
-    for j in range(3):
-        if j > 0:
-            du_j = np.gradient(du_j, profile.ubar_grid, axis=0)
-        # The angular chain acts slice by slice: run it on stacks of
-        # NORM_CHUNK slices, so only the ubar derivatives are full size.
-        for k in range(0, nu, NORM_CHUNK):
-            ang = du_j[k:k + NORM_CHUNK]
+    norms = np.empty((3, 3, nu))
+    for lo, hi in _chunks(nu):
+        a, b = max(lo - 2, 0), min(hi + 2, nu)
+        du_j = np.maximum(amp2(a, b), 0.0)
+        np.sqrt(du_j, out=du_j)
+        for j in range(3):
+            if j > 0:
+                du_j = _ubar_gradient(du_j, ubar[a:b])
+            # The angular chain acts slice by slice, on the chunk's stack.
+            ang = du_j[lo - a:hi - a]
             for i in range(3):
                 if i > 0:
                     gt, gp = grid.gradient_values(ang)
@@ -690,9 +762,12 @@ def scale_critical_norm(profile: ShearProfile, amp2, budget=NORM_BUDGET):
                     gp *= gp
                     gt += gp
                     ang = np.sqrt(gt, out=gt)
-                norms[i, k:k + NORM_CHUNK] = np.sqrt(
+                norms[j, i, lo:hi] = np.sqrt(
                     np.sum(grid.weights * ang * ang, axis=(1, 2)))
+    total = 0.0
+    for j in range(3):
         for i in range(3):
-            total += (p.delta ** j / math.sqrt(p.a)) * float(np.max(norms[i]))
+            total += (p.delta ** j / math.sqrt(p.a)) \
+                * float(np.max(norms[j, i]))
     return {"value": total, "budget": float(budget),
             "passed": bool(total <= budget)}

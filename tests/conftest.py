@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from horizonlab import shear
@@ -27,8 +28,27 @@ def profile_mid(params, grid_mid):
 
 
 @pytest.fixture(scope="session")
-def tables_mid(profile_mid):
-    return shear.profile_tables(profile_mid)
+def dense_tables():
+    """Every ubar node's tables, stacked from the chunks gen-data reads."""
+    def tables(profile):
+        chunks = [profile.node_tables(lo, hi)
+                  for lo, hi in shear._chunks(len(profile.ubar_grid))]
+        return shear.ProfileTables(*map(np.concatenate, zip(*chunks)))
+    return tables
+
+
+@pytest.fixture(scope="session")
+def tables_mid(profile_mid, dense_tables):
+    return dense_tables(profile_mid)
+
+
+@pytest.fixture(scope="session")
+def sliced():
+    """A ``verify_profile`` tables source reading chunks of dense tables,
+    so that tampered tables reach the checks as gen-data's do."""
+    def source(tables):
+        return lambda lo, hi: shear.ProfileTables(*(x[lo:hi] for x in tables))
+    return source
 
 
 @pytest.fixture(scope="session")

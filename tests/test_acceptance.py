@@ -19,8 +19,7 @@ from horizonlab.mots import make_problem, solve_slice, verify_apriori
 from horizonlab.penrose import (CERTIFIED_POSITIVE, INCONCLUSIVE,
                                 classify_regime, margin_exponent_forms)
 from horizonlab.regime import RegimeParameters
-from horizonlab.shear import (ProfileSpec, build_profile, profile_tables,
-                              verify_profile)
+from horizonlab.shear import ProfileSpec, build_profile, verify_profile
 from horizonlab.sphere import SphereField, get_grid
 from horizonlab.transport import (SlabModel, detect_trapped, integrate_cone,
                                   integrate_data_cone)
@@ -239,9 +238,9 @@ def test_criterion_09_penrose_exponents():
               f"regime certified-positive; window-end inconclusive")
 
 
-def test_criterion_10_shear_verifier(profile64):
-    tables = profile_tables(profile64)
-    rep = verify_profile(profile64, tables)
+def test_criterion_10_shear_verifier(profile64, dense_tables, sliced):
+    tables = dense_tables(profile64)
+    rep = verify_profile(profile64)
     assert rep.passed
     assert rep["total_equals_4m0"]["threshold"] == 1e-6
     assert rep["window_identity"]["threshold"] == 1e-8
@@ -256,17 +255,20 @@ def test_criterion_10_shear_verifier(profile64):
     step = (ub < mid).astype(float)
     bad_zeta = tables._replace(zeta=np.broadcast_to(
         step[:, None, None], tables.zeta.shape).copy())
-    assert not verify_profile(profile64, bad_zeta)["zeta_no_jump"].passed
+    assert not verify_profile(profile64,
+                              sliced(bad_zeta))["zeta_no_jump"].passed
 
     bad_scale = tables._replace(amp2=1.5 * tables.amp2, I=1.5 * tables.I)
-    entry = verify_profile(profile64, bad_scale)["total_equals_4m0"]
+    entry = verify_profile(profile64, sliced(bad_scale))["total_equals_4m0"]
     assert not entry.passed
     assert entry["measured"] == pytest.approx(0.5, rel=1e-9)
 
     frozen = copy.copy(profile64)
     frozen.zero_locus_theta = np.full_like(profile64.zero_locus_theta,
                                            np.pi / 2)
-    assert not verify_profile(frozen, tables)["zero_locus_moving"].passed
+    frozen_rep = verify_profile(frozen, sliced(tables))
+    assert not frozen_rep["zero_locus_moving"].passed
+    assert not frozen_rep["zero_locus_present"].passed
     report(10, "builder output passes all data checks; step zeta, x1.5 "
                "scaling (ratio 1.500), and frozen locus each flagged")
 

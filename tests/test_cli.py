@@ -380,7 +380,7 @@ class TestStageTable:
         assert "stale" in err and "missing" not in err
 
 
-def test_check_key_sets(params, profile_mid, tables_mid):
+def test_check_key_sets(params, profile_mid):
     # write_json sorts keys, so these sets are what keeps the report
     # JSONs byte-identical across changes to the check type.
     def keys(report):
@@ -390,7 +390,7 @@ def test_check_key_sets(params, profile_mid, tables_mid):
     common = {"name", "passed", "detail"}
     assert keys(validate(RegimeParameters())) == {
         frozenset(common | {"slack"})}
-    assert keys(verify_profile(profile_mid, tables_mid)) == {
+    assert keys(verify_profile(profile_mid)) == {
         frozenset(common | {"measured", "threshold"})}
     problem = make_problem(profile_mid, 1.5 * profile_mid.derived.delta)
     solution = MotsSolution(

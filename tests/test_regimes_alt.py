@@ -6,8 +6,7 @@ import pytest
 from horizonlab.mots import make_problem, solve_slice, verify_apriori
 from horizonlab.penrose import CERTIFIED_POSITIVE, classify_regime
 from horizonlab.regime import RegimeParameters, validate
-from horizonlab.shear import (ProfileSpec, build_profile, profile_tables,
-                              verify_profile)
+from horizonlab.shear import ProfileSpec, build_profile, verify_profile
 from horizonlab.sphere import get_grid
 from horizonlab.transport import SlabModel, detect_trapped
 
@@ -30,7 +29,7 @@ def test_alt_regime_valid(alt_params):
 
 
 def test_alt_profile_verifies(alt_profile):
-    report = verify_profile(alt_profile, profile_tables(alt_profile))
+    report = verify_profile(alt_profile)
     assert report.passed, [c.name for c in report.checks if not c.passed]
 
 

@@ -1,7 +1,9 @@
 """Shear-profile construction, identities, verifier, and defect flags."""
 
 import copy
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,15 +12,14 @@ from horizonlab import shear
 from horizonlab.errors import ConstraintError, ResolutionError
 from horizonlab.regime import RegimeParameters
 from horizonlab.shear import (ProfileSpec, ShearProfile, build_profile,
-                              profile_tables, scale_critical_norm,
-                              verify_profile)
+                              scale_critical_norm, verify_profile)
 from horizonlab.sphere import get_grid
 from horizonlab.transport import integrate_cone
 
 
 class TestBuildIdentities:
-    def test_default_profile_verifies(self, profile_mid, tables_mid):
-        report = verify_profile(profile_mid, tables_mid)
+    def test_default_profile_verifies(self, profile_mid):
+        report = verify_profile(profile_mid)
         failing = [c.name for c in report.checks if not c.passed]
         assert report.passed, failing
 
@@ -102,15 +103,15 @@ class TestFeasibilityErrors:
 
 class TestVerifierDefects:
     def test_scaling_defect_flagged_with_ratio(self, profile_mid,
-                                               tables_mid):
+                                               tables_mid, sliced):
         bad = tables_mid._replace(amp2=1.5 * tables_mid.amp2,
                                   I=1.5 * tables_mid.I)
-        report = verify_profile(profile_mid, bad)
+        report = verify_profile(profile_mid, sliced(bad))
         entry = report["total_equals_4m0"]
         assert not entry.passed
         assert entry["measured"] == pytest.approx(0.5, rel=1e-9)
 
-    def test_step_zeta_flagged(self, profile_mid, tables_mid):
+    def test_step_zeta_flagged(self, profile_mid, tables_mid, sliced):
         ub = profile_mid.ubar_grid
         d = profile_mid.derived
         mid = 0.5 * (d.ubar_lambda + d.ubar_lambda_hi)
@@ -118,18 +119,24 @@ class TestVerifierDefects:
         zeta = np.broadcast_to(step[:, None, None],
                                tables_mid.zeta.shape).copy()
         bad = tables_mid._replace(zeta=zeta)
-        report = verify_profile(profile_mid, bad)
+        report = verify_profile(profile_mid, sliced(bad))
         assert not report["zeta_no_jump"].passed
 
-    def test_frozen_locus_flagged(self, profile_mid, tables_mid):
+    def test_frozen_locus_flagged(self, profile_mid, tables_mid, sliced):
         bad = copy.copy(profile_mid)
         bad.zero_locus_theta = np.full_like(profile_mid.zero_locus_theta,
                                             np.pi / 2)
-        report = verify_profile(bad, tables_mid)
+        report = verify_profile(bad, sliced(tables_mid))
         assert not report["zero_locus_moving"].passed
+        # The amplitude is probed at the stored locus point; frozen at
+        # pi/2, that point is off the notch on the probed slices.
+        assert not report["zero_locus_present"].passed
+        assert report["zero_locus_present"]["measured"] > 1e-3
 
-    def test_builder_output_all_pass(self, profile_mid, tables_mid):
-        assert verify_profile(profile_mid, tables_mid).passed
+    def test_builder_output_all_pass(self, profile_mid, tables_mid, sliced):
+        report = verify_profile(profile_mid, sliced(tables_mid))
+        assert report.passed
+        assert report["zero_locus_present"]["measured"] == 0.0
 
 
 class TestQuadratureConsistency:
@@ -137,7 +144,7 @@ class TestQuadratureConsistency:
         errs = []
         for n in (97, 193):
             prof = build_profile(params, ProfileSpec(n_ubar=n), grid_small)
-            rep = verify_profile(prof, profile_tables(prof))
+            rep = verify_profile(prof)
             errs.append(rep["amp2_I_consistency"]["measured"])
         assert errs[1] < errs[0] / 2.5   # second-order trapezoid
 
@@ -170,33 +177,75 @@ def per_slice_norm(profile, amp2):
 
 class TestScaleCriticalNorm:
     @pytest.mark.parametrize("name", ["profile_mid", "profile_notch"])
-    def test_matches_per_slice_reference(self, name, request):
+    def test_matches_per_slice_reference(self, name, request, dense_tables):
         profile = request.getfixturevalue(name)
-        amp2 = profile_tables(profile).amp2
-        want = per_slice_norm(profile, amp2)
-        got = scale_critical_norm(profile, amp2)["value"]
+        want = per_slice_norm(profile, dense_tables(profile).amp2)
+        got = scale_critical_norm(profile)["value"]
         assert abs(got - want) <= 1e-13 * want
 
     def test_zero_profile(self, profile_mid, tables_mid):
         quiet = 0.0 * tables_mid.amp2
-        assert scale_critical_norm(profile_mid, quiet)["value"] == 0.0
+        assert scale_critical_norm(profile_mid,
+                                   lambda lo, hi: quiet[lo:hi])["value"] == 0.0
 
     def test_homogeneity(self, profile_mid, tables_mid):
-        base = scale_critical_norm(profile_mid, tables_mid.amp2)["value"]
+        base = scale_critical_norm(profile_mid)["value"]
         loud = 4.0 * tables_mid.amp2
-        assert scale_critical_norm(profile_mid, loud)["value"] == \
+        assert scale_critical_norm(profile_mid,
+                                   lambda lo, hi: loud[lo:hi])["value"] == \
             pytest.approx(2.0 * base, rel=1e-12)
 
-    def test_default_within_budget(self, profile_mid, tables_mid):
-        out = scale_critical_norm(profile_mid, tables_mid.amp2)
-        assert out["passed"]
+    def test_default_within_budget(self, profile_mid):
+        assert scale_critical_norm(profile_mid)["passed"]
 
     def test_wrong_amplitude_power_fails(self, profile_mid, tables_mid):
         # amplitude a instead of sqrt(a): amp2 gains a factor sqrt(a),
         # the norm gains ~a^(1/4)*... enough to blow the frozen budget.
         a = profile_mid.params.a
         loud = math.sqrt(a) * tables_mid.amp2
-        assert not scale_critical_norm(profile_mid, loud)["passed"]
+        assert not scale_critical_norm(profile_mid,
+                                       lambda lo, hi: loud[lo:hi])["passed"]
+
+
+class TestChunking:
+    @pytest.mark.parametrize("name", ["profile_mid", "profile_notch"])
+    def test_chunk_size_changes_no_result(self, name, request, monkeypatch):
+        # Chunks of 1 put a boundary between every two nodes, so every
+        # carried row and every halo node is exercised.
+        profile = request.getfixturevalue(name)
+        results = []
+        for size in (1, 3, 8, len(profile.ubar_grid)):
+            monkeypatch.setattr(shear, "UBAR_CHUNK", size)
+            results.append((json.dumps(verify_profile(profile).as_dict()),
+                            scale_critical_norm(profile)["value"]))
+        assert all(r == results[-1] for r in results), name
+
+    @pytest.mark.parametrize("n_ubar", [129, 193, 257])
+    def test_ubar_gradient_on_windows_equals_full(self, params, n_ubar):
+        # Many 3-node windows of the ubar nodes are evenly spaced, where
+        # np.gradient itself would switch formulas; the norm's maximum
+        # over ubar can hide that, so every node is compared here.
+        model = shear._ProfileModel(params, ProfileSpec(n_ubar=n_ubar))
+        ubar = shear._build_ubar_grid(model, n_ubar)
+        f = np.random.default_rng(n_ubar).standard_normal((n_ubar, 3))
+        full = np.gradient(f, ubar, axis=0)
+        assert shear._ubar_gradient(f, ubar).tobytes() == full.tobytes()
+        for k in range(n_ubar):
+            a, b = max(k - 1, 0), min(k + 2, n_ubar)
+            got = shear._ubar_gradient(f[a:b], ubar[a:b])[k - a]
+            assert got.tobytes() == full[k].tobytes(), k
+
+    def test_checks_hold_less_than_one_dense_table(self, params):
+        profile = build_profile(params, ProfileSpec(), get_grid(64, 128))
+        one_table = len(profile.ubar_grid) * 64 * 128 * 8    # 16.8 MB
+        tracemalloc.start()
+        try:
+            assert verify_profile(profile).passed
+            assert scale_critical_norm(profile)["passed"]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_table, peak
 
 
 def loop_tables(profile, full_grid_amp2):
@@ -262,12 +311,15 @@ def full_row_repayment(model, ubar, grid):
 
 class TestProfileTables:
     @pytest.mark.parametrize("name", ["profile_mid", "profile_notch"])
-    def test_equal_per_node_loops(self, name, request, full_grid_amp2):
+    def test_equal_per_node_loops(self, name, request, full_grid_amp2,
+                                  dense_tables, monkeypatch):
         profile = request.getfixturevalue(name)
         want = loop_tables(profile, full_grid_amp2)
-        for field, got, ref in zip(shear.ProfileTables._fields,
-                                   profile_tables(profile), want):
-            assert got.tobytes() == ref.tobytes(), field
+        for size in (1, 3, shear.UBAR_CHUNK):
+            monkeypatch.setattr(shear, "UBAR_CHUNK", size)
+            for field, got, ref in zip(shear.ProfileTables._fields,
+                                       dense_tables(profile), want):
+                assert got.tobytes() == ref.tobytes(), (field, size)
 
     @pytest.mark.parametrize("n, n_ubar, cap_width", [(16, 129, 0.1),
                                                       (64, 257, 0.014)])
@@ -302,11 +354,12 @@ class TestProfileTables:
 
 
 class TestPersistence:
-    def test_save_load_roundtrip(self, profile_mid, tables_mid, tmp_path):
+    def test_save_load_roundtrip(self, profile_mid, tables_mid, tmp_path,
+                                 dense_tables):
         stem = tmp_path / "prof"
         profile_mid.save(stem, config_hash="abc123")
         back = ShearProfile.load(stem)
-        tables = profile_tables(back)
+        tables = dense_tables(back)
         assert np.array_equal(tables.I, tables_mid.I)
         assert np.array_equal(tables.amp2, tables_mid.amp2)
         assert np.array_equal(tables.f, tables_mid.f)
@@ -314,10 +367,11 @@ class TestPersistence:
         for u in (0.3 * d.ubar_lambda, d.ubar_lambda, 1.2 * d.ubar_lambda):
             assert np.array_equal(back.amp2_at(u), profile_mid.amp2_at(u))
             assert np.array_equal(back.I_at(u), profile_mid.I_at(u))
-        assert verify_profile(back, tables).passed
+        assert verify_profile(back).passed
 
     def test_roundtrip_with_notch_on_grid_nodes(self, params, grid_small,
-                                                tmp_path, monkeypatch):
+                                                tmp_path, monkeypatch,
+                                                dense_tables):
         # cap_width 0.1 lets the moving zero reach grid nodes, so the two
         # saved arrays are nonzero and must cross the round trip exactly.
         built = build_profile(params, ProfileSpec(n_ubar=129, cap_width=0.1),
@@ -348,8 +402,8 @@ class TestPersistence:
             assert np.array_equal(getattr(back, name), getattr(built, name)), \
                 name
         for name, got, want in zip(shear.ProfileTables._fields,
-                                   profile_tables(back),
-                                   profile_tables(built)):
+                                   dense_tables(back),
+                                   dense_tables(built)):
             assert np.array_equal(got, want), name
 
 
@@ -416,8 +470,8 @@ class TestCapSet:
         assert set(np.flatnonzero(reached)) <= set(cap)
 
     def test_amp2_table_matches_full_grid_gate(self, profile_notch,
-                                               full_grid_amp2):
-        amp2 = profile_tables(profile_notch).amp2
+                                               full_grid_amp2, dense_tables):
+        amp2 = dense_tables(profile_notch).amp2
         for k, u in enumerate(profile_notch.ubar_grid):
             want = full_grid_amp2(profile_notch, u)
             assert amp2[k].tobytes() == want.tobytes()
