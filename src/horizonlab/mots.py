@@ -27,6 +27,7 @@ constant-coefficient Helmholtz inverse applied in the harmonic basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,6 +74,26 @@ class MotsProblem:
                              "frame-norm bound")
 
 
+@functools.lru_cache(maxsize=4)
+def _perturbation_basis(grid):
+    """The seven low-degree fields the sampler combines, built once per
+    grid as (theta column, phi row) factor pairs, so that no grid-sized
+    array stays resident.  Each trigonometric factor is read off its full
+    node array, so a column times a row has the bits of the field
+    evaluated on the nodes."""
+    th, ph = grid.theta_2d, grid.phi_2d
+    ct, st = (np.array(f[:, :1]) for f in (np.cos(th), np.sin(th)))
+    cp, sp, c2p = (np.array(f[:1])
+                   for f in (np.cos(ph), np.sin(ph), np.cos(2.0 * ph)))
+    one_t, one_p = np.ones_like(ct), np.ones_like(cp)
+    basis = ((one_t, one_p), (ct, one_p), (st, cp), (st, sp),
+             (0.5 * (3.0 * ct ** 2 - 1.0), one_p), (st ** 2, c2p),
+             (st * ct, sp))
+    for factor in (f for pair in basis for f in pair):
+        factor.flags.writeable = False
+    return basis
+
+
 def sample_perturbations(grid, params: RegimeParameters, seed, beta):
     """Smooth low-degree coefficient fields with frame norm beta*b^(1/4).
 
@@ -80,15 +101,11 @@ def sample_perturbations(grid, params: RegimeParameters, seed, beta):
     scaled by 1/sqrt(2) of the target.
     """
     rng = np.random.default_rng(seed)
-    th, ph = grid.theta_2d, grid.phi_2d
-    basis = [np.ones_like(th), np.cos(th), np.sin(th) * np.cos(ph),
-             np.sin(th) * np.sin(ph), 0.5 * (3.0 * np.cos(th) ** 2 - 1.0),
-             np.sin(th) ** 2 * np.cos(2.0 * ph),
-             np.sin(th) * np.cos(th) * np.sin(ph)]
+    basis = _perturbation_basis(grid)
 
     def smooth():
         c = rng.standard_normal(len(basis))
-        f = sum(ci * bi for ci, bi in zip(c, basis))
+        f = sum(ci * (bt * bp) for ci, (bt, bp) in zip(c, basis))
         return f / np.max(np.abs(f))
 
     target = beta * params.b ** 0.25
@@ -120,21 +137,26 @@ def make_problem(profile, ubar, seed=0, beta=0.4) -> MotsProblem:
 
 # -- residual and exact linearization ---------------------------------------
 
-def _eval_residual(problem, Rv, c_scale=1.0):
-    grid = problem.grid
+def _eval_residual(problem, Rv, c_scale=1.0, aux=None):
+    """Residual of G(., c_scale) at Rv and its derivative parts ``aux``
+    (lap, gt, gp, gsq, c1dot, c2dot).  No part depends on c_scale, so
+    ``aux`` from an earlier evaluation at the same Rv may be passed in,
+    and the radius is then not transformed again."""
     if np.any(Rv <= 0.0):
         raise PositivityError("graph radius R must stay strictly positive")
+    if aux is None:
+        lap, gt, gp = problem.grid.derivatives(Rv)
+        gsq = gt * gt + gp * gp
+        c1dot = problem.c1_theta * gt + problem.c1_phi * gp
+        c2dot = problem.c2 * gt * gt + problem.c2 * gp * gp
+        aux = (lap, gt, gp, gsq, c1dot, c2dot)
+    lap, gt, gp, gsq, c1dot, c2dot = aux
     M0 = problem.M0.values
     s = problem.pert_scale * c_scale
-    lap, gt, gp = grid.derivatives(Rv)
-    gsq = gt * gt + gp * gp
-    c1dot = problem.c1_theta * gt + problem.c1_phi * gp
-    c2dot = problem.c2 * gt * gt + problem.c2 * gp * gp
     R2 = Rv * Rv
     R3 = R2 * Rv
     res = (lap / R2 - gsq / R3 - 1.0 / Rv + M0 / (2.0 * R2)
            + s * (c1dot / R3 + c2dot / (R3 * Rv) + problem.c3 / R2))
-    aux = (lap, gt, gp, gsq, c1dot, c2dot)
     return res, aux
 
 
@@ -238,13 +260,14 @@ def gmres(matvec, b, psolve, rtol, restart, maxiter):
     restart = min(restart, b.size)
     eps = np.finfo(float).eps
     atol = rtol * np.linalg.norm(b)
-    ptol = rtol * np.linalg.norm(psolve(b))
+    mb = psolve(b)
+    ptol = rtol * np.linalg.norm(mb)
     x, r = np.zeros(b.shape), b
     v = np.empty((restart + 1,) + b.shape)
     h = np.zeros((restart, restart))        # row j: Hessenberg column j
     iterations, factor = 0, 1.0
     for _ in range(maxiter):
-        v[0] = psolve(r)
+        v[0] = mb if r is b else psolve(r)
         S = np.zeros(restart + 1)
         S[0] = np.linalg.norm(v[0])
         v[0] *= 1.0 / S[0]
@@ -294,19 +317,22 @@ def _quad_mean(grid, values):
     return float(np.sum(grid.weights * values)) / (4.0 * np.pi)
 
 
-def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage):
+def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage, aux=None):
+    """Damped Newton on G(., c_scale) from Rv; ``aux`` as in
+    ``_eval_residual``.  Returns the accepted radius, its residual norm
+    and its derivative parts."""
     grid = problem.grid
     l = np.arange(grid.lmax + 1, dtype=float)
     eig = -l * (l + 1.0)
     rec = {"stage": stage, "lambda": c_scale, "norms": [], "gmres_iters": []}
     trace.append(rec)
-    res, aux = _eval_residual(problem, Rv, c_scale)
+    res, aux = _eval_residual(problem, Rv, c_scale, aux)
     norm = l2_norm(SphereField(grid, res))
     rec["norms"].append(norm)
     for it in range(opts.max_iter + 1):
         if norm <= tol_abs:
             rec["iterations"] = it
-            return Rv, norm
+            return Rv, norm, aux
         if it == opts.max_iter:
             raise _NewtonFail(f"no convergence in {it} iterations")
         wt, wp, diag, R2 = _jacobian_parts(problem, Rv, aux, c_scale)
@@ -376,19 +402,22 @@ def solve_slice(problem: MotsProblem, options: SolveOptions | None = None,
     try:
         if initial_guess is not None:
             lam_path.append(1.0)
-            Rv, norm = _newton(problem, initial_guess.values.copy(), opts,
-                               tol_abs, 1.0, trace, "direct")
+            Rv, norm, _ = _newton(problem, initial_guess.values.copy(),
+                                  opts, tol_abs, 1.0, trace, "direct")
         else:
             lam = 0.0
             lam_path.append(lam)
-            Rv, norm = _newton(problem, 0.5 * M0, opts, tol_abs, lam, trace,
-                               "base")
+            # Each call after the first starts from the radius the one
+            # before accepted, so it takes that radius's derivative parts.
+            Rv, norm, aux = _newton(problem, 0.5 * M0, opts, tol_abs, lam,
+                                    trace, "base")
             dlam, streak = opts.dlam_init, 0
             while lam < 1.0:
                 lam_try = min(1.0, lam + dlam)
                 try:
-                    R_new, norm = _newton(problem, Rv.copy(), opts, tol_abs,
-                                          lam_try, trace, "continuation")
+                    R_new, norm, aux_new = _newton(
+                        problem, Rv.copy(), opts, tol_abs, lam_try, trace,
+                        "continuation", aux)
                 except _NewtonFail:
                     trace.pop()
                     dlam *= 0.5
@@ -398,14 +427,14 @@ def solve_slice(problem: MotsProblem, options: SolveOptions | None = None,
                             f"continuation step fell below the floor at "
                             f"lambda={lam:.4f}", trace)
                     continue
-                Rv, lam = R_new, lam_try
+                Rv, aux, lam = R_new, aux_new, lam_try
                 lam_path.append(lam)
                 streak += 1
                 if streak >= 2:
                     dlam = min(2.0 * dlam, 0.5)
                     streak = 0
-            Rv, norm = _newton(problem, Rv, opts, tol_abs, 1.0, trace,
-                               "final")
+            Rv, norm, _ = _newton(problem, Rv, opts, tol_abs, 1.0, trace,
+                                  "final", aux)
     except _NewtonFail as exc:
         raise NonConvergenceError(str(exc), trace) from exc
 

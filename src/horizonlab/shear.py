@@ -153,9 +153,12 @@ class _ProfileModel:
             / self.zwindow
 
     def I_main(self, ubar, Y):
+        return self.I_of(ubar, self.fbg(ubar, Y), self.rho(ubar))
+
+    def I_of(self, ubar, fb, rho):
+        """I_main from its factors fb = fbg(ubar, Y) and rho(ubar)."""
         zb = self.zbar(ubar)
-        return (self.A * self.fbg(ubar, Y) * ubar * self.rho(ubar) * zb
-                + (1.0 - zb) * self.four_m0)
+        return self.A * fb * ubar * rho * zb + (1.0 - zb) * self.four_m0
 
     def amp2_factors(self, ubar):
         """(alpha, beta) at each time of the 1-D array ``ubar``: the main
@@ -392,7 +395,8 @@ class ShearProfile:
         m, Y = self._model, self._Y
         ubar, zbar = self.ubar_grid[lo:hi], self.zbar[lo:hi]
         u = ubar[:, None, None]
-        I = m.I_main(u, Y)
+        rho, f = m.rho(ubar), m.fbg(u, Y)
+        I = m.I_of(u, f, rho[:, None, None])
         I.reshape(len(ubar), -1)[:, self._cap] += self.corr[lo:hi]
         # Unity before the window, wobbled cutoff across it, zero after.
         shape = np.clip((ubar - m.ulam) / m.zwindow, 0.0, 1.0)
@@ -401,11 +405,9 @@ class ShearProfile:
                                       * self._Z)
         # f is pinned by the window identity where it applies, derived from
         # the transition identity across the cutoff, background elsewhere.
-        rho = m.rho(ubar)
         live = (ubar > 0.0) & (rho >= 1e-300)
         win = live & (ubar <= m.ulam)
         tra = live & (ubar > m.ulam) & (zbar > 1e-9)
-        f = m.fbg(u, Y)
         f[win] = I[win] / (m.A * ubar[win] * rho[win])[:, None, None]
         f[tra] = ((I[tra] - (1.0 - zeta[tra]) * m.four_m0)
                   / (m.A * zeta[tra] * u[tra]))
@@ -438,9 +440,6 @@ class ShearProfile:
 
     def dzbar_at(self, ubar):
         return float(self._model.dzbar(ubar))
-
-    def locus_theta_at(self, ubar):
-        return float(self._model.locus_theta(ubar))
 
     # -- persistence ----------------------------------------------------
 

@@ -18,7 +18,9 @@ Consequences used throughout the package and its tests:
   zero where l < m; each transform pass is one real matmul batched over m.
   They are evaluated in extended precision at the unrounded nodes: at the
   rounded ones the quadrature leaks about l^2 eps between degrees, which
-  the Laplacian amplifies by l(l+1).
+  the Laplacian amplifies by l(l+1).  A grid builds them at its first
+  transform, so a process that never transforms (the cone sweep of
+  ``transport``) never holds them.
 * Every transform and operator takes a stack of slices on leading axes,
   (..., n_theta, n_phi) <-> (..., l, m), through the same code as a
   single slice.  The matmul operand is a contiguous complex
@@ -38,7 +40,7 @@ order used by every elliptic estimate in this package.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -131,11 +133,10 @@ class SphereGrid:
     phi: np.ndarray = field(repr=False)
     w_theta: np.ndarray = field(repr=False)    # Gauss-Legendre weights in x
     weights: np.ndarray = field(repr=False)    # (n_theta, n_phi), sums to 4 pi
-    x_ext: InitVar[np.ndarray]                 # x before rounding, longdouble
+    x_ext: np.ndarray = field(repr=False)      # x before rounding, longdouble
     lmax: int = 0
 
-    def __post_init__(self, x_ext):
-        self._p, self._dp, self._ps = _legendre_tables(x_ext, self.lmax)
+    def __post_init__(self):
         order = np.arange(self.lmax + 1)
         self._eig = -order * (order + 1.0)     # Laplacian eigenvalue per l
         self._dphi = 1j * order                # d/dphi multiplier per m
@@ -165,6 +166,16 @@ class SphereGrid:
                           lmax=n_theta - 1)
 
     # -- transforms -----------------------------------------------------
+
+    @cached_property
+    def _tables(self):
+        # (Pbar, d/dtheta Pbar, Pbar/sin theta), built at the first
+        # transform from the unrounded nodes.
+        return _legendre_tables(self.x_ext, self.lmax)
+
+    _p = property(lambda self: self._tables[0])
+    _dp = property(lambda self: self._tables[1])
+    _ps = property(lambda self: self._tables[2])
 
     def analyze(self, values):
         """Project grid values (..., n_theta, n_phi) onto harmonic

@@ -456,3 +456,24 @@ def test_find_mots_runs_without_scipy(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
     report = json.loads((tmp_path / "out" / "mots_report.json").read_text())
     assert sum(sum(s["newton_iterations"]) for s in report["slices"]) > 0
+
+
+def test_one_problem_per_slice_and_stage(cfg_path, tmp_path, monkeypatch):
+    # find-mots and horizon each build every slice's problem once, and
+    # the sampler's basis fields are built once for the shared grid
+    from horizonlab import cli, mots
+    built = []
+
+    def counting(profile, ubar, **kwargs):
+        built.append(ubar)
+        return make_problem(profile, ubar, **kwargs)
+
+    monkeypatch.setattr(cli, "make_problem", counting)
+    mots._perturbation_basis.cache_clear()
+    run_pipeline(cfg_path, tmp_path, ["gen-data", "find-mots", "horizon"])
+    cfg = parse_config(cfg_path, FAST_OVERRIDES)
+    slices = sum(cfg["solver"][k] for k in (
+        "n_window_slices", "n_transition_slices", "n_null_slices"))
+    assert len(built) == 2 * slices
+    assert built[:slices] == built[slices:]
+    assert mots._perturbation_basis.cache_info().misses == 1

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from horizonlab import mots
 from horizonlab.errors import PositivityError
 from horizonlab.mots import (MotsProblem, SolveOptions, _eval_residual,
                              gmres, make_problem, residual_H,
                              sample_perturbations, solve_slice,
                              verify_apriori)
+from horizonlab.regime import RegimeParameters
+from horizonlab.shear import ProfileSpec, build_profile
 from horizonlab.sphere import SphereField, get_grid, integrate
 
 
@@ -48,6 +51,31 @@ def expansion_of_graph(problem, R):
     out = (trchi - 2.0 * lap_prime - 4.0 * eta_dot
            - trchibar * gsq_prime - 8.0 * omegabar * gsq_prime)
     return SphereField(grid, out)
+
+
+def per_call_perturbations(grid, params, seed, beta):
+    """The sampler with its seven basis fields built on every call, as
+    before they were kept per grid; ``sample_perturbations`` must give
+    the same bits."""
+    rng = np.random.default_rng(seed)
+    th, ph = grid.theta_2d, grid.phi_2d
+    basis = [np.ones_like(th), np.cos(th), np.sin(th) * np.cos(ph),
+             np.sin(th) * np.sin(ph), 0.5 * (3.0 * np.cos(th) ** 2 - 1.0),
+             np.sin(th) ** 2 * np.cos(2.0 * ph),
+             np.sin(th) * np.cos(th) * np.sin(ph)]
+
+    def smooth():
+        c = rng.standard_normal(len(basis))
+        f = sum(ci * bi for ci, bi in zip(c, basis))
+        return f / np.max(np.abs(f))
+
+    target = beta * params.b ** 0.25
+    raw_t, raw_p = smooth(), smooth()
+    nrm = np.max(np.hypot(raw_t, raw_p))
+    c2s = smooth() * (target / np.sqrt(2.0))
+    return {"c1_theta": raw_t * (target / nrm),
+            "c1_phi": raw_p * (target / nrm),
+            "c2": c2s, "c3": smooth() * target}
 
 
 def make_synthetic(grid, M0_values, pert_scale=0.0, coeff_bound=1.0,
@@ -189,6 +217,33 @@ class TestGmres:
         assert info == 0
         assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
 
+    def test_preconditioned_rhs_applied_once(self, system):
+        # M b sets the first cycle's target and is its first basis
+        # vector, so psolve runs once per iteration and once per cycle.
+        # It may return one reused buffer, as an in-place preconditioner
+        # would: x, info and the iterations equal a fresh-copy run's.
+        A, b = system
+        d = np.diag(A).copy()
+        calls = {"psolve": 0, "matvec": 0}
+        buf = np.empty_like(b)
+
+        def psolve(v):
+            calls["psolve"] += 1
+            return np.divide(v, d, out=buf)
+
+        def matvec(v):
+            calls["matvec"] += 1
+            return A @ v
+
+        x, info, iterations = gmres(matvec, b, psolve, 1e-12, 3, 8)
+        cycles = calls["matvec"] - iterations     # one residual per cycle
+        assert cycles >= 2
+        assert calls["psolve"] == iterations + cycles
+        x_ref, info_ref, iterations_ref = gmres(
+            lambda v: A @ v, b, lambda v: v / d, 1e-12, 3, 8)
+        assert x.tobytes() == x_ref.tobytes()
+        assert (info, iterations) == (info_ref, iterations_ref)
+
     def test_exhausted_iterations_report_info(self, system):
         A, b = system
         x, info, iterations = gmres(lambda v: A @ v, b, lambda v: v,
@@ -270,6 +325,51 @@ class TestSolve:
         sol_dir = solve_slice(prob, initial_guess=sol_cont.R)
         diff = np.max(np.abs(sol_cont.R.values - sol_dir.R.values))
         assert diff <= 10 * sol_cont.diagnostics["tol_abs"]
+
+    def test_carried_parts_change_no_result(self, grid_small, monkeypatch):
+        # The mots-ladder regime, where the continuation walks.  Each
+        # Newton call after the base one starts from the radius the call
+        # before it accepted and takes that radius's derivative parts, so
+        # it saves one transform; one forced rejection makes a retry
+        # from the same radius, which keeps them too.
+        params = RegimeParameters(a=100.0, y=4.0)
+        profile = build_profile(params, ProfileSpec(n_ubar=129), grid_small)
+        prob = make_problem(profile, 0.5 * profile.derived.ubar_lambda,
+                            seed=3, beta=0.4)
+        newton, evaluate = mots._newton, mots._eval_residual
+        derivatives = grid_small.derivatives
+
+        def solve():
+            calls = {"derivatives": 0, "newton": 0, "rejected": 0}
+
+            def count_derivatives(values):
+                calls["derivatives"] += 1
+                return derivatives(values)
+
+            def reject_once(*args):
+                out = newton(*args)
+                calls["newton"] += 1
+                if args[6] == "continuation" and not calls["rejected"]:
+                    calls["rejected"] += 1
+                    raise mots._NewtonFail("forced rejection")
+                return out
+
+            monkeypatch.setattr(grid_small, "derivatives", count_derivatives)
+            monkeypatch.setattr(mots, "_newton", reject_once)
+            return solve_slice(prob), calls
+
+        sol, calls = solve()
+        monkeypatch.setattr(mots, "_eval_residual",
+                            lambda problem, Rv, c_scale=1.0, aux=None:
+                            evaluate(problem, Rv, c_scale))
+        ref, ref_calls = solve()
+        assert len(sol.lambda_path) >= 3 and calls["rejected"] == 1
+        assert sol.R.values.tobytes() == ref.R.values.tobytes()
+        assert sol.lambda_path == ref.lambda_path
+        assert sol.newton_trace == ref.newton_trace
+        assert calls["newton"] == ref_calls["newton"]
+        assert (calls["derivatives"]
+                == ref_calls["derivatives"] - (calls["newton"] - 1))
 
     def test_uniqueness_from_random_admissible_guesses(self, profile_mid):
         d = profile_mid.derived
@@ -448,6 +548,16 @@ class TestProblemInvariants:
         c3n = np.max(np.abs(fields["c3"]))
         for n in (c1n, c2n, c3n):
             assert n == pytest.approx(target, rel=1e-12)
+
+    @pytest.mark.parametrize("nt", [16, 64])
+    def test_sampler_equals_per_call_basis(self, nt, params):
+        grid = get_grid(nt, 2 * nt)
+        for seed in (0, 7, 1234):
+            want = per_call_perturbations(grid, params, seed, 0.4)
+            got = sample_perturbations(grid, params, seed, 0.4)
+            assert sorted(got) == sorted(want)
+            for key in want:
+                assert got[key].tobytes() == want[key].tobytes(), key
 
     def test_M0_is_cumulative_shear(self, profile_mid):
         d = profile_mid.derived

@@ -68,7 +68,7 @@ class TestBuildIdentities:
         d = profile_mid.derived
         for frac in (0.1, 0.4, 0.8):
             u = frac * d.ubar_lambda
-            th0 = profile_mid.locus_theta_at(u)
+            th0 = float(profile_mid._model.locus_theta(u))
             assert profile_mid.amp2_at_point(u, th0, profile_mid.phi0) \
                 == 0.0
         support = profile_mid.ubar_grid <= d.ubar_lambda_hi

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horizonlab import sphere
 from horizonlab.errors import GridMismatchError, PositivityError
-from horizonlab.sphere import SphereField, get_grid, integrate, l2_norm
+from horizonlab.shear import ProfileSpec, build_profile
+from horizonlab.sphere import (SphereField, SphereGrid, get_grid, integrate,
+                               l2_norm)
+from horizonlab.transport import integrate_data_cone
 
 
 def sample(grid, fn):
@@ -178,6 +182,42 @@ class TestBatchedTransforms:
         want_t, want_p = g.gradient_values(values)
         assert np.array_equal(gt, want_t)
         assert np.array_equal(gp, want_p)
+
+
+class TestLazyTables:
+    """A grid builds its Legendre tables at its first transform, once.
+    Fresh grids from ``create``: a shared one may have built them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        eager = sphere._legendre_tables
+
+        def counting(x, lmax):
+            calls.append(lmax)
+            return eager(x, lmax)
+
+        monkeypatch.setattr(sphere, "_legendre_tables", counting)
+        return calls
+
+    def test_built_once_at_first_transform(self, calls):
+        g = SphereGrid.create(16, 32)
+        assert len(calls) == 0
+        values = np.random.default_rng(5).standard_normal((16, 32))
+        coeff = g.analyze(values)
+        assert len(calls) == 1
+        g.synthesize(coeff)
+        g.hessian_values(values)
+        assert len(calls) == 1
+        want = sphere._legendre_tables(sphere._gauss_legendre(16)[0], 15)
+        for got, ref in zip((g._p, g._dp, g._ps), want):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_cone_sweep_builds_none(self, calls, params):
+        profile = build_profile(params, ProfileSpec(),
+                                SphereGrid.create(64, 128))
+        integrate_data_cone(profile, n_steps=256)
+        assert len(calls) == 0
 
 
 class TestIntegrate:
