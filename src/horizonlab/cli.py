@@ -38,13 +38,13 @@ from .errors import (ConfigError, ConstraintError, DependencyError,
                      HorizonLabError, MalformedParametersError,
                      NonConvergenceError, ResolutionError)
 from .mots import (BOUNDS, MotsSolution, SolveOptions, c0_band, make_problem,
-                   solve_slice, verify_apriori)
+                   residual_H, solve_slice, verify_apriori)
 from .regime import RegimeParameters, derive, validate
 from .reporting import (config_hash, gnuplot_script, svg_class_map,
                         svg_line_chart, write_csv, write_dat, write_json)
 from .shear import (NORM_BUDGET, ProfileSpec, ShearProfile, build_profile,
                     scale_critical_norm, verify_profile)
-from .sphere import get_grid
+from .sphere import get_grid, l2_norm
 from .transport import SlabModel, detect_trapped, integrate_data_cone
 
 ENV_OUTDIR = "HORIZONLAB_OUT"
@@ -386,15 +386,24 @@ def cmd_horizon(cfg: RunConfig, inputs):
     profile = ShearProfile.load(outdir / "profile")
     seed = cfg["solver"]["seed"]
     beta = cfg["solver"]["beta"]
-    problems, solutions = [], []
+    solutions = []
     for entry in inputs["mots_report.json"]["slices"]:
+        # The loaded radius must solve its slice to find-mots' tol_abs;
+        # no problem outlives its check.
         idx = entry["index"]
-        solutions.append(MotsSolution.load(
-            outdir / "mots" / f"slice_{idx:03d}", config_hash=cfg.hash))
-        problems.append(make_problem(profile, entry["ubar"],
-                                     seed=seed + idx, beta=beta))
+        stem = outdir / "mots" / f"slice_{idx:03d}"
+        solutions.append(MotsSolution.load(stem, config_hash=cfg.hash))
+        problem = make_problem(profile, entry["ubar"], seed=seed + idx,
+                               beta=beta)
+        res = l2_norm(residual_H(problem, solutions[-1].R))
+        del problem
+        tol = entry["diagnostics"]["tol_abs"]
+        if not res <= tol:
+            raise DependencyError(str(stem.with_suffix(".npz")), "find-mots",
+                                  (f"{res:.3e}", f"tol_abs {tol:.3e}"),
+                                  "residual norm", ">")
     assembly = horizon_mod.assemble(
-        profile.params, profile, problems, solutions,
+        profile.params, profile, solutions,
         disc_hypothesis=cfg["toggles"]["disc_hypothesis"])
     rows = []
     for k, ub in enumerate(assembly.ubars):

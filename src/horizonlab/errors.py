@@ -55,14 +55,15 @@ class NonConvergenceError(HorizonLabError):
 
 
 class DependencyError(HorizonLabError):
-    """An upstream artifact is missing, or stale: ``found`` is then the
-    (found, expected) pair of its ``what``, by default its config hash."""
+    """An upstream artifact is missing, or stale: its ``what``, by default
+    its config hash, then has ``found[0] op found[1]``."""
 
-    def __init__(self, path, producer, found=None, what="config hash"):
+    def __init__(self, path, producer, found=None, what="config hash",
+                 op="!="):
         super().__init__(
             f"missing artifact {path!r}; run the {producer!r} subcommand "
             f"first" if found is None else
-            f"stale artifact {path!r}: {what} {found[0]} != {found[1]}; "
+            f"stale artifact {path!r}: {what} {found[0]} {op} {found[1]}; "
             f"rerun the {producer!r} subcommand")
 
 

@@ -42,7 +42,6 @@ class HorizonAssembly:
     params: RegimeParameters
     ubars: np.ndarray
     solutions: list
-    problems: list
     dR_dubar: list                     # SphereField or None at the ends
     h_values: list | None              # slope scalar per slice, or None
     disc_hypothesis: bool
@@ -54,7 +53,7 @@ class HorizonAssembly:
         return k
 
 
-def assemble(params: RegimeParameters, profile, problems, solutions,
+def assemble(params: RegimeParameters, profile, solutions,
              disc_hypothesis=False) -> HorizonAssembly:
     """Join per-slice solutions into one horizon object.
 
@@ -84,8 +83,7 @@ def assemble(params: RegimeParameters, profile, problems, solutions,
             dz = profile.dzbar_at(float(u))
             h_values.append(h_slope(params, zb, (float(u) * dz, dz)))
     return HorizonAssembly(params=params, ubars=ubars, solutions=solutions,
-                           problems=problems, dR_dubar=dR,
-                           h_values=h_values,
+                           dR_dubar=dR, h_values=h_values,
                            disc_hypothesis=disc_hypothesis)
 
 

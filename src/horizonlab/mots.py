@@ -238,12 +238,9 @@ class _NewtonFail(Exception):
 
 
 def _hessian_max(grid, values):
-    """Max covariant-Hessian component on the unit sphere.
-
-    The orthonormal-frame components with connection terms included stay
-    bounded through the polar caps and their trace reproduces the
-    Laplacian; they are synthesized from exact derivative tables.
-    """
+    """Max covariant-Hessian component on the unit sphere.  The
+    orthonormal-frame components, connection terms included, stay bounded
+    through the polar caps, and their trace is the Laplacian."""
     h_tt, h_tp, h_pp = grid.hessian_values(values)
     return float(max(np.max(np.abs(h_tt)), np.max(np.abs(h_tp)),
                      np.max(np.abs(h_pp))))

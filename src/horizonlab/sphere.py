@@ -31,6 +31,8 @@ Consequences used throughout the package and its tests:
 * The discrete Laplacian is exactly self-adjoint with respect to the
   quadrature inner product (analysis is a weighted orthogonal projector).
 * Eigenvalues -l(l+1) are reproduced to roundoff for resolved degrees.
+* The covariant Hessian is synthesized from the three Legendre tables;
+  its trace H_tt + H_pp is the Laplacian to one rounding, not per mode.
 
 On a sphere of radius R (scalar or a positive field for graph spheres
 u = 1 - R(omega)) the operators scale as Delta' = Delta_unit / R^2 and
@@ -227,27 +229,20 @@ class SphereGrid:
                 self.synthesize(coeff, self._dp),
                 self.synthesize_dphi_over_sin(coeff))
 
-    @cached_property
-    def _hessian_tables(self):
-        # Covariant-Hessian basis tables, built so that the trace identity
-        # H_tt + H_pp = -l(l+1) holds exactly per mode; frame components
-        # of derivatives are not smooth scalars at the poles, so they must
-        # be synthesized, never re-analyzed.
-        m = np.arange(self.lmax + 1)[:, None, None]
-        x, sin = self.x, self.sin_theta
-        tpp = -(m * m) * self._ps / sin + (x / sin) * self._dp
-        ttt = self._eig[:, None] * self._p - tpp
-        ttp = (self._dp - x * self._ps) / sin
-        return ttt, ttp, tpp
-
     def hessian_values(self, values):
         """Covariant Hessian components (H_tt, H_tp, H_pp) on the unit
-        sphere, synthesized from exact per-mode derivative tables."""
-        ttt, ttp, tpp = self._hessian_tables
-        coeff = self.analyze(values)
-        return (self.synthesize(coeff, ttt),
-                self.synthesize(coeff * self._dphi, ttp),
-                self.synthesize(coeff, tpp))
+        sphere from three stacked Legendre passes, the node factors taken
+        out of the l-sum; H_tt + H_pp is the Laplacian to one rounding.
+        Frame components are not smooth at the poles: never re-analyze."""
+        c = self.analyze(values)
+        imc = c * self._dphi
+        dp_c, dp_imc = self.synthesize(np.stack((c, imc)), self._dp)
+        ps_m2c, ps_imc = self.synthesize(np.stack((imc * self._dphi, imc)),
+                                         self._ps)
+        x, sin = self.x[:, None], self.sin_theta[:, None]
+        h_pp = (ps_m2c + x * dp_c) / sin
+        h_tp = (dp_imc - x * ps_imc) / sin
+        return self.synthesize(c * self._eig[:, None]) - h_pp, h_tp, h_pp
 
 
 _GRID_CACHE = {}

@@ -185,8 +185,7 @@ def test_criterion_07_area_band(profile64, ladder64):
     ubars, problems, solutions = ladder64
     p = profile64.params
     d = profile64.derived
-    asm = assemble(p, profile64, problems, solutions,
-                   disc_hypothesis=True)
+    asm = assemble(p, profile64, solutions, disc_hypothesis=True)
     amp = d.shear_amp
     o1 = 0.05
     checked = 0
@@ -208,7 +207,7 @@ def test_criterion_08_null_approach(profile64, ladder64):
     ubars, problems, solutions = ladder64
     p = profile64.params
     d = profile64.derived
-    asm = assemble(p, profile64, problems, solutions)
+    asm = assemble(p, profile64, solutions)
     amp = d.shear_amp
     checked, worst = 0, 0.0
     for k in range(1, len(ubars) - 1):

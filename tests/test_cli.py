@@ -286,6 +286,25 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "slice_003" in err and "'find-mots'" in err
 
+    def test_radius_off_its_equation_rejected(self, cfg_path, pipeline_out,
+                                              tmp_path, capsys):
+        # One slice's radius scaled by 1 + 1e-6 under both of its config
+        # hashes: only horizon's residual check against tol_abs sees it.
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_out, out)
+        npz = out / "mots" / "slice_003.npz"
+        with np.load(npz) as z:
+            arrays = dict(z)
+        arrays["R"] = arrays["R"] * (1 + 1e-6)
+        np.savez_compressed(npz, **arrays)
+        args = ["horizon", "--config", str(cfg_path), "--out", str(out)]
+        for ov in FAST_OVERRIDES:
+            args += ["--set", ov]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert str(npz) in err and "residual norm" in err
+        assert "'find-mots'" in err
+
     @pytest.mark.parametrize("stage,lost", [
         ("horizon", "mots/slice_003.npz"),
         ("horizon", "mots/slice_003.json"),
@@ -459,8 +478,9 @@ def test_find_mots_runs_without_scipy(tmp_path):
 
 
 def test_one_problem_per_slice_and_stage(cfg_path, tmp_path, monkeypatch):
-    # find-mots and horizon each build every slice's problem once, and
-    # the sampler's basis fields are built once for the shared grid
+    # find-mots builds every slice's problem once to solve it, horizon
+    # once to check the loaded radius against it, and the sampler's
+    # basis fields are built once for the shared grid
     from horizonlab import cli, mots
     built = []
 

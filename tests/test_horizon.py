@@ -19,26 +19,23 @@ def ladder(profile_mid):
     trans = np.linspace(d.ubar_lambda, d.ubar_lambda_hi, 4)[1:-1]
     tail = np.linspace(d.ubar_lambda_hi, d.ubar_end, 4)[1:]
     ubars = np.concatenate([window, trans, tail])
-    problems, solutions = [], []
-    for i, ub in enumerate(ubars):
-        prob = make_problem(profile_mid, float(ub), seed=100 + i, beta=0.4)
-        problems.append(prob)
-        solutions.append(solve_slice(prob))
-    return ubars, problems, solutions
+    solutions = [solve_slice(make_problem(profile_mid, float(ub),
+                                          seed=100 + i, beta=0.4))
+                 for i, ub in enumerate(ubars)]
+    return ubars, solutions
 
 
 @pytest.fixture(scope="module")
 def assembly(profile_mid, params, ladder):
-    ubars, problems, solutions = ladder
-    return assemble(params, profile_mid, problems, solutions,
-                    disc_hypothesis=True)
+    ubars, solutions = ladder
+    return assemble(params, profile_mid, solutions, disc_hypothesis=True)
 
 
 class TestAssemble:
     def test_ordering_enforced(self, profile_mid, params, ladder):
-        ubars, problems, solutions = ladder
+        ubars, solutions = ladder
         with pytest.raises(ValueError):
-            assemble(params, profile_mid, problems[::-1], solutions[::-1])
+            assemble(params, profile_mid, solutions[::-1])
 
     def test_interior_derivatives_present(self, assembly):
         assert assembly.dR_dubar[0] is None
@@ -88,7 +85,7 @@ class TestAssemble:
         errs = []
         for h in (0.1, 0.05):
             ubars = np.array([0.5 - h, 0.5, 0.5 + h])
-            asm = assemble(params, None, [None] * 3, fake(ubars))
+            asm = assemble(params, None, fake(ubars))
             exact = 1 + 3 * 0.25
             errs.append(abs(asm.dR_dubar[1].values[0, 0] - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
@@ -102,7 +99,7 @@ class TestArea:
                              newton_trace=[], lambda_path=[1.0],
                              diagnostics={}) for u in (0.1, 0.2, 0.3)]
         big_f0 = replace(params, f0=1e15)
-        asm = assemble(big_f0, None, [None] * 3, sols)
+        asm = assemble(big_f0, None, sols)
         est = area(asm, 0.2)
         assert est.area_mid == pytest.approx(4 * math.pi * r * r,
                                              rel=1e-12)
@@ -147,9 +144,8 @@ class TestArea:
 
 class TestSpacelike:
     def test_disc_hypothesis_disabled(self, profile_mid, params, ladder):
-        ubars, problems, solutions = ladder
-        asm = assemble(params, profile_mid, problems, solutions,
-                       disc_hypothesis=False)
+        ubars, solutions = ladder
+        asm = assemble(params, profile_mid, solutions, disc_hypothesis=False)
         out = spacelike_check(asm, ubars[2])
         assert out.status == "not-certified"
         assert "disc hypothesis" in out.reason
@@ -164,8 +160,7 @@ class TestSpacelike:
         k = 2
         tampered = HorizonAssembly(
             params=assembly.params, ubars=assembly.ubars,
-            solutions=assembly.solutions, problems=assembly.problems,
-            dR_dubar=assembly.dR_dubar,
+            solutions=assembly.solutions, dR_dubar=assembly.dR_dubar,
             h_values=[0.0] * len(assembly.ubars),
             disc_hypothesis=True)
         out = spacelike_check(tampered, assembly.ubars[k])

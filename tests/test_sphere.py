@@ -1,5 +1,7 @@
 """Quadrature, transforms, and differential operators on the sphere."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,7 +143,7 @@ class TestBatchedTransforms:
     def test_tables_vanish_below_the_order(self, case):
         g, _ = case
         below = np.arange(g.lmax + 1)[None, :] < np.arange(g.lmax + 1)[:, None]
-        for table in (g._p, g._dp, g._ps, *g._hessian_tables):
+        for table in (g._p, g._dp, g._ps):
             assert table.shape == (g.lmax + 1, g.lmax + 1, g.n_theta)
             assert np.all(table[below] == 0.0)
 
@@ -212,6 +214,20 @@ class TestLazyTables:
         want = sphere._legendre_tables(sphere._gauss_legendre(16)[0], 15)
         for got, ref in zip((g._p, g._dp, g._ps), want):
             assert got.tobytes() == ref.tobytes()
+
+    def test_hessian_allocates_no_table(self):
+        # With the three Legendre tables built, one Hessian allocates less
+        # than one more (lmax + 1)^2 n_theta table would take (2.1 MB).
+        g = SphereGrid.create(64, 128)
+        values = np.random.default_rng(6).standard_normal((64, 128))
+        g.analyze(values)
+        tracemalloc.start()
+        try:
+            g.hessian_values(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g._p.nbytes
 
     def test_cone_sweep_builds_none(self, calls, params):
         profile = build_profile(params, ProfileSpec(),
