@@ -409,7 +409,7 @@ def cmd_horizon(cfg: RunConfig, inputs):
     for k, ub in enumerate(assembly.ubars):
         est = horizon_mod.area(assembly, ub)
         sl = horizon_mod.spacelike_check(assembly, ub)
-        dr = assembly.dR_dubar[k]
+        dr = assembly.dR_dubar(k)
         rows.append({
             "ubar": float(ub),
             "R_min": float(np.min(solutions[k].R.values)),

@@ -42,7 +42,6 @@ class HorizonAssembly:
     params: RegimeParameters
     ubars: np.ndarray
     solutions: list
-    dR_dubar: list                     # SphereField or None at the ends
     h_values: list | None              # slope scalar per slice, or None
     disc_hypothesis: bool
 
@@ -52,29 +51,30 @@ class HorizonAssembly:
             raise KeyError(f"no solved slice at ubar={ubar!r}")
         return k
 
+    def dR_dubar(self, k):
+        """dR/dubar at slice k (negative k counts from the end) by the
+        second-order nonuniform centered stencil; None at the end slices.
+        Built on each call, so no list of fields is held."""
+        k = range(len(self.ubars))[k]
+        if k in (0, len(self.ubars) - 1):
+            return None
+        u, (fm, f0, fp) = self.ubars, self.solutions[k - 1:k + 2]
+        hl, hr = u[k] - u[k - 1], u[k + 1] - u[k]
+        vals = (fp.R.values * hl * hl - fm.R.values * hr * hr
+                + f0.R.values * (hr * hr - hl * hl)) / (hl * hr * (hl + hr))
+        return SphereField(f0.R.grid, vals)
+
 
 def assemble(params: RegimeParameters, profile, solutions,
              disc_hypothesis=False) -> HorizonAssembly:
     """Join per-slice solutions into one horizon object.
 
-    Slices must be strictly ordered in ubar; the ubar-derivative uses the
-    second-order nonuniform centered stencil on interior slices.
+    Slices must be strictly ordered in ubar; ``dR_dubar`` gives the
+    ubar-derivative on interior slices.
     """
     ubars = np.array([s.ubar for s in solutions], dtype=float)
     if np.any(np.diff(ubars) <= 0.0):
         raise ValueError("slices must be strictly increasing in ubar")
-    grid = solutions[0].R.grid
-    n = len(solutions)
-    dR = [None] * n
-    for i in range(1, n - 1):
-        hl = ubars[i] - ubars[i - 1]
-        hr = ubars[i + 1] - ubars[i]
-        fm = solutions[i - 1].R.values
-        f0 = solutions[i].R.values
-        fp = solutions[i + 1].R.values
-        vals = (fp * hl * hl - fm * hr * hr
-                + f0 * (hr * hr - hl * hl)) / (hl * hr * (hl + hr))
-        dR[i] = SphereField(grid, vals)
     h_values = None
     if disc_hypothesis:
         h_values = []
@@ -83,7 +83,7 @@ def assemble(params: RegimeParameters, profile, solutions,
             dz = profile.dzbar_at(float(u))
             h_values.append(h_slope(params, zb, (float(u) * dz, dz)))
     return HorizonAssembly(params=params, ubars=ubars, solutions=solutions,
-                           dR_dubar=dR, h_values=h_values,
+                           h_values=h_values,
                            disc_hypothesis=disc_hypothesis)
 
 

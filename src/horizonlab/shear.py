@@ -40,10 +40,10 @@ from .sphere import SphereGrid, SphereField, get_grid
 # (measured 3.9e19 at the default grids, stable under refinement) and
 # frozen with headroom (see scale_critical_norm).
 NORM_BUDGET = 6.0e19
-# ubar nodes per chunk of verify_profile and scale_critical_norm: at 64x128
-# the fastest stack for the norm's gradient calls, and it keeps every work
-# array a few slices deep.
-UBAR_CHUNK = 8
+# ubar nodes per chunk of verify_profile and scale_critical_norm.  Their
+# work arrays set gen-data's peak: at 64x128, 4 nodes peak 2.8 MB below 8
+# for about 0.2 s more; the results do not depend on the chunk size.
+UBAR_CHUNK = 4
 
 
 # -- smooth shape functions ----------------------------------------------

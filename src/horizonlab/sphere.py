@@ -13,14 +13,14 @@ Consequences used throughout the package and its tests:
 * Sum of quadrature weights is 4*pi to machine precision.  The
   Gauss-Legendre nodes and weights are computed in extended precision and
   rounded once, so each is within a few ulp of its exact value.
-* The Legendre tables (Pbar, d/dtheta Pbar, Pbar/sin theta) are dense
-  arrays of shape (lmax + 1, lmax + 1, n_theta), indexed [m, l, node] and
-  zero where l < m; each transform pass is one real matmul batched over m.
-  They are evaluated in extended precision at the unrounded nodes: at the
-  rounded ones the quadrature leaks about l^2 eps between degrees, which
-  the Laplacian amplifies by l(l+1).  A grid builds them at its first
-  transform, so a process that never transforms (the cone sweep of
-  ``transport``) never holds them.
+* The Legendre tables (Pbar, d/dtheta Pbar) are dense arrays of shape
+  (lmax + 1, lmax + 1, n_theta), indexed [m, l, node] and zero where
+  l < m; each transform pass is one real matmul batched over m.  They are
+  evaluated in extended precision at the unrounded nodes (at the rounded
+  ones the quadrature leaks about l^2 eps between degrees, which the
+  Laplacian amplifies by l(l+1)).  1/sin theta is a node factor, applied
+  in place, not a table.  A grid builds its tables at its first transform,
+  so a process that never transforms (``transport``) never holds them.
 * Every transform and operator takes a stack of slices on leading axes,
   (..., n_theta, n_phi) <-> (..., l, m), through the same code as a
   single slice.  The matmul operand is a contiguous complex
@@ -31,7 +31,7 @@ Consequences used throughout the package and its tests:
 * The discrete Laplacian is exactly self-adjoint with respect to the
   quadrature inner product (analysis is a weighted orthogonal projector).
 * Eigenvalues -l(l+1) are reproduced to roundoff for resolved degrees.
-* The covariant Hessian is synthesized from the three Legendre tables;
+* The covariant Hessian is synthesized from the two Legendre tables;
   its trace H_tt + H_pp is the Laplacian to one rounding, not per mode.
 
 On a sphere of radius R (scalar or a positive field for graph spheres
@@ -53,19 +53,19 @@ from .errors import GridMismatchError, PositivityError, ResolutionError
 def _legendre_tables(x, lmax):
     """Normalized associated Legendre tables on nodes ``x``.
 
-    Returns three dense arrays of shape (lmax + 1, lmax + 1, len(x)),
+    Returns two dense arrays of shape (lmax + 1, lmax + 1, len(x)),
     indexed [m, l, node] and exactly zero where l < m, holding
-    Pbar_{l,m}(x), d/dtheta Pbar_{l,m}, and Pbar_{l,m}/sin(theta).
-    Normalization is int_{-1}^{1} Pbar_{l,m}^2 dx = 1 (no Condon-Shortley
-    phase).  The three-term recurrence runs over l for all orders m at
-    once, entirely in ``np.longdouble``, and each entry is rounded once to
-    float64.  Pass the nodes unrounded, in ``np.longdouble``.
+    Pbar_{l,m}(x) and d/dtheta Pbar_{l,m}.  Normalization is
+    int_{-1}^{1} Pbar_{l,m}^2 dx = 1 (no Condon-Shortley phase).  The
+    three-term recurrence runs over l for all orders m at once, entirely
+    in ``np.longdouble``, and each entry is rounded once to float64.  Pass
+    the nodes unrounded, in ``np.longdouble``.
     """
     x = np.asarray(x, dtype=np.longdouble)
     sin_t = np.sqrt(1 - x * x)
     n = lmax + 1
     m = np.arange(n, dtype=np.longdouble)[:, None]
-    p, dp, ps = (np.zeros((n, n, x.size)) for _ in range(3))
+    p, dp = (np.zeros((n, n, x.size)) for _ in range(2))
     # p_prev and p_prev2 hold Pbar_{l-1,m} and Pbar_{l-2,m} for every m,
     # zero where the degree is below the order.
     p_prev2 = np.zeros((n, x.size), dtype=np.longdouble)
@@ -85,28 +85,28 @@ def _legendre_tables(x, lmax):
         s = np.sqrt((l * l - k * k) * (2 * l + 1) / (2 * l - 1))
         p[: l + 1, l] = p_l[: l + 1]
         dp[: l + 1, l] = (l * x * p_l[: l + 1] - s * p_prev[: l + 1]) / sin_t
-        ps[: l + 1, l] = p_l[: l + 1] / sin_t
         p_prev2, p_prev = p_prev, p_l
-    return p, dp, ps
+    return p, dp
 
 
 def _gauss_legendre(n):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
-    The ``leggauss`` nodes are the starting guess.  They are Newton-refined
-    on P_n with the three-term recurrence, and the weights come from the
-    closed form w = 2 / ((1 - x^2) P_n'(x)^2), both in ``np.longdouble``,
-    which is what this returns; the caller rounds each once to float64.
-    ``leggauss``'s own weights are off by a relative 1e-12 at n = 64, and
-    analysis of a constant then leaks into l > 0, which l(l+1) amplifies.
+    Newton on P_n refines the asymptotic start cos(pi (k - 1/4) / (n + 1/2))
+    * (1 - (n - 1) / (8 n^3)) of the positive nodes (Hale & Townsend, SIAM
+    J. Sci. Comput. 35 (2013) A652); the weights are w = 2 / ((1 - x^2)
+    P_n'(x)^2).  Both are ``np.longdouble``, as returned; the caller rounds
+    each once to float64.  The negative half mirrors the positive one, and
+    the middle node of odd n is 0.  An eigensolver's weights are off by a
+    relative 1e-12 at n = 64, a leak the Laplacian amplifies by l(l+1).
 
     This relies on ``np.longdouble`` being wider than float64 (80-bit on
     x86-64 Linux).  Where it is not, the same steps in float64 leave the
     weights off by a relative 2e-15 at n = 16 and 9e-14 at n = 64, and the
     quadrature-moment test in ``tests/test_sphere.py`` fails.
     """
-    x0, _ = np.polynomial.legendre.leggauss(n)
-    x = x0.astype(np.longdouble)
+    x = (np.cos(np.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
+         * (1 - (n - 1) / (8.0 * n ** 3))).astype(np.longdouble)
 
     def p_and_dp(x):
         p_prev, p = np.ones_like(x), x
@@ -114,14 +114,14 @@ def _gauss_legendre(n):
             p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
         return p, n * (x * p - p_prev) / (x * x - 1)
 
-    # The start is within an ulp of float64, so two quadratically
-    # convergent steps reach the longdouble floor.
-    for _ in range(2):
+    # Within 1.3e-3 of the nodes (n = 2), so 5 steps reach the floor.
+    for _ in range(5):
         p, dp = p_and_dp(x)
         x = x - p / dp
+    # Every operation is odd or even in x, so the weights mirror exactly.
+    x = np.concatenate((-x, np.zeros(n % 2, x.dtype), x[::-1]))
     _, dp = p_and_dp(x)
-    w = 2 / ((1 - x * x) * dp * dp)
-    return x, w
+    return x, 2 / ((1 - x * x) * dp * dp)
 
 
 @dataclass(eq=False)
@@ -171,13 +171,12 @@ class SphereGrid:
 
     @cached_property
     def _tables(self):
-        # (Pbar, d/dtheta Pbar, Pbar/sin theta), built at the first
-        # transform from the unrounded nodes.
+        # (Pbar, d/dtheta Pbar), built at the first transform from the
+        # unrounded nodes.
         return _legendre_tables(self.x_ext, self.lmax)
 
     _p = property(lambda self: self._tables[0])
     _dp = property(lambda self: self._tables[1])
-    _ps = property(lambda self: self._tables[2])
 
     def analyze(self, values):
         """Project grid values (..., n_theta, n_phi) onto harmonic
@@ -213,7 +212,9 @@ class SphereGrid:
         return f.reshape(lead + (self.n_theta, self.n_phi))
 
     def synthesize_dphi_over_sin(self, coeff):
-        return self.synthesize(coeff * self._dphi, self._ps)
+        f = self.synthesize(coeff * self._dphi)
+        f /= self.sin_theta[:, None]           # in place: no second array
+        return f
 
     def gradient_values(self, values):
         """Unit-sphere orthonormal-frame gradient (e_theta, e_phi parts)."""
@@ -237,8 +238,7 @@ class SphereGrid:
         c = self.analyze(values)
         imc = c * self._dphi
         dp_c, dp_imc = self.synthesize(np.stack((c, imc)), self._dp)
-        ps_m2c, ps_imc = self.synthesize(np.stack((imc * self._dphi, imc)),
-                                         self._ps)
+        ps_m2c, ps_imc = self.synthesize_dphi_over_sin(np.stack((imc, c)))
         x, sin = self.x[:, None], self.sin_theta[:, None]
         h_pp = (ps_m2c + x * dp_c) / sin
         h_tp = (dp_imc - x * ps_imc) / sin

@@ -212,7 +212,7 @@ def test_criterion_08_null_approach(profile64, ladder64):
     checked, worst = 0, 0.0
     for k in range(1, len(ubars) - 1):
         if ubars[k - 1] > d.ubar_lambda_hi:
-            val = float(np.max(np.abs(asm.dR_dubar[k].values)))
+            val = float(np.max(np.abs(asm.dR_dubar(k).values)))
             assert val <= 1e-6 * amp
             worst = max(worst, val / amp)
             checked += 1

@@ -1,6 +1,7 @@
 """Horizon assembly, areas, ubar-derivatives, and the spacelike test."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from horizonlab.horizon import (HorizonAssembly, area, assemble,
                                 spacelike_check)
 from horizonlab.mots import MotsSolution, make_problem, solve_slice
-from horizonlab.sphere import SphereField
+from horizonlab.sphere import SphereField, get_grid
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +39,39 @@ class TestAssemble:
             assemble(params, profile_mid, solutions[::-1])
 
     def test_interior_derivatives_present(self, assembly):
-        assert assembly.dR_dubar[0] is None
-        assert assembly.dR_dubar[-1] is None
-        assert all(d is not None for d in assembly.dR_dubar[1:-1])
+        n = len(assembly.ubars)
+        assert assembly.dR_dubar(0) is None
+        assert assembly.dR_dubar(-1) is None
+        assert assembly.dR_dubar(n - 1) is None
+        assert all(assembly.dR_dubar(k) is not None for k in range(1, n - 1))
+
+    def test_derivative_is_the_centered_stencil_exactly(self, assembly):
+        u = assembly.ubars
+        R = [s.R.values for s in assembly.solutions]
+        for k in range(1, len(u) - 1):
+            hl, hr = u[k] - u[k - 1], u[k + 1] - u[k]
+            want = (R[k + 1] * hl * hl - R[k - 1] * hr * hr
+                    + R[k] * (hr * hr - hl * hl)) / (hl * hr * (hl + hr))
+            assert assembly.dR_dubar(k).values.tobytes() == want.tobytes()
+        assert assembly.dR_dubar(-2).values.tobytes() == \
+            assembly.dR_dubar(len(u) - 2).values.tobytes()
+
+    def test_assemble_holds_no_derivative_field(self, params):
+        # 24 slices at 64x128: the derivatives are built on demand, so
+        # assembling allocates less than one grid array (65 KB).
+        grid = get_grid(64, 128)
+        sols = [MotsSolution(R=SphereField.constant(grid, 1.0 + u),
+                             ubar=float(u), residual_norm=0.0,
+                             newton_trace=[], lambda_path=[1.0],
+                             diagnostics={})
+                for u in np.linspace(0.1, 0.5, 24)]
+        tracemalloc.start()
+        try:
+            assemble(params, None, sols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sols[0].R.values.nbytes
 
     def test_window_slope_matches_half_amp2(self, profile_mid, assembly):
         # dR/dubar ~ amp2/2 pointwise inside the window (R = I/2 + tiny).
@@ -48,7 +79,7 @@ class TestAssemble:
         for k in (2, 3, 4):
             ub = float(assembly.ubars[k])
             expected = 0.5 * profile_mid.amp2_at(ub)
-            got = assembly.dR_dubar[k].values
+            got = assembly.dR_dubar(k).values
             assert np.max(np.abs(got - expected)) < \
                 profile_mid.params.o1 * 0.5 * amp
 
@@ -60,7 +91,7 @@ class TestAssemble:
         checked = 0
         for k in range(1, len(assembly.ubars) - 1):
             if assembly.ubars[k - 1] > d.ubar_lambda_hi:
-                assert np.max(np.abs(assembly.dR_dubar[k].values)) \
+                assert np.max(np.abs(assembly.dR_dubar(k).values)) \
                     <= 1e-6 * amp
                 checked += 1
         assert checked >= 1
@@ -87,7 +118,7 @@ class TestAssemble:
             ubars = np.array([0.5 - h, 0.5, 0.5 + h])
             asm = assemble(params, None, fake(ubars))
             exact = 1 + 3 * 0.25
-            errs.append(abs(asm.dR_dubar[1].values[0, 0] - exact))
+            errs.append(abs(asm.dR_dubar(1).values[0, 0] - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
 
@@ -160,7 +191,7 @@ class TestSpacelike:
         k = 2
         tampered = HorizonAssembly(
             params=assembly.params, ubars=assembly.ubars,
-            solutions=assembly.solutions, dR_dubar=assembly.dR_dubar,
+            solutions=assembly.solutions,
             h_values=[0.0] * len(assembly.ubars),
             disc_hypothesis=True)
         out = spacelike_check(tampered, assembly.ubars[k])

@@ -1,5 +1,8 @@
 """Quadrature, transforms, and differential operators on the sphere."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import horizonlab
 from horizonlab import sphere
 from horizonlab.errors import GridMismatchError, PositivityError
 from horizonlab.shear import ProfileSpec, build_profile
@@ -54,6 +58,52 @@ class TestGrid:
             rel = np.abs(moments * (2 * k + 1) / 2.0 - 1.0)
             assert np.max(rel) < 1e-14, (n, np.max(rel))
 
+    def test_nodes_match_refined_eigensolver_start(self):
+        # Reference: the eigenvalue nodes of ``leggauss`` refined by two
+        # longdouble Newton steps, weights from the same closed form.  The
+        # nodes agree for every n; the weights agree except for one
+        # mirrored pair each at n = 33, 37 and 107, which differ by 1 ulp
+        # (against a 50-digit reference, these weights are the correctly
+        # rounded ones at n = 33 and 107, the reference's at n = 37).  The
+        # grids the package uses agree exactly.
+        for n in range(1, 129):
+            x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+            for step in range(3):
+                p_prev, p = np.ones_like(x), x
+                for k in range(1, n):
+                    p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+                dp = n * (x * p - p_prev) / (x * x - 1)
+                if step < 2:
+                    x = x - p / dp
+            w = 2 / ((1 - x * x) * dp * dp)
+            got_x, got_w = (a.astype(float)
+                            for a in sphere._gauss_legendre(n))
+            assert np.array_equal(got_x, x.astype(float)), n
+            ulps = np.abs(got_w - w.astype(float)) / np.spacing(got_w)
+            assert np.max(ulps) <= 1.0, n
+            if n in (16, 32, 64, 96, 128):
+                assert np.max(ulps) == 0.0, n
+            if n % 2:
+                mid = got_x[n // 2]
+                assert mid == 0.0 and not np.signbit(mid), n
+            assert np.array_equal(got_x, -got_x[::-1])
+            assert np.array_equal(got_w, got_w[::-1])
+
+    def test_no_polynomial_module_loaded(self):
+        # Nodes come from Newton on an asymptotic start, not from an
+        # eigensolver: a grid and a transform import no numpy.polynomial.
+        src = os.path.dirname(os.path.dirname(horizonlab.__file__))
+        code = ("import sys, numpy as np; "
+                "from horizonlab.sphere import get_grid; "
+                "get_grid(64, 128).analyze(np.ones((64, 128))); "
+                "print(any(m.startswith('numpy.polynomial') "
+                "for m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_poles_excluded(self, grid_small):
         assert np.all(grid_small.sin_theta > 0)
         assert np.all(np.abs(grid_small.x) < 1)
@@ -93,13 +143,20 @@ def loop_synthesize(g, coeff, tables, dphi=False):
     return np.fft.irfft(h * g.n_phi, n=g.n_phi, axis=1)
 
 
+def ps_table(g):
+    """Dense Pbar/sin(theta) table [m, l, node], built here: the grid
+    applies 1/sin(theta) as a node factor and holds no such table."""
+    return g._p / g.sin_theta
+
+
 def loop_hessian(g, values):
     """Per-order reference Hessian tables and synthesis."""
     coeff = loop_analyze(g, values)
     sin, cot = g.sin_theta, g.x / g.sin_theta
     ttt, ttp, tpp = (np.zeros_like(g._p) for _ in range(3))
+    ps_all = ps_table(g)
     for m in range(g.lmax + 1):
-        p, dp, ps = g._p[m, m:], g._dp[m, m:], g._ps[m, m:]
+        p, dp, ps = g._p[m, m:], g._dp[m, m:], ps_all[m, m:]
         l = np.arange(m, g.lmax + 1, dtype=float)[:, None]
         tpp[m, m:] = -(m * m) * ps / sin + cot * dp
         ttt[m, m:] = -(l * (l + 1.0)) * p - tpp[m, m:]
@@ -132,7 +189,7 @@ class TestBatchedTransforms:
         assert self.close(g.synthesize(coeff), loop_synthesize(g, coeff,
                                                                g._p))
         assert self.close(g.synthesize_dphi_over_sin(coeff),
-                          loop_synthesize(g, coeff, g._ps, dphi=True))
+                          loop_synthesize(g, coeff, ps_table(g), dphi=True))
 
     def test_hessian_matches_loop(self, case):
         g, values = case
@@ -143,7 +200,8 @@ class TestBatchedTransforms:
     def test_tables_vanish_below_the_order(self, case):
         g, _ = case
         below = np.arange(g.lmax + 1)[None, :] < np.arange(g.lmax + 1)[:, None]
-        for table in (g._p, g._dp, g._ps):
+        assert len(g._tables) == 2
+        for table in (g._p, g._dp):
             assert table.shape == (g.lmax + 1, g.lmax + 1, g.n_theta)
             assert np.all(table[below] == 0.0)
 
@@ -153,9 +211,10 @@ class TestBatchedTransforms:
             (3, g.n_theta, g.n_phi))
         coeff = g.analyze(stack)
         assert coeff.shape == (3, g.lmax + 1, g.lmax + 1)
+        ps = ps_table(g)
         outs = ((g.synthesize(coeff), g._p, False),
-                (g.synthesize_dphi_over_sin(coeff), g._ps, True),
-                *zip(g.gradient_values(stack), (g._dp, g._ps), (False, True)))
+                (g.synthesize_dphi_over_sin(coeff), ps, True),
+                *zip(g.gradient_values(stack), (g._dp, ps), (False, True)))
         for k, values in enumerate(stack):
             want = loop_analyze(g, values)
             assert self.close(coeff[k], want)
@@ -212,11 +271,26 @@ class TestLazyTables:
         g.hessian_values(values)
         assert len(calls) == 1
         want = sphere._legendre_tables(sphere._gauss_legendre(16)[0], 15)
-        for got, ref in zip((g._p, g._dp, g._ps), want):
+        assert len(want) == 2
+        for got, ref in zip((g._p, g._dp), want):
             assert got.tobytes() == ref.tobytes()
 
+    def test_first_transform_allocates_two_tables(self):
+        # The first transform on a fresh 64x128 grid builds Pbar and
+        # d/dtheta Pbar (2.1 MB each) and no Pbar/sin(theta) table: it
+        # allocates less than 2.5 tables' worth (5.2 MB).
+        g = SphereGrid.create(64, 128)
+        values = np.random.default_rng(7).standard_normal((64, 128))
+        tracemalloc.start()
+        try:
+            g.analyze(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (g.lmax + 1) ** 2 * g.n_theta * 8
+
     def test_hessian_allocates_no_table(self):
-        # With the three Legendre tables built, one Hessian allocates less
+        # With the two Legendre tables built, one Hessian allocates less
         # than one more (lmax + 1)^2 n_theta table would take (2.1 MB).
         g = SphereGrid.create(64, 128)
         values = np.random.default_rng(6).standard_normal((64, 128))
