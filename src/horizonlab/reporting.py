@@ -9,7 +9,6 @@ Wall-clock information goes to the separate run_meta.json only.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -19,6 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DependencyError
+
+# The interpreter's built-in SHA-256: ``hashlib`` loads ``_hashlib``, which
+# maps OpenSSL's libcrypto (about 3.6 MB of RSS) for this one digest of
+# the config.  CPython's random.py takes _sha512 for the same reason.
+try:
+    from _sha2 import sha256                    # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256              # CPython 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 @dataclass(frozen=True)
@@ -67,7 +77,7 @@ class Report:
 def config_hash(resolved: dict) -> str:
     """Stable hash of the numeric-relevant configuration."""
     blob = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return sha256(blob.encode()).hexdigest()[:16]
 
 
 # mkstemp creates its file 0600; artifacts get the mode a plain open gives.

@@ -359,7 +359,13 @@ class ShearProfile:
     def tabulate(self, ubar):
         """Evaluate the amplitude's factors at every time of ``ubar`` in
         one pass; ``amp2_at`` then reads them at those times."""
-        self._times = np.unique(np.asarray(ubar, dtype=float))
+        # np.unique's sort and adjacent-difference mask, written out:
+        # np.unique imports numpy.ma, which nothing else here needs
+        t = np.sort(np.asarray(ubar, dtype=float), axis=None)
+        keep = np.empty(t.shape, dtype=bool)
+        keep[:1] = True
+        np.not_equal(t[1:], t[:-1], out=keep[1:])
+        self._times = t[keep]
         self._alpha, self._beta, self._cap_amp2 = self._factors(self._times)
         self._memo = {}
 

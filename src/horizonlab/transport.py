@@ -41,8 +41,11 @@ class ConeState:
 
     grid: SphereGrid
     ubar_nodes: np.ndarray           # stored subset of integration nodes
-    trchi: np.ndarray                # (len(ubar_nodes), n_theta, n_phi)
-    trchi_final: np.ndarray
+    # (len(ubar_nodes), ceil(n_theta / ti), ceil(n_phi / pj)): at each
+    # stored node, every ti-th theta and pj-th phi node, (ti, pj) being
+    # the node step integrate_cone was given (full grid by default)
+    trchi: np.ndarray
+    trchi_final: np.ndarray          # (n_theta, n_phi)
     step_error: float                # Richardson estimate, max norm
     n_steps: int
 
@@ -93,10 +96,13 @@ def _rk4_sweep(amp2_at, ubar_end, steps, y0, blow):
 
 
 def integrate_cone(amp2_at, ubar_end, n_steps, grid, trchi0=2.0,
-                   n_store=33):
+                   n_store=33, node_step=(1, 1)):
     """RK4 integration of the focusing equation for all angles at once.
 
-    ``amp2_at(ubar)`` must return the squared shear on the grid.  Raises
+    ``amp2_at(ubar)`` must return the squared shear on the grid.  The
+    ``n_store`` snapshots keep the nodes ``[::ti, ::pj]`` for
+    ``node_step = (ti, pj)``; the final trchi and the error estimate are
+    taken on the full grid.  Raises
     FocusingError with the offending ubar if trchi diverges: the full
     sweep's point if it diverges, otherwise the half sweep's.
     """
@@ -118,23 +124,27 @@ def integrate_cone(amp2_at, ubar_end, n_steps, grid, trchi0=2.0,
     stride = max(1, n_steps // max(n_store - 1, 1))
     stored = {k for k in range(1, n_steps + 1)
               if k % stride == 0 or k == n_steps}
-    nodes, snaps = [0.0], np.empty((len(stored) + 1,) + y0.shape)
-    snaps[0] = y0
+    ti, pj = node_step
+    nodes = [0.0]
+    snaps = np.empty((len(stored) + 1,) + y0[::ti, ::pj].shape)
+    snaps[0] = y0[::ti, ::pj]
     sweep = _rk4_sweep(amp2_at, ubar_end, n_steps, y0, blow)
     for k, (u, y) in enumerate(sweep, start=1):
         if k in stored:
-            snaps[len(nodes)] = y
+            snaps[len(nodes)] = y[::ti, ::pj]
             nodes.append(u)
         advance_half(u)
     advance_half(math.inf)
     if half_blowup is not None:
         raise half_blowup
-    err = float(np.max(np.abs(snaps[-1] - half_y))) / 15.0
+    # y is the sweep's buffer after its last step, which it no longer writes
+    err = float(np.max(np.abs(y - half_y))) / 15.0
     return ConeState(grid=grid, ubar_nodes=np.array(nodes), trchi=snaps,
-                     trchi_final=snaps[-1], step_error=err, n_steps=n_steps)
+                     trchi_final=y, step_error=err, n_steps=n_steps)
 
 
-def integrate_data_cone(profile, n_steps=2048, n_store=33):
+def integrate_data_cone(profile, n_steps=2048, n_store=33,
+                        node_step=(1, 1)):
     """Solve the focusing equation for a built shear profile on [0, 2delta],
     the amplitude tabulated at the stage times of both sweeps."""
     ubar_end = profile.derived.ubar_end
@@ -142,7 +152,7 @@ def integrate_data_cone(profile, n_steps=2048, n_store=33):
         t for steps in _sweep_steps(n_steps)
         for t in stage_times(ubar_end, steps)]))
     return integrate_cone(profile.amp2_at, ubar_end, n_steps, profile.grid,
-                          trchi0=2.0, n_store=n_store)
+                          trchi0=2.0, n_store=n_store, node_step=node_step)
 
 
 @dataclass

@@ -18,6 +18,7 @@ from horizonlab.errors import ConfigError
 from horizonlab.mots import (BOUNDS, MotsSolution, SolveOptions, make_problem,
                              verify_apriori)
 from horizonlab.regime import RegimeParameters, validate
+from horizonlab.reporting import config_hash
 from horizonlab.shear import ProfileSpec, verify_profile
 from horizonlab.sphere import SphereField
 
@@ -144,6 +145,34 @@ class TestConfig:
         assert a.hash == b.hash
         c = parse_config(cfg_path, overrides=["regime.o1=0.04"])
         assert c.hash != a.hash
+
+
+class TestConfigHash:
+    def test_equals_hashlib_sha256(self, cfg_path):
+        # the built-in SHA-256 gives hashlib's digest: on the default
+        # config and on blobs around the 64-byte block boundaries
+        cfg = parse_config(cfg_path)
+        numeric = {k: v for k, v in cfg.resolved.items() if k != "output"}
+        resolved = [numeric] + [{"k": "x" * n}
+                                for n in (0, 1, 46, 47, 48, 55, 56, 64, 1000)]
+        for r in resolved:
+            blob = json.dumps(r, sort_keys=True, separators=(",", ":"))
+            want = hashlib.sha256(blob.encode()).hexdigest()[:16]
+            assert config_hash(r) == want, len(blob)
+        assert cfg.hash == config_hash(numeric)
+
+    def test_loads_no_openssl(self):
+        # hashlib loads _hashlib, which maps OpenSSL's libcrypto; the CLI
+        # and the config hash do without it
+        src = os.path.dirname(os.path.dirname(horizonlab.__file__))
+        code = ("import sys; from horizonlab.cli import config_hash; "
+                "config_hash({'grid': {'n_theta': 64}}); "
+                "print('_hashlib' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestPipeline:
@@ -452,9 +481,9 @@ def test_record_key_sets(pipeline_out):
             "status", "upper_side", "reasons", "log_slack", "exponents"}
 
 
-def test_find_mots_runs_without_scipy(tmp_path):
-    # find-mots solves its Newton steps with the in-repo GMRES: a full
-    # run in a fresh process ends with no scipy module loaded
+def modules_after_stage(tmp_path, stage, package):
+    """Run gen-data, then ``stage`` in a fresh process at the fast
+    overrides; return the loaded modules that are ``package`` or in it."""
     src = os.path.dirname(os.path.dirname(horizonlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     cfg = tmp_path / "run.ini"
@@ -466,15 +495,28 @@ def test_find_mots_runs_without_scipy(tmp_path):
                            *args], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     code = ("import sys; from horizonlab.cli import main; "
-            "rc = main(sys.argv[1:]); "
-            "print(sorted(m for m in sys.modules if m == 'scipy' "
-            "or m.startswith('scipy.'))); sys.exit(rc)")
-    proc = subprocess.run([sys.executable, "-c", code, "find-mots", *args],
-                          env=env, capture_output=True, text=True)
+            "rc = main(sys.argv[2:]); "
+            "print(sorted(m for m in sys.modules if m == sys.argv[1] "
+            "or m.startswith(sys.argv[1] + '.'))); sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", code, package, stage,
+                           *args], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_find_mots_runs_without_scipy(tmp_path):
+    # find-mots solves its Newton steps with the in-repo GMRES: a full
+    # run in a fresh process ends with no scipy module loaded
+    assert modules_after_stage(tmp_path, "find-mots", "scipy") == "[]"
     report = json.loads((tmp_path / "out" / "mots_report.json").read_text())
     assert sum(sum(s["newton_iterations"]) for s in report["slices"]) > 0
+
+
+def test_evolve_runs_without_numpy_ma(tmp_path):
+    # the profile's table of stage times is deduplicated without
+    # np.unique, which imports numpy.ma for evolve alone
+    assert modules_after_stage(tmp_path, "evolve", "numpy.ma") == "[]"
+    assert (tmp_path / "out" / "cone_trchi.csv").stat().st_size > 0
 
 
 def test_one_problem_per_slice_and_stage(cfg_path, tmp_path, monkeypatch):

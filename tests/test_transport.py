@@ -2,15 +2,19 @@
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from horizonlab.errors import FocusingError, SlabDomainError
 from horizonlab.regime import derive
+from horizonlab.shear import ProfileSpec, build_profile
+from horizonlab.sphere import get_grid
 from horizonlab.transport import (INDETERMINATE, TRAPPED_CERTIFIED,
-                                  UNTRAPPED, SlabModel, detect_trapped,
-                                  integrate_cone, integrate_data_cone)
+                                  UNTRAPPED, SlabModel, _sweep_steps,
+                                  detect_trapped, integrate_cone,
+                                  integrate_data_cone, stage_times)
 
 
 class FakeProfile:
@@ -153,6 +157,46 @@ class TestLockstep:
         assert state.ubar_nodes.tobytes() == nodes.tobytes()
         assert state.trchi.tobytes() == snaps.tobytes()
         assert state.step_error == err
+
+    @pytest.mark.parametrize("node_step", [(2, 4), (3, 5), (16, 32)])
+    def test_sampled_snapshots_are_the_full_ones(self, profile_notch,
+                                                 node_step):
+        # a node step keeps [::ti, ::pj] of every snapshot, bit for bit,
+        # and changes neither the final grid nor the error estimate
+        ti, pj = node_step
+        full = integrate_data_cone(copy.copy(profile_notch), 256)
+        part = integrate_data_cone(copy.copy(profile_notch), 256,
+                                   node_step=node_step)
+        assert part.trchi.tobytes() == full.trchi[:, ::ti, ::pj].tobytes()
+        assert part.trchi_final.tobytes() == full.trchi_final.tobytes()
+        assert part.ubar_nodes.tobytes() == full.ubar_nodes.tobytes()
+        assert part.step_error == full.step_error
+
+    def test_stage_times_deduplicated_as_np_unique(self, profile_notch):
+        # tabulate sorts and drops repeats without np.unique (which loads
+        # numpy.ma) and must keep np.unique's bits
+        ubar_end = profile_notch.derived.ubar_end
+        times = np.concatenate([t for steps in _sweep_steps(2048)
+                                for t in stage_times(ubar_end, steps)])
+        mixed = np.random.default_rng(4).permutation(
+            np.concatenate([times[:300], times[100:400], times[-50:]]))
+        for ubar in (times, mixed):
+            profile = copy.copy(profile_notch)
+            profile.tabulate(ubar)
+            assert profile._times.tobytes() == np.unique(ubar).tobytes()
+
+    def test_cli_lattice_holds_no_full_snapshots(self, params):
+        # at 64x128 the 33 full snapshots alone are 2.2 MB; with
+        # cone_trchi.csv's lattice the sweep stays well below that
+        spec = ProfileSpec(cap_width=0.014)
+        profile = build_profile(params, spec, get_grid(64, 128))
+        tracemalloc.start()
+        try:
+            integrate_data_cone(profile, 2048, node_step=(8, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6, peak
 
     def test_full_sweep_blowup_wins(self, grid_small):
         # The spike at ubar = 0.25 is a stage time of the 2-step half sweep
