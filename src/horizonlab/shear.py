@@ -260,11 +260,6 @@ def _repaid(main, gate, kappa, repay):
     return main * gate * (1.0 + kappa * repay)
 
 
-# Tabulated times whose grids ShearProfile.amp2_at keeps.  The lockstep
-# RK4 sweeps of transport.integrate_cone ask for a time again within five
-# calls, which span at most five distinct times.
-_AMP2_MEMO = 6
-
 # The empty table of an untabulated profile.  A table built at
 # construction stays allocated between gen-data's large temporaries and
 # raised its peak RSS by one 17 MB table (heap fragmentation).
@@ -293,7 +288,10 @@ class ShearProfile:
     builds the tables of gen-data's checks a chunk of nodes at a time.
     ``amp2_at`` reads the amplitude's time factors from a table that
     ``tabulate`` fills for the times a caller is about to ask for; the
-    table changes no value.  Instances are treated as immutable.
+    table changes no value.  It keeps the one grid it built last, which
+    an RK4 sweep of ``transport.integrate_cone`` asks for again at once:
+    a step's two midpoint stages share a time, and its end is often the
+    next step's start.  Instances are treated as immutable.
     """
 
     params: RegimeParameters
@@ -318,7 +316,7 @@ class ShearProfile:
         self._cap_phi = g.phi_2d.ravel()[cap]
         self._cap_kappa = self.kappa_repay.ravel()[cap]
         self._cap_Y = self._Y.ravel()[cap]
-        self._times, self._memo = _NO_TIMES, {}
+        self._times, self._last = _NO_TIMES, (-1, None)
 
     @property
     def m0(self):
@@ -367,7 +365,7 @@ class ShearProfile:
         np.not_equal(t[1:], t[:-1], out=keep[1:])
         self._times = t[keep]
         self._alpha, self._beta, self._cap_amp2 = self._factors(self._times)
-        self._memo = {}
+        self._last = (-1, None)
 
     def amp2_at(self, ubar):
         """Squared shear amplitude on the full sphere grid at ``ubar``.
@@ -375,19 +373,19 @@ class ShearProfile:
         The result is read-only.  At a time ``tabulate`` was given the
         factors are read from its table, elsewhere computed by the same
         vectorised formula on a one-element array, so a time gets the
-        same bits either way.  The grids of the last few tabulated times
-        are kept, so a repeated time returns the same array.
+        same bits either way.  The grid of the last tabulated time asked
+        for is kept, so the same time asked for again at once returns the
+        same array.
         """
         i = int(self._times.searchsorted(ubar))
         if i == self._times.size or self._times[i] != ubar:
             out = self._grid_amp2(*self._factors(np.array([float(ubar)])))[0]
-        elif i in self._memo:
-            return self._memo[i]
+        elif i == self._last[0]:
+            return self._last[1]
         else:
-            out = self._memo[i] = self._grid_amp2(
+            out = self._grid_amp2(
                 self._alpha[i], self._beta[i], self._cap_amp2[i])
-            if len(self._memo) > _AMP2_MEMO:
-                del self._memo[next(iter(self._memo))]
+            self._last = (i, out)
         out.flags.writeable = False
         return out
 

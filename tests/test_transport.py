@@ -38,8 +38,9 @@ def sequential_cone(amp2_at, ubar_end, n_steps, grid, trchi0=2.0,
                     n_store=33):
     """Reference: the full sweep, then the half sweep, one after the other.
 
-    ``integrate_cone`` runs the two in lockstep and must match this bit
-    for bit; returns (nodes, snaps, step_error).
+    Written independently of ``integrate_cone`` (a new array at every
+    step, not buffers updated in place), which must match it bit for bit;
+    returns (nodes, snaps, step_error).
     """
     def rhs(u, y):
         return -0.5 * y * y - amp2_at(u)
@@ -129,6 +130,9 @@ class TestRiccati:
 
 
 class TestLockstep:
+    """integrate_cone's full and half sweeps against the sequential
+    reference, and the amp2_at calls they make."""
+
     @pytest.mark.parametrize("n_steps, n_store", [(256, 33), (101, 9),
                                                   (3, 33)])
     def test_matches_sequential_sweeps(self, profile_notch, n_steps,
@@ -197,6 +201,46 @@ class TestLockstep:
         finally:
             tracemalloc.stop()
         assert peak < 2.5e6, peak
+
+    def test_amp2_at_calls_builds_and_reuse(self, profile_notch):
+        # Four amp2_at calls per RK4 step of either sweep, 6 n_steps in all;
+        # within a sweep, one grid build at most per tabulated stage time;
+        # a time asked for twice in a row gets one read-only array back.
+        n_steps = 256
+        profile = copy.copy(profile_notch)
+        amp2_at, grid_amp2 = profile.amp2_at, profile._grid_amp2
+        calls, builds = [], []
+
+        def counted_grid_amp2(*factors):
+            builds.append(len(calls))
+            return grid_amp2(*factors)
+
+        def recorded_amp2_at(u):
+            out = amp2_at(u)
+            calls.append((u, out))
+            return out
+
+        profile._grid_amp2 = counted_grid_amp2
+        profile.amp2_at = recorded_amp2_at
+        integrate_data_cone(profile, n_steps)
+        assert len(calls) == 6 * n_steps
+
+        ubar_end = profile.derived.ubar_end
+        first = 0
+        for steps in _sweep_steps(n_steps):
+            last = first + 4 * steps
+            built = [calls[k][0] for k in builds if first <= k < last]
+            assert len(built) == len(set(built))
+            assert set(built) <= set(np.concatenate(
+                stage_times(ubar_end, steps)).tolist())
+            first = last
+
+        repeats = [(a, b) for (u, a), (v, b) in zip(calls, calls[1:])
+                   if u == v]
+        assert len(repeats) >= n_steps + n_steps // 2   # midpoint stages
+        for a, b in repeats:
+            assert b is a
+            assert not b.flags.writeable
 
     def test_full_sweep_blowup_wins(self, grid_small):
         # The spike at ubar = 0.25 is a stage time of the 2-step half sweep
