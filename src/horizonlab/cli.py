@@ -198,6 +198,9 @@ def parse_config(path, overrides=(), outdir_flag=None) -> RunConfig:
         if not ok(value):
             raise ConfigError(f"bad value for {' + '.join(keys)}: "
                               f"{value!r} (must be {want})")
+    if not resolved["sweep"]["ubar_frac"]:
+        raise ConfigError("bad value for sweep.ubar_frac: [] (must hold at "
+                          "least one value)")
     outdir = (Path(outdir_flag) if outdir_flag
               else Path(os.environ.get(ENV_OUTDIR) or
                         resolved["output"]["directory"]))
@@ -336,6 +339,14 @@ def cmd_evolve(cfg: RunConfig, inputs):
             "trapped_map": [row[:3] for row in map_rows]}, None
 
 
+def _slice_problem(cfg, profile, idx, ubar):
+    """Slice idx's problem at ``ubar``: its perturbations are drawn with
+    seed + idx."""
+    s = cfg["solver"]
+    return make_problem(profile, float(ubar), seed=s["seed"] + idx,
+                        beta=s["beta"])
+
+
 def _load_numpy_random():
     # numpy.random loads OpenSSL's libcrypto (through secrets and hmac).
     # Loaded before the profile's arrays rather than at the first
@@ -350,15 +361,12 @@ def cmd_find_mots(cfg: RunConfig, inputs):
     profile = ShearProfile.load(outdir / "profile")
     params = profile.params
     opts = _record(SolveOptions, cfg["solver"])
-    seed = cfg["solver"]["seed"]
-    beta = cfg["solver"]["beta"]
     ladder = _slice_ladder(cfg, profile.derived)
     (outdir / "mots").mkdir(parents=True, exist_ok=True)
     slices = []
     history_rows = []
     for idx, ub in enumerate(ladder):
-        problem = make_problem(profile, float(ub), seed=seed + idx,
-                               beta=beta)
+        problem = _slice_problem(cfg, profile, idx, ub)
         solution = solve_slice(problem, opts)
         bounds = verify_apriori(solution, problem, params, cfg["bounds"])
         solution.save(outdir / "mots" / f"slice_{idx:03d}",
@@ -371,7 +379,7 @@ def cmd_find_mots(cfg: RunConfig, inputs):
             "index": idx, "ubar": float(ub),
             "residual_norm": solution.residual_norm,
             "lambda_path": [float(v) for v in solution.lambda_path],
-            "newton_iterations": [r.get("iterations", len(r["norms"]) - 1)
+            "newton_iterations": [r["iterations"]
                                   for r in solution.newton_trace],
             "diagnostics": solution.diagnostics,
             "M0_min": float(np.min(problem.M0.values)),
@@ -394,8 +402,6 @@ def cmd_horizon(cfg: RunConfig, inputs):
     _load_numpy_random()
     outdir = cfg.outdir
     profile = ShearProfile.load(outdir / "profile")
-    seed = cfg["solver"]["seed"]
-    beta = cfg["solver"]["beta"]
     solutions = []
     for entry in inputs["mots_report.json"]["slices"]:
         # The loaded radius must solve its slice to find-mots' tol_abs;
@@ -403,8 +409,7 @@ def cmd_horizon(cfg: RunConfig, inputs):
         idx = entry["index"]
         stem = outdir / "mots" / f"slice_{idx:03d}"
         solutions.append(MotsSolution.load(stem, config_hash=cfg.hash))
-        problem = make_problem(profile, entry["ubar"], seed=seed + idx,
-                               beta=beta)
+        problem = _slice_problem(cfg, profile, idx, entry["ubar"])
         res = l2_norm(residual_H(problem, solutions[-1].R))
         del problem
         tol = entry["diagnostics"]["tol_abs"]
@@ -417,8 +422,8 @@ def cmd_horizon(cfg: RunConfig, inputs):
         disc_hypothesis=cfg["toggles"]["disc_hypothesis"])
     rows = []
     for k, ub in enumerate(assembly.ubars):
-        est = horizon_mod.area(assembly, ub)
-        sl = horizon_mod.spacelike_check(assembly, ub)
+        est = horizon_mod.area(assembly, k)
+        sl = horizon_mod.spacelike_check(assembly, k)
         dr = assembly.dR_dubar(k)
         rows.append({
             "ubar": float(ub),

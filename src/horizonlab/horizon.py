@@ -19,20 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regime import RegimeParameters
-from .sphere import SphereField, integrate
+from .sphere import SphereField
 
 
-def h_slope(params: RegimeParameters, zbar, dzbar_scaled):
+def h_slope(params: RegimeParameters, ubar, zbar, dzbar):
     """Slope scalar 0.5*(zeta + ubar*zeta' - zeta')*sqrt(a)*b^mu.
 
-    ``dzbar_scaled`` must carry both derivative occurrences already
-    multiplied out, i.e. the pair (ubar*zeta', zeta'); the formula is the
-    schematic disc-hypothesis estimate and is used only as the
-    quadratic-form coefficient.
+    The formula is the schematic disc-hypothesis estimate and is used
+    only as the quadratic-form coefficient.
     """
-    ubar_dz, dz = dzbar_scaled
     amp = math.sqrt(params.a) * params.b ** params.mu
-    return 0.5 * (zbar + ubar_dz - dz) * amp
+    return 0.5 * (zbar + ubar * dzbar - dzbar) * amp
 
 
 @dataclass
@@ -44,12 +41,6 @@ class HorizonAssembly:
     solutions: list
     h_values: list | None              # slope scalar per slice, or None
     disc_hypothesis: bool
-
-    def index_of(self, ubar):
-        k = int(np.argmin(np.abs(self.ubars - ubar)))
-        if abs(self.ubars[k] - ubar) > 1e-9 * max(abs(ubar), self.ubars[-1]):
-            raise KeyError(f"no solved slice at ubar={ubar!r}")
-        return k
 
     def dR_dubar(self, k):
         """dR/dubar at slice k (negative k counts from the end) by the
@@ -78,10 +69,9 @@ def assemble(params: RegimeParameters, profile, solutions,
     h_values = None
     if disc_hypothesis:
         h_values = []
-        for u in ubars:
-            zb = profile.zbar_at(float(u))
-            dz = profile.dzbar_at(float(u))
-            h_values.append(h_slope(params, zb, (float(u) * dz, dz)))
+        for u in map(float, ubars):
+            h_values.append(h_slope(params, u, profile.zbar_at(u),
+                                    profile.dzbar_at(u)))
     return HorizonAssembly(params=params, ubars=ubars, solutions=solutions,
                            h_values=h_values,
                            disc_hypothesis=disc_hypothesis)
@@ -98,12 +88,14 @@ class AreaEstimate:
     radius_proxy_hi: float
 
 
-def area(assembly: HorizonAssembly, ubar) -> AreaEstimate:
-    """Area interval of one MOTS under the determinant distortion band."""
-    k = assembly.index_of(ubar)
-    sol = assembly.solutions[k]
-    grid = sol.R.grid
-    a_mid = integrate(SphereField.constant(grid, 1.0), radius=sol.R)
+def area(assembly: HorizonAssembly, k) -> AreaEstimate:
+    """Area interval of the MOTS on slice k under the determinant
+    distortion band.  The midpoint is the quadrature of R^2 over the unit
+    sphere grid.  R > 0 is not checked here: ``mots.residual_H`` raises
+    PositivityError at a radius that is not, and the CLI takes that
+    residual of every slice before any area."""
+    R = assembly.solutions[k].R
+    a_mid = float(np.sum(R.grid.weights * np.square(R.values)))
     f0 = assembly.params.f0
     a_lo = (1.0 - 1.0 / f0) * a_mid
     a_hi = (1.0 + 1.0 / f0) * a_mid
@@ -122,8 +114,8 @@ class SpacelikeResult:
     min_sampled: float
 
 
-def spacelike_check(assembly: HorizonAssembly, ubar) -> SpacelikeResult:
-    """Positivity test of the induced quadratic form at one slice.
+def spacelike_check(assembly: HorizonAssembly, k) -> SpacelikeResult:
+    """Positivity test of the induced quadratic form at slice k.
 
     The form in the coordinate directions (theta1, theta2, ubar) is
     diag(R^2, R^2 sin^2) plus cross terms 4*lambda_i*lambda_3*dR/dtheta_i
@@ -136,7 +128,6 @@ def spacelike_check(assembly: HorizonAssembly, ubar) -> SpacelikeResult:
     if not assembly.disc_hypothesis or assembly.h_values is None:
         return SpacelikeResult("not-certified", "disc hypothesis disabled",
                                float("nan"), float("nan"))
-    k = assembly.index_of(ubar)
     q33 = assembly.h_values[k] * (1.0 + assembly.params.o1)
     if q33 <= 0.0:
         return SpacelikeResult("not-certified", "slope scalar h <= 0: the "

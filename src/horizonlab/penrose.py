@@ -86,7 +86,7 @@ def margin(params: RegimeParameters, radius_proxy_interval: Interval,
                         analytic_lo=analytic_lo, analytic_hi=analytic_hi)
 
 
-def margin_exponent_forms(params: RegimeParameters, ubar=None):
+def margin_exponent_forms(params: RegimeParameters):
     """The window-start margin lower bound, computed along two routes.
 
     Route "direct" multiplies the dimensional factors; route "factored"
@@ -96,9 +96,7 @@ def margin_exponent_forms(params: RegimeParameters, ubar=None):
     """
     p = params
     d = derive(params)
-    if ubar is None:
-        ubar = d.ubar_start
-    gap_coef = p.lambda_lo - ubar / p.delta     # lambda - ubar/delta
+    gap_coef = p.lambda_lo - d.ubar_start / p.delta   # lambda - ubar/delta
     o1_slot = (0.25 - p.o1) * gap_coef
     direct = ((0.25 - p.o1) * p.b ** p.mu * math.sqrt(p.a) * p.delta
               * gap_coef - d.eps_glue)

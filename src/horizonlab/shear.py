@@ -176,11 +176,6 @@ class _ProfileModel:
         L = A * zb * ubar * drho + dzb * A * ubar * rho
         return core + L - dzb * self.four_m0, core * (a2 * ubar + a1) + L * a1
 
-    def amp2_main(self, ubar, Y):
-        """The main amplitude at one time ``ubar`` and wobble values Y."""
-        (alpha,), (beta,) = self.amp2_factors(np.array([ubar], dtype=float))
-        return alpha + beta * Y
-
     def locus_theta(self, ubar):
         u = np.minimum(np.asarray(ubar, dtype=float), self.ulamp)
         g = np.log1p((u / self.u_park) ** 2)
@@ -220,6 +215,16 @@ class _ProfileModel:
         hi = self.spec.repay_hi * self.ulam
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         return bump((np.asarray(ubar, dtype=float) - mid) / half)
+
+    def cap_terms(self, ubar, theta, phi, Y):
+        """alpha, beta at each time of the 1-D array ``ubar``, and at those
+        times on the cap nodes (theta, phi) with wobble Y the main
+        amplitude, the gate and the repay shape: the amplitude there is
+        ``_repaid(main, gate, kappa, repay)``."""
+        alpha, beta = self.amp2_factors(ubar)
+        col = ubar[:, None]
+        return (alpha, beta, alpha[:, None] + beta[:, None] * Y,
+                self.gate(col, theta, phi), self.repay_shape(col))
 
 
 def _build_ubar_grid(model: _ProfileModel, n_ubar: int):
@@ -330,22 +335,14 @@ class ShearProfile:
     def derived(self):
         return self._model.derived
 
-    @property
-    def phi0(self):
-        return self.spec.phi0
-
     # -- closed-form evaluators (exact, any ubar) ----------------------
 
     def _factors(self, ubar):
         # alpha, beta and the repaid amplitude on the cap nodes at each
         # time of the 1-D array ubar: amp2_at's formula, and the table's
-        m = self._model
-        alpha, beta = m.amp2_factors(ubar)
-        col = ubar[:, None]
-        cap = _repaid(alpha[:, None] + beta[:, None] * self._cap_Y,
-                      m.gate(col, self._cap_theta, self._cap_phi),
-                      self._cap_kappa, m.repay_shape(col))
-        return alpha, beta, cap
+        alpha, beta, main, gate, repay = self._model.cap_terms(
+            ubar, self._cap_theta, self._cap_phi, self._cap_Y)
+        return alpha, beta, _repaid(main, gate, self._cap_kappa, repay)
 
     def _grid_amp2(self, alpha, beta, cap):
         # alpha + beta * Y with the cap nodes set, one slice per time
@@ -417,16 +414,6 @@ class ShearProfile:
                   / (m.A * zeta[tra] * u[tra]))
         return ProfileTables(self.node_amp2(lo, hi), I, f, zeta)
 
-    def amp2_at_point(self, ubar, theta, phi):
-        """Amplitude at one arbitrary angular point (diagnostic use)."""
-        m = self._model
-        Y = angular_wobble(np.asarray(theta), np.asarray(phi))
-        it = np.argmin(np.abs(self.grid.theta - theta))
-        ip = np.argmin(np.abs(self.grid.phi - phi))
-        return float(_repaid(m.amp2_main(ubar, Y),
-                             m.gate(ubar, np.asarray(theta), np.asarray(phi)),
-                             self.kappa_repay[it, ip], m.repay_shape(ubar)))
-
     def I_at(self, ubar):
         """Cumulative shear on the sphere grid at arbitrary ``ubar``."""
         m = self._model
@@ -487,10 +474,8 @@ def _repayment(model: _ProfileModel, ubar, grid: SphereGrid):
     the cap nodes.  Off them gate is 1.0: nothing is cut, kappa is +0.0."""
     cap = model.cap_nodes(grid.theta_2d, grid.phi_2d)
     theta, phi = grid.theta_2d.ravel()[cap], grid.phi_2d.ravel()[cap]
-    alpha, beta = model.amp2_factors(ubar)
-    on_cap = alpha[:, None] + beta[:, None] * angular_wobble(theta, phi)
-    gate = model.gate(ubar[:, None], theta, phi)
-    repay = model.repay_shape(ubar)[:, None]
+    _, _, on_cap, gate, repay = model.cap_terms(
+        ubar, theta, phi, angular_wobble(theta, phi))
 
     kappa = np.zeros(grid.theta_2d.size)
     kappa[cap] = (_cumtrapz(on_cap * (1.0 - gate), ubar)[-1]
@@ -550,8 +535,8 @@ def verify_profile(profile: ShearProfile, tables=None) -> Report:
     ``tables(lo, hi)`` gives the ``ProfileTables`` at ubar nodes lo..hi-1
     (default ``profile.node_tables``).  Every check is a reduction over
     ubar, so the tables are read in chunks of UBAR_CHUNK nodes, each with
-    the node before it for the checks on steps, and the rows the checks
-    at single nodes read are copied as the loop passes them: no (n_ubar,
+    the node before it for the checks on steps, and the checks at single
+    nodes read those nodes' rows through ``tables(k, k + 1)``: no (n_ubar,
     n_theta, n_phi) table is held.
     """
     tables = tables or profile.node_tables
@@ -570,9 +555,9 @@ def verify_profile(profile: ShearProfile, tables=None) -> Report:
     kl = int(np.searchsorted(ubar, m.ulam, side="right"))
     sampled = [int(np.argmin(np.abs(ubar - u)))
                for u in np.linspace(m.w0, m.ulamp, 5)]
-    want = {("I", 0), ("I", n - 1), ("amp2", 0), ("amp2", 1),
-            ("amp2", k_end), ("zeta", kl)} | {("f", k) for k in sampled}
-    row = {}
+
+    def row(name, k):
+        return getattr(tables(k, k + 1), name)[0]
 
     # Each chunk's maximum of each checked quantity, reduced after the loop.
     part = collections.defaultdict(list)
@@ -583,14 +568,11 @@ def verify_profile(profile: ShearProfile, tables=None) -> Report:
     def top(key):
         return np.max(part[key])
 
-    recon = None
+    recon, I_0 = None, row("I", 0)
     for lo, hi in _chunks(n):
         a = max(lo - 1, 0)
         ext = tables(a, hi)
         t = ProfileTables(*(x[lo - a:] for x in ext))
-        for name, k in want:
-            if lo <= k < hi:
-                row[name, k] = getattr(t, name)[k - lo].copy()
         u = ubar[lo:hi, None, None]
         w = win[lo:hi]
         rhs = A * t.f[w] * u[w]
@@ -609,7 +591,7 @@ def verify_profile(profile: ShearProfile, tables=None) -> Report:
         # The trapezoid of amp2 carries on from the node before the chunk.
         recon = _cumtrapz(ext.amp2, ubar[a:hi],
                           0.0 if recon is None else recon[-1])[lo - a:]
-        peak("cons", np.abs(recon - (t.I - row["I", 0])))
+        peak("cons", np.abs(recon - (t.I - I_0)))
 
     checks = []
 
@@ -619,7 +601,7 @@ def verify_profile(profile: ShearProfile, tables=None) -> Report:
                             detail))
 
     # Total shear: exactly 4 m0, independent of angle.
-    I_end = row["I", n - 1]
+    I_end = row("I", n - 1)
     ratio_dev = np.abs(I_end / four_m0 - 1.0)
     add("total_equals_4m0", float(np.max(ratio_dev)), 1.0e-6,
         "max_omega |I(2delta)/4m0 - 1|")
@@ -644,7 +626,7 @@ def verify_profile(profile: ShearProfile, tables=None) -> Report:
     # Angular smoothness of f at sample slices.
     gmax = 0.0
     for k in sampled:
-        fld = SphereField(profile.grid, row["f", k])
+        fld = SphereField(profile.grid, row("f", k))
         gt, gp = profile.grid.gradient_values(fld.values)
         gmax = max(gmax, float(np.max(np.hypot(gt, gp))))
     add("f_angular_smooth", gmax, 4.0, "max |grad_omega f| bounded")
@@ -665,11 +647,11 @@ def verify_profile(profile: ShearProfile, tables=None) -> Report:
 
     # Smooth vanishing of amp2 at ubar = 0 and at the support end.
     scale = A
-    start = row["amp2", 0], row["amp2", 1]
+    start = row("amp2", 0), row("amp2", 1)
     add("endpoint_zero_start", float(np.max(np.abs(start[0]))) / scale,
         1e-12)
     s_loc = (ubar[k_end] - ubar[k_end - 1]) / m.zwindow
-    end_val = np.max(np.abs(row["amp2", k_end])) / scale
+    end_val = np.max(np.abs(row("amp2", k_end))) / scale
     add("endpoint_vanish_end", float(end_val) / (s_loc * s_loc), 40.0,
         "amp2 at the last support node vanishes at the cutoff's C^1 order")
     slope_start = np.max(np.abs(start[1] - start[0])) / (ubar[1] - ubar[0])
@@ -679,20 +661,18 @@ def verify_profile(profile: ShearProfile, tables=None) -> Report:
     add("zeta_no_jump", float(top("dzeta")), 0.9,
         "single-step jump in zeta flags a discontinuous cutoff")
     if kl < len(ubar) - 1:
-        s0 = abs(float(np.mean(row["zeta", kl]))
+        s0 = abs(float(np.mean(row("zeta", kl)))
                  - profile.zbar_at(ubar[kl - 1])) \
             / max((ubar[kl] - ubar[kl - 1]) / m.zwindow, 1e-30)
         add("zeta_endpoint_derivative", s0, 0.2,
             "cutoff leaves 1 with zero slope at lambda*delta")
 
-    # Moving zero of the amplitude.
+    # Moving zero of the amplitude main * gate * (1 + kappa * repay): of
+    # its factors only the gate can vanish at the stored locus point.
     zs = np.flatnonzero((ubar > 0) & (ubar < m.ulamp))
-    worst = 0.0
-    for k in zs[:: max(1, len(zs) // 9)]:
-        worst = max(worst, abs(profile.amp2_at_point(
-            float(ubar[k]), float(profile.zero_locus_theta[k]),
-            profile.phi0)))
-    add("zero_locus_present", worst / scale, 1e-12,
+    zs = zs[:: max(1, len(zs) // 9)]
+    gate = m.gate(ubar[zs], profile.zero_locus_theta[zs], profile.spec.phi0)
+    add("zero_locus_present", float(np.max(np.abs(gate))), 1e-12,
         "amp2 vanishes at the stored locus point on every slice")
     in_support = ubar <= m.ulamp
     travel = (np.max(profile.zero_locus_theta[in_support])

@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, PositivityError, ResolutionError
+from .errors import GridMismatchError, ResolutionError
 
 
 def _legendre_tables(x, lmax):
@@ -278,23 +278,9 @@ class SphereField:
                                          float(value)))
 
 
-def _radius_values(grid, radius):
-    if isinstance(radius, SphereField):
-        if (radius.grid.n_theta, radius.grid.n_phi) != \
-                (grid.n_theta, grid.n_phi):
-            raise GridMismatchError("radius field lives on a different grid")
-        vals = radius.values
-    else:
-        vals = float(radius)
-    if np.any(np.asarray(vals) <= 0.0):
-        raise PositivityError("sphere radius must be strictly positive")
-    return vals
-
-
-def integrate(field, radius=1.0):
-    """Integral of ``field`` over the sphere of the given radius."""
-    r = _radius_values(field.grid, radius)
-    return float(np.sum(field.grid.weights * field.values * np.square(r)))
+def integrate(field):
+    """Quadrature integral of ``field`` over the unit sphere."""
+    return float(np.sum(field.grid.weights * field.values))
 
 
 def l2_norm(field):

@@ -72,7 +72,8 @@ def full_grid_amp2():
     def amp2(profile, ubar):
         m, g = profile._model, profile.grid
         Y = shear.angular_wobble(g.theta_2d, g.phi_2d)
-        return shear._repaid(m.amp2_main(ubar, Y),
+        (alpha,), (beta,) = m.amp2_factors(np.array([ubar], dtype=float))
+        return shear._repaid(alpha + beta * Y,
                              m.gate(ubar, g.theta_2d, g.phi_2d),
                              profile.kappa_repay, m.repay_shape(ubar))
     return amp2

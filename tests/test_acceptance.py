@@ -189,10 +189,10 @@ def test_criterion_07_area_band(profile64, ladder64):
     amp = d.shear_amp
     o1 = 0.05
     checked = 0
-    for ub in ubars:
+    for k, ub in enumerate(ubars):
         if ub > d.ubar_lambda * (1 + 1e-12):
             continue
-        est = area(asm, ub)
+        est = area(asm, k)
         lo = (0.25 - o1) * amp * ub
         hi = (0.25 + o1) * amp * ub
         assert lo <= est.radius_proxy_lo

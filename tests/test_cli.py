@@ -126,6 +126,7 @@ class TestConfig:
         ("find-mots", ["solver.dlam_init=-0.1"]),
         ("find-mots", ["solver.beta=2"]),
         ("find-mots", ["solver.beta=-0.1"]),
+        ("penrose", ["sweep.ubar_frac="]),
     ])
     def test_refused_stage_value_exit_code(self, cfg_path, tmp_path, capsys,
                                            stage, overrides):

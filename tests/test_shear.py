@@ -69,8 +69,8 @@ class TestBuildIdentities:
         for frac in (0.1, 0.4, 0.8):
             u = frac * d.ubar_lambda
             th0 = float(profile_mid._model.locus_theta(u))
-            assert profile_mid.amp2_at_point(u, th0, profile_mid.phi0) \
-                == 0.0
+            assert profile_mid._model.gate(
+                u, th0, profile_mid.spec.phi0) == 0.0
         support = profile_mid.ubar_grid <= d.ubar_lambda_hi
         travel = np.ptp(profile_mid.zero_locus_theta[support])
         assert travel > profile_mid.params.o1
@@ -128,10 +128,28 @@ class TestVerifierDefects:
                                             np.pi / 2)
         report = verify_profile(bad, sliced(tables_mid))
         assert not report["zero_locus_moving"].passed
-        # The amplitude is probed at the stored locus point; frozen at
-        # pi/2, that point is off the notch on the probed slices.
+        # The gate is probed at the stored locus point; frozen at pi/2,
+        # that point is off the notch on the probed slices.
         assert not report["zero_locus_present"].passed
         assert report["zero_locus_present"]["measured"] > 1e-3
+
+    def test_shallow_notch_flagged(self, profile_mid, tables_mid, sliced,
+                                   monkeypatch):
+        # A notch that bottoms out at 1e-3: gate = 1 - 0.999 * bump.
+        def check():
+            report = verify_profile(profile_mid, sliced(tables_mid))
+            return report["zero_locus_present"]
+
+        assert check().passed
+        gate = shear._ProfileModel.gate
+
+        def shallow(self, *args):
+            return 1e-3 + 0.999 * gate(self, *args)
+
+        monkeypatch.setattr(shear._ProfileModel, "gate", shallow)
+        entry = check()
+        assert not entry.passed
+        assert entry["measured"] == pytest.approx(1e-3, rel=1e-9)
 
     def test_builder_output_all_pass(self, profile_mid, tables_mid, sliced):
         report = verify_profile(profile_mid, sliced(tables_mid))

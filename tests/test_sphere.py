@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import horizonlab
 from horizonlab import sphere
-from horizonlab.errors import GridMismatchError, PositivityError
+from horizonlab.errors import GridMismatchError
 from horizonlab.shear import ProfileSpec, build_profile
 from horizonlab.sphere import (SphereField, SphereGrid, get_grid, integrate,
                                l2_norm)
@@ -312,13 +312,13 @@ class TestLazyTables:
 
 class TestIntegrate:
     def test_constant_gives_area(self, grid_small):
-        one = SphereField.constant(grid_small, 1.0)
-        assert integrate(one, radius=3.0) == pytest.approx(36 * np.pi,
-                                                           rel=1e-13)
+        # R^2 of the sphere of radius 3 over the unit sphere: its area.
+        r2 = SphereField.constant(grid_small, 9.0)
+        assert integrate(r2) == pytest.approx(36 * np.pi, rel=1e-13)
 
     def test_odd_function_vanishes(self, grid_small):
         f = sample(grid_small, lambda th, ph: np.cos(th))
-        assert abs(integrate(f, radius=2.0)) < 1e-12
+        assert abs(integrate(f)) < 1e-12
 
     def test_cos_squared(self, grid_small):
         # Analytic value 4*pi/3; Gauss-Legendre reproduces it exactly.
@@ -479,13 +479,3 @@ class TestFieldValidation:
         with pytest.raises(GridMismatchError):
             SphereField(grid_small, np.zeros((3, 4)))
 
-    def test_radius_grid_mismatch(self, grid_small, grid_mid):
-        f = SphereField.constant(grid_small, 1.0)
-        r = SphereField.constant(grid_mid, 1.0)
-        with pytest.raises(GridMismatchError):
-            integrate(f, radius=r)
-
-    def test_nonpositive_radius(self, grid_small):
-        f = SphereField.constant(grid_small, 1.0)
-        with pytest.raises(PositivityError):
-            integrate(f, radius=0.0)
