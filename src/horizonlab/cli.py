@@ -45,7 +45,8 @@ from .reporting import (config_hash, gnuplot_script, svg_class_map,
 from .shear import (NORM_BUDGET, ProfileSpec, ShearProfile, build_profile,
                     scale_critical_norm, verify_profile)
 from .sphere import get_grid, l2_norm
-from .transport import SlabModel, detect_trapped, integrate_data_cone
+from .transport import (SlabModel, cone_checks, detect_trapped,
+                        integrate_data_cone)
 
 ENV_OUTDIR = "HORIZONLAB_OUT"
 
@@ -268,6 +269,14 @@ def _slice_ladder(cfg, d):
 # returns its main JSON payload (without "meta") together with the
 # ConstraintError to raise once that payload is on disk, or None.
 
+def _checks_error(constraint, failures, outdir):
+    """The ConstraintError naming the failed checks, or None."""
+    if not failures:
+        return None
+    return ConstraintError(constraint, f"{len(failures)} checks failed; see "
+                                       f"{outdir / 'failures.json'}", failures)
+
+
 def cmd_gen_data(cfg: RunConfig, inputs):
     outdir = cfg.outdir
     grid = cfg.grid()
@@ -291,11 +300,7 @@ def cmd_gen_data(cfg: RunConfig, inputs):
     failures = [c.as_dict() for c in report.failing()]
     if not norm["passed"]:
         failures.append({"name": "scale_critical_norm", **norm})
-    if not failures:
-        return payload, None
-    return payload, ConstraintError(
-        "profile_verification", f"{len(failures)} checks failed; see "
-                                f"{outdir / 'failures.json'}", failures)
+    return payload, _checks_error("profile_verification", failures, outdir)
 
 
 def cmd_evolve(cfg: RunConfig, inputs):
@@ -331,12 +336,16 @@ def cmd_evolve(cfg: RunConfig, inputs):
               ("u", "ubar", "status", "min_leading", "max_leading",
                "envelope"), map_rows, stamp=cfg.hash)
     verdict = detect_trapped(slab, d.u_trapped, d.delta)
-    return {"step_error": cone.step_error,
-            "n_steps": cone.n_steps,
-            "trchi_final_min": float(np.min(cone.trchi_final)),
-            "trchi_final_max": float(np.max(cone.trchi_final)),
-            "trapped_at_predicted_sphere": asdict(verdict),
-            "trapped_map": [row[:3] for row in map_rows]}, None
+    checks = cone_checks(profile, cone)
+    payload = {"step_error": cone.step_error,
+               "n_steps": cone.n_steps,
+               "trchi_final_min": float(np.min(cone.trchi_final)),
+               "trchi_final_max": float(np.max(cone.trchi_final)),
+               "checks": checks.as_dict(),
+               "trapped_at_predicted_sphere": asdict(verdict),
+               "trapped_map": [row[:3] for row in map_rows]}
+    return payload, _checks_error(
+        "cone_checks", [c.as_dict() for c in checks.failing()], outdir)
 
 
 def _slice_problem(cfg, profile, idx, ubar):

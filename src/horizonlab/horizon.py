@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regime import RegimeParameters
-from .sphere import SphereField
+from .sphere import SphereField, integrate
 
 
 def h_slope(params: RegimeParameters, ubar, zbar, dzbar):
@@ -95,7 +95,7 @@ def area(assembly: HorizonAssembly, k) -> AreaEstimate:
     PositivityError at a radius that is not, and the CLI takes that
     residual of every slice before any area."""
     R = assembly.solutions[k].R
-    a_mid = float(np.sum(R.grid.weights * np.square(R.values)))
+    a_mid = integrate(SphereField(R.grid, np.square(R.values)))
     f0 = assembly.params.f0
     a_lo = (1.0 - 1.0 / f0) * a_mid
     a_hi = (1.0 + 1.0 / f0) * a_mid

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import NonConvergenceError, PositivityError
 from .regime import RegimeParameters
 from .reporting import Check, Report, load_artifact, save_artifact
-from .sphere import SphereField, get_grid, l2_norm
+from .sphere import SphereField, get_grid, integrate, l2_norm
 
 
 @dataclass(frozen=True)
@@ -310,10 +310,6 @@ def gmres(matvec, b, psolve, rtol, restart, maxiter):
     return x, 0 if rnorm <= atol else maxiter, iterations
 
 
-def _quad_mean(grid, values):
-    return float(np.sum(grid.weights * values)) / (4.0 * np.pi)
-
-
 def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage, aux=None):
     """Damped Newton on G(., c_scale) from Rv; ``aux`` as in
     ``_eval_residual``.  Returns the accepted radius, its residual norm
@@ -344,7 +340,8 @@ def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage, aux=None):
             lapv, gtv, gpv = grid.derivatives(v)
             return lapv + swt * gtv + swp * gpv + sdiag * v
 
-        shift = min(_quad_mean(grid, sdiag), -0.25)
+        shift = min(integrate(SphereField(grid, sdiag)) / (4.0 * np.pi),
+                    -0.25)
         diag_safe = np.minimum(sdiag, 0.01 * shift)
 
         def precond(v):
@@ -394,7 +391,7 @@ def solve_slice(problem: MotsProblem, options: SolveOptions | None = None,
     grid = problem.grid
     M0 = problem.M0.values
     tol_abs = (opts.newton_tol * math.sqrt(4.0 * math.pi)
-               * 2.0 / _quad_mean(grid, M0))
+               * 2.0 / (integrate(problem.M0) / (4.0 * math.pi)))
     trace, lam_path = [], []
     try:
         if initial_guess is not None:

@@ -25,6 +25,7 @@ rather than approximate.
 from __future__ import annotations
 
 import collections
+import copy
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
@@ -265,12 +266,6 @@ def _repaid(main, gate, kappa, repay):
     return main * gate * (1.0 + kappa * repay)
 
 
-# The empty table of an untabulated profile.  A table built at
-# construction stays allocated between gen-data's large temporaries and
-# raised its peak RSS by one 17 MB table (heap fragmentation).
-_NO_TIMES = np.empty(0)
-
-
 class ProfileTables(NamedTuple):
     """(n, n_theta, n_phi) tables at n consecutive ubar nodes."""
 
@@ -291,12 +286,7 @@ class ShearProfile:
     one column per node of ``cap_nodes``.  The 1-D node arrays are
     computed on construction.  No dense table is kept: ``node_tables``
     builds the tables of gen-data's checks a chunk of nodes at a time.
-    ``amp2_at`` reads the amplitude's time factors from a table that
-    ``tabulate`` fills for the times a caller is about to ask for; the
-    table changes no value.  It keeps the one grid it built last, which
-    an RK4 sweep of ``transport.integrate_cone`` asks for again at once:
-    a step's two midpoint stages share a time, and its end is often the
-    next step's start.  Instances are treated as immutable.
+    Instances are treated as immutable.
     """
 
     params: RegimeParameters
@@ -321,7 +311,7 @@ class ShearProfile:
         self._cap_phi = g.phi_2d.ravel()[cap]
         self._cap_kappa = self.kappa_repay.ravel()[cap]
         self._cap_Y = self._Y.ravel()[cap]
-        self._times, self._last = _NO_TIMES, (-1, None)
+        self._times, self._last = np.empty(0), (None, None)
 
     @property
     def m0(self):
@@ -339,56 +329,62 @@ class ShearProfile:
 
     def _factors(self, ubar):
         # alpha, beta and the repaid amplitude on the cap nodes at each
-        # time of the 1-D array ubar: amp2_at's formula, and the table's
+        # time of the 1-D array ubar: off the cap nodes the amplitude is
+        # alpha + beta * Y
         alpha, beta, main, gate, repay = self._model.cap_terms(
             ubar, self._cap_theta, self._cap_phi, self._cap_Y)
         return alpha, beta, _repaid(main, gate, self._cap_kappa, repay)
 
     def _grid_amp2(self, alpha, beta, cap):
-        # alpha + beta * Y with the cap nodes set, one slice per time
-        out = np.multiply(self._Y, beta[..., None, None])
-        out += alpha[..., None, None]
-        out.reshape(out.shape[:-2] + (-1,))[..., self._cap] = cap
+        # alpha + beta * Y with the cap nodes set: one time's scalar
+        # factors, or (n, 1, 1) ones for a slice per time
+        out = np.multiply(self._Y, beta)
+        out += alpha
+        if self._cap.size:
+            out.reshape(out.shape[:-2] + (-1,))[..., self._cap] = cap
         return out
 
-    def tabulate(self, ubar):
-        """Evaluate the amplitude's factors at every time of ``ubar`` in
-        one pass; ``amp2_at`` then reads them at those times."""
-        # np.unique's sort and adjacent-difference mask, written out:
-        # np.unique imports numpy.ma, which nothing else here needs
-        t = np.sort(np.asarray(ubar, dtype=float), axis=None)
-        keep = np.empty(t.shape, dtype=bool)
-        keep[:1] = True
-        np.not_equal(t[1:], t[:-1], out=keep[1:])
-        self._times = t[keep]
-        self._alpha, self._beta, self._cap_amp2 = self._factors(self._times)
-        self._last = (-1, None)
+    def on_columns(self, Y, ubar):
+        """This profile on columns in place of the sphere grid: one per
+        value of the 1-D wobble array Y, then one per cap node.  Its
+        ``amp2_at`` returns the (1, n_columns) amplitude on them and reads
+        the factors from a table, evaluated once at the sorted distinct
+        times ``ubar``."""
+        view = copy.copy(self)
+        view._Y = np.concatenate((Y, self._cap_Y))[None]
+        view._cap = np.arange(len(Y), view._Y.size)
+        view._times, view._last = ubar, (None, None)
+        view._table = self._factors(ubar)
+        return view
 
     def amp2_at(self, ubar):
-        """Squared shear amplitude on the full sphere grid at ``ubar``.
+        """Squared shear amplitude at ``ubar`` on the sphere grid, or on
+        the columns of an ``on_columns`` view; read-only.
 
-        The result is read-only.  At a time ``tabulate`` was given the
-        factors are read from its table, elsewhere computed by the same
-        vectorised formula on a one-element array, so a time gets the
-        same bits either way.  The grid of the last tabulated time asked
-        for is kept, so the same time asked for again at once returns the
-        same array.
+        A view reads the factors from its table at a time it was built
+        for, elsewhere the same vectorised formula runs on a one-element
+        array, so a time gets the same bits either way.  It keeps the
+        amplitude of the last table time asked for, which an RK4 sweep
+        asks for again at once: a step's two midpoint stages share a
+        time, and its end is the next step's start.
         """
-        i = int(self._times.searchsorted(ubar))
-        if i == self._times.size or self._times[i] != ubar:
-            out = self._grid_amp2(*self._factors(np.array([float(ubar)])))[0]
-        elif i == self._last[0]:
+        if ubar == self._last[0]:
             return self._last[1]
+        i = int(self._times.searchsorted(ubar))
+        if i < self._times.size and self._times[i] == ubar:
+            alpha, beta, cap = self._table
+            out = self._grid_amp2(alpha[i], beta[i], cap[i])
+            self._last = (ubar, out)
         else:
-            out = self._grid_amp2(
-                self._alpha[i], self._beta[i], self._cap_amp2[i])
-            self._last = (i, out)
+            out = self._grid_amp2(*(f[0] for f in self._factors(
+                np.array([float(ubar)]))))
         out.flags.writeable = False
         return out
 
     def node_amp2(self, lo, hi):
         """The amplitude, not clipped at zero, at ubar nodes lo..hi-1."""
-        return self._grid_amp2(*self._factors(self.ubar_grid[lo:hi]))
+        alpha, beta, cap = self._factors(self.ubar_grid[lo:hi])
+        return self._grid_amp2(alpha[:, None, None], beta[:, None, None], cap)
 
     def node_tables(self, lo, hi) -> ProfileTables:
         """The tables at ubar nodes lo..hi-1.  A node's rows depend on that

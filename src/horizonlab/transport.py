@@ -7,9 +7,11 @@ vanishes, so the outgoing Raychaudhuri equation closes per angle:
 
 integrated with classical fixed-step RK4 and a step-halving error
 estimate: the sweep with n steps runs to the end, then the one with
-n // 2 steps, each step in place.  ``integrate_data_cone`` first hands
-every stage time of both sweeps to the profile, which evaluates the
-amplitude's time factors in one vectorised pass.
+n // 2 steps, each step in place.  Off the notch's cap nodes the forcing
+is alpha(ubar) + beta(ubar) * Y(omega), so trchi there depends on the
+angle through the wobble Y alone.  ``integrate_data_cone`` therefore
+sweeps Y_POINTS Chebyshev-Lobatto columns in Y and one column per cap
+node, and takes them back to the grid by the barycentric formula.
 
 In the interior the expansion is not evolved; it is modeled by its
 certified leading term 2/u - I(ubar, omega)/u^2 together with an
@@ -26,6 +28,7 @@ import numpy as np
 
 from .errors import FocusingError, SlabDomainError
 from .regime import RegimeParameters, derive
+from .reporting import Check, Report
 from .sphere import SphereField
 
 TRAPPED_CERTIFIED = "certified-trapped"
@@ -33,22 +36,29 @@ TRAPPED_NOMINAL = "nominally-trapped"
 UNTRAPPED = "untrapped"
 INDETERMINATE = "indeterminate"
 
+# Chebyshev-Lobatto columns of the data-cone sweep in the wobble Y.  trchi
+# is affine in Y to roundoff at every shipped setting, where 3 points
+# already reproduce the full-grid sweep; 17 carry degree 16 in Y.
+Y_POINTS = 17
+
 
 @dataclass
 class ConeState:
     """trchi(ubar, omega) along the cone u = 1, with Omega identically 1."""
 
     ubar_nodes: np.ndarray           # stored subset of integration nodes
-    # (len(ubar_nodes), ceil(n_theta / ti), ceil(n_phi / pj)): at each
-    # stored node, every ti-th theta and pj-th phi node, (ti, pj) being
-    # the node step integrate_cone was given (full grid by default)
-    trchi: np.ndarray
-    trchi_final: np.ndarray          # (n_theta, n_phi)
-    # max |full - half| / 15: a step-halving estimate assuming fourth-order
-    # convergence, not a bound (mots-ladder regime, 4,096 steps: 1.4e-10
-    # against a true error of 1.05e-9; below roundoff at the default)
-    step_error: float
+    trchi: np.ndarray                # (len(ubar_nodes),) + stored points
+    trchi_final: np.ndarray          # the full sweep's last step
+    trchi_half: np.ndarray           # the half sweep's last step
     n_steps: int
+
+    @property
+    def step_error(self):
+        # max |full - half| / 15: a step-halving estimate assuming
+        # fourth-order convergence, not a bound (mots-ladder regime, 4,096
+        # steps: 1.4e-10 against a true error of 1.05e-9; below roundoff
+        # at the default)
+        return float(np.max(np.abs(self.trchi_final - self.trchi_half))) / 15
 
 
 def _sweep_steps(n_steps):
@@ -63,22 +73,25 @@ def stage_times(ubar_end, steps):
     return u, u + 0.5 * h, u + h
 
 
-def _rk4_sweep(amp2_at, ubar_end, steps, y0, blow):
-    """Fixed-step RK4 for dy/du = -y^2/2 - amp2_at(u) from u = 0, in place
-    on preallocated buffers in the textbook operation order: yields (u, y)
-    after each step, y overwritten by the next, and raises FocusingError
-    where y diverges."""
-    h = ubar_end / steps
+def _rk4_sweep(amp2_at, ubar_end, steps, y0, c, blow):
+    """Fixed-step RK4 for y = trchi - c from y = y0 at u = 0, that is
+    dy/du = -(y/2 + c) y - amp2_at(u) - c^2/2, in place on preallocated
+    buffers in the textbook operation order: yields (u, y) after each
+    step, y overwritten by the next, and raises FocusingError where trchi
+    falls below -blow or is not finite."""
+    h, half_c2 = ubar_end / steps, 0.5 * c * c
     y = y0.copy()
     k1, k2, k3, k4, ys = (np.empty_like(y) for _ in range(5))
 
     def rhs(u, y, out):
         np.multiply(y, -0.5, out=out)
+        out -= c
         out *= y
         out -= amp2_at(u)
+        out -= half_c2
 
-    def shifted(k, c):                  # y + c k
-        return np.add(y, np.multiply(k, c, out=ys), out=ys)
+    def shifted(k, a):                  # y + a k
+        return np.add(y, np.multiply(k, a, out=ys), out=ys)
 
     times = zip(*(t.tolist() for t in stage_times(ubar_end, steps)))
     for k, (u0, um, u1) in enumerate(times):
@@ -91,54 +104,173 @@ def _rk4_sweep(amp2_at, ubar_end, steps, y0, blow):
         acc += k4
         y += np.multiply(acc, h / 6.0, out=acc)
         u = (k + 1) * h
-        if not (y.min() >= -blow and y.max() < math.inf):   # or NaN
+        if not (y.min() >= -blow - c and y.max() < math.inf):   # or NaN
             raise FocusingError(u)
         yield u, y
 
 
-def integrate_cone(amp2_at, ubar_end, n_steps, grid, trchi0=2.0,
-                   n_store=33, node_step=(1, 1)):
-    """RK4 integration of the focusing equation for all angles at once.
+def integrate_cone(amp2_at, ubar_end, n_steps, shape, trchi0=2.0,
+                   n_store=33):
+    """RK4 integration of the focusing equation at every point of an array
+    of ``shape`` at once, from trchi = trchi0 at ubar = 0.
 
-    ``amp2_at(ubar)`` must return the squared shear on the grid.  The
-    ``n_store`` snapshots keep the nodes ``[::ti, ::pj]`` for
-    ``node_step = (ti, pj)``; the final trchi and the error estimate are
-    taken on the full grid.  The full sweep runs first, then the half
-    sweep, so a FocusingError carries the full sweep's ubar if it
+    ``amp2_at(ubar)`` must return the squared shear on those points.  The
+    sweep with ``n_steps`` steps runs to the end, then the one with half
+    as many; both carry trchi - trchi0, so their roundoff scales with
+    trchi's departure from its start.  ``n_store`` snapshots of the first
+    are kept.  A FocusingError carries the full sweep's ubar if it
     diverges, otherwise the half sweep's.
     """
-    y0 = np.full((grid.n_theta, grid.n_phi), float(trchi0))
-    blow = 1e6 * abs(trchi0)
+    c = float(trchi0)
+    y0, blow = np.zeros(shape), 1e6 * abs(c)
     stride = max(1, n_steps // max(n_store - 1, 1))
-    ti, pj = node_step
     nodes = [0.0]
     # y0, then every stride-th step and the last: ceil(n_steps / stride)
-    snaps = np.empty((1 - (-n_steps // stride),) + y0[::ti, ::pj].shape)
-    snaps[0] = y0[::ti, ::pj]
-    sweep = _rk4_sweep(amp2_at, ubar_end, n_steps, y0, blow)
-    for k, (u, y) in enumerate(sweep, start=1):
+    snaps = np.empty((1 - (-n_steps // stride),) + y0.shape)
+    snaps[0] = y0
+    for k, (u, y) in enumerate(
+            _rk4_sweep(amp2_at, ubar_end, n_steps, y0, c, blow), start=1):
         if k % stride == 0 or k == n_steps:
-            snaps[len(nodes)] = y[::ti, ::pj]
+            snaps[len(nodes)] = y
             nodes.append(u)
-    half = _rk4_sweep(amp2_at, ubar_end, _sweep_steps(n_steps)[1], y0, blow)
-    for _, half_y in half:
-        pass
     # y is the full sweep's last step; the half sweep has its own buffers
-    err = float(np.max(np.abs(y - half_y))) / 15.0
+    for _, half_y in _rk4_sweep(amp2_at, ubar_end, _sweep_steps(n_steps)[1],
+                                y0, c, blow):
+        pass
+    snaps += c
     return ConeState(ubar_nodes=np.array(nodes), trchi=snaps,
-                     trchi_final=y, step_error=err, n_steps=n_steps)
+                     trchi_final=y + c, trchi_half=half_y + c,
+                     n_steps=n_steps)
+
+
+def _lobatto(lo, hi, n):
+    """n Chebyshev-Lobatto points on [lo, hi], ascending, ends exact."""
+    x = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.arange(n) * np.pi
+                                                    / (n - 1))
+    x[0], x[-1] = lo, hi
+    return x
+
+
+def _distinct(t):
+    """``np.unique(t)`` by its sort and adjacent-difference mask, written
+    out: np.unique imports numpy.ma, which evolve needs nowhere else."""
+    t = np.sort(np.asarray(t, dtype=float), axis=None)
+    keep = np.empty(t.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(t[1:], t[:-1], out=keep[1:])
+    return t[keep]
+
+
+def _barycentric(x, nodes, values):
+    """The polynomial through (nodes[j], values[j]) at the points x, for
+    Chebyshev-Lobatto nodes: ``values`` is (len(nodes), m), the result
+    (m,) + x.shape.  The barycentric formula (Berrut & Trefethen, SIAM
+    Review 46 (2004) 501), summed one node at a time so that no
+    (len(nodes),) + x.shape array is held; a point equal to a node takes
+    that node's values."""
+    w = np.where(np.arange(len(nodes)) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    num = np.zeros((values.shape[1],) + x.shape)
+    den = np.zeros(x.shape)
+    c = np.empty(x.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, node in enumerate(nodes):
+            np.divide(w[j], np.subtract(x, node, out=c), out=c)
+            den += c
+            num += values[j].reshape((-1,) + (1,) * x.ndim) * c
+        num /= den
+    for j, node in enumerate(nodes):
+        num[:, x == node] = values[j][:, None]
+    return num
+
+
+def _to_nodes(cols, ys, Y, cap, node_step=(1, 1)):
+    """Column values at the nodes ``[::ti, ::pj]`` of the wobble Y.
+
+    ``cols`` is (len(ys) + len(cap), m): the values on the Lobatto points
+    ys, then one column per cap node (flat index in ``cap``), which that
+    node takes as it is.  Returns the (m,) + Y[::ti, ::pj].shape values.
+    """
+    ti, pj = node_step
+    n = len(ys)
+    out = _barycentric(Y[::ti, ::pj], ys, cols[:n])
+    flat = np.arange(Y.size).reshape(Y.shape)[::ti, ::pj].ravel()
+    k = np.minimum(np.searchsorted(flat, cap), flat.size - 1)
+    on = flat[k] == cap
+    out.reshape(len(out), -1)[:, k[on]] = cols[n:][on].T
+    return out
 
 
 def integrate_data_cone(profile, n_steps=2048, n_store=33,
                         node_step=(1, 1)):
-    """Solve the focusing equation for a built shear profile on [0, 2delta],
-    the amplitude tabulated at the stage times of both sweeps."""
+    """Solve the focusing equation for a built shear profile on [0, 2delta].
+
+    Off the cap nodes the amplitude is alpha + beta * Y, so trchi depends
+    on the angle through the wobble Y alone.  ``integrate_cone`` therefore
+    runs on the profile's ``on_columns`` view: Y_POINTS Chebyshev-Lobatto
+    columns spanning the grid's [min Y, max Y], and one column per cap
+    node; the amplitude's factors are evaluated once, at the distinct
+    stage times of both sweeps.  The barycentric formula takes the final
+    trchi of both sweeps to the full grid, where ``step_error`` is taken,
+    and the snapshots to the nodes ``[::ti, ::pj]`` only.
+    """
     ubar_end = profile.derived.ubar_end
-    profile.tabulate(np.concatenate([
+    Y, cap = profile._Y, profile._cap
+    ys = _lobatto(float(np.min(Y)), float(np.max(Y)), Y_POINTS)
+    columns = profile.on_columns(ys, _distinct(np.concatenate([
         t for steps in _sweep_steps(n_steps)
-        for t in stage_times(ubar_end, steps)]))
-    return integrate_cone(profile.amp2_at, ubar_end, n_steps, profile.grid,
-                          trchi0=2.0, n_store=n_store, node_step=node_step)
+        for t in stage_times(ubar_end, steps)])))
+    cone = integrate_cone(columns.amp2_at, ubar_end, n_steps,
+                          columns._Y.shape, n_store=n_store)
+    final, half = _to_nodes(
+        np.concatenate((cone.trchi_final, cone.trchi_half)).T, ys, Y, cap)
+    return ConeState(ubar_nodes=cone.ubar_nodes,
+                     trchi=_to_nodes(cone.trchi[:, 0].T, ys, Y, cap,
+                                     node_step),
+                     trchi_final=final, trchi_half=half, n_steps=n_steps)
+
+
+def cone_checks(profile, cone) -> Report:
+    """evolve's check on a data-cone sweep, ``trchi_bracket``.
+
+    With A >= 0 and 0 < trchi <= 2 the equation gives 2 - 2 ubar - I <=
+    trchi <= 2 - I, I the closed-form cumulative shear, which the check
+    asks of every node at ubar_end.  An RK4 step adds exactly Simpson's
+    rule on the amplitude, so the interval is widened by the step-halving
+    difference of that quadrature, computed apart from both sweeps, and
+    by the roundoff allowance n_steps * eps * max |trchi|.  A wrong
+    amplitude, which moves both sweeps alike, fails it.
+    """
+    u = profile.derived.ubar_end
+    y = cone.trchi_final
+    I = profile.I_at(u)
+    outside = float(np.max(np.maximum((2.0 - 2.0 * u - I) - y, y - (2.0 - I))))
+    allowance = (cone.n_steps * np.finfo(float).eps * float(np.max(np.abs(y)))
+                 + _simpson_halving(profile, u, cone.n_steps))
+    return Report((
+        Check("trchi_bracket", bool(outside <= allowance),
+              {"measured": outside, "threshold": allowance},
+              "largest excess of trchi_final over [2 - 2 ubar_end - I, "
+              "2 - I] (negative: inside)"),))
+
+
+def _simpson_halving(profile, ubar_end, n_steps):
+    """max over the nodes of |S(n_steps) - S(n_steps // 2)|, S(n) the
+    composite Simpson rule of the amplitude over n uniform steps.  Off the
+    cap it is affine in Y, so the grid's extreme Y values bound it."""
+    total = 0.0
+    for steps, sign in ((n_steps, 1.0), (n_steps // 2, -1.0)):
+        t = np.linspace(0.0, ubar_end, 2 * steps + 1)
+        # the steps' starts, midpoints and ends, one set at a time
+        for nodes, w in ((t[:-1:2], 1.0), (t[1::2], 4.0), (t[2::2], 1.0)):
+            alpha, beta, cap = profile._factors(nodes)
+            sums = np.concatenate(([alpha.sum(), beta.sum()], cap.sum(0)))
+            total = total + sign * w * ubar_end / (6.0 * steps) * sums
+    alpha, beta, cap = total[0], total[1], total[2:]
+    Y = profile._Y
+    return float(max(abs(alpha + beta * np.min(Y)),
+                     abs(alpha + beta * np.max(Y)),
+                     np.max(np.abs(cap), initial=0.0)))
 
 
 @dataclass

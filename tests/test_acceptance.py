@@ -57,7 +57,7 @@ def ladder64(profile64):
 
 def test_criterion_01_minkowski_regression(grid64):
     t0 = time.perf_counter()
-    state = integrate_cone(lambda u: 0.0, 1.0, 2048, grid64)
+    state = integrate_cone(lambda u: 0.0, 1.0, 2048, grid64.theta_2d.shape)
     elapsed = time.perf_counter() - t0
     exact = 2.0 / (1.0 + state.ubar_nodes)
     err_default = float(np.max(np.abs(state.trchi[:, 0, 0] - exact)))
@@ -67,7 +67,7 @@ def test_criterion_01_minkowski_regression(grid64):
     small = get_grid(16, 32)
     errs = []
     for n in (256, 512):
-        s = integrate_cone(lambda u: 0.0, 1.0, n, small)
+        s = integrate_cone(lambda u: 0.0, 1.0, n, small.theta_2d.shape)
         errs.append(abs(s.trchi_final[0, 0] - 1.0))
     ratio = errs[0] / errs[1]
     assert 12.0 < ratio < 20.0

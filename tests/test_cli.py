@@ -19,7 +19,7 @@ from horizonlab.mots import (BOUNDS, MotsSolution, SolveOptions, make_problem,
                              verify_apriori)
 from horizonlab.regime import RegimeParameters, validate
 from horizonlab.reporting import config_hash
-from horizonlab.shear import ProfileSpec, verify_profile
+from horizonlab.shear import ProfileSpec, ShearProfile, verify_profile
 from horizonlab.sphere import SphereField
 
 FAST_OVERRIDES = [
@@ -252,6 +252,30 @@ class TestPipeline:
         checks = {c["name"]: c for c in report["constraints"]["checks"]}
         checks["scale_critical_norm"] = report["scale_critical_norm"]
         assert not any(checks[name]["passed"] for name in failing)
+
+    def test_evolve_checks_reported(self, pipeline_out):
+        checks = json.loads((pipeline_out / "evolve.json").read_text())[
+            "checks"]
+        assert checks["passed"]
+        assert [c["name"] for c in checks["checks"]] == ["trchi_bracket"]
+
+    def test_evolve_check_failure_leaves_its_json(self, cfg_path, tmp_path,
+                                                  monkeypatch):
+        # Amplitude factors 0.1 % high fail trchi_bracket: evolve exits 3
+        # with evolve.json on disk and the failure in failures.json.
+        out = tmp_path / "scaled"
+        run_pipeline(cfg_path, out, ["gen-data"])
+        factors = ShearProfile._factors
+        monkeypatch.setattr(ShearProfile, "_factors", lambda self, u: tuple(
+            1.001 * x for x in factors(self, u)))
+        args = ["evolve", "--config", str(cfg_path), "--out", str(out)]
+        for ov in FAST_OVERRIDES:
+            args += ["--set", ov]
+        assert main(args) == 3
+        evolve = json.loads((out / "evolve.json").read_text())
+        assert not evolve["checks"]["passed"]
+        failures = json.loads((out / "failures.json").read_text())
+        assert [f["name"] for f in failures["failures"]] == ["trchi_bracket"]
 
     def test_dense_corr_profile_rejected(self, cfg_path, pipeline_out,
                                          tmp_path, capsys):
@@ -514,8 +538,8 @@ def test_find_mots_runs_without_scipy(tmp_path):
 
 
 def test_evolve_runs_without_numpy_ma(tmp_path):
-    # the profile's table of stage times is deduplicated without
-    # np.unique, which imports numpy.ma for evolve alone
+    # the sweep's stage times are deduplicated without np.unique, which
+    # imports numpy.ma for evolve alone
     assert modules_after_stage(tmp_path, "evolve", "numpy.ma") == "[]"
     assert (tmp_path / "out" / "cone_trchi.csv").stat().st_size > 0
 

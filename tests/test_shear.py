@@ -445,7 +445,7 @@ def oracle_times(profile, n_steps=64):
     ub = profile.ubar_grid
     seen = []
     integrate_cone(lambda u: seen.append(u) or 0.0, profile.derived.ubar_end,
-                   n_steps, profile.grid)
+                   n_steps, profile._Y.shape)
     return list(ub) + list(0.5 * (ub[1:] + ub[:-1])) + seen
 
 
@@ -541,11 +541,17 @@ class TestAmp2Factors:
             (a,), (b,) = m.amp2_factors(np.array([u]))
             assert a.tobytes() == alpha[k].tobytes(), u
             assert b.tobytes() == beta[k].tobytes(), u
-        tabulated = copy.copy(profile_notch)
-        tabulated.tabulate(times)
+        # columns at the grid's own Y values, then the cap nodes, read
+        # from the view's table: the grid's bits off and on the cap
+        Y, cap = profile_notch._Y.ravel(), profile_notch._cap
+        off = np.ones(Y.size, dtype=bool)
+        off[cap] = False
+        view = profile_notch.on_columns(Y, np.unique(times))
         for u in times:
-            assert tabulated.amp2_at(u).tobytes() \
-                == profile_notch.amp2_at(u).tobytes(), u
+            grid = profile_notch.amp2_at(u).ravel()
+            cols = view.amp2_at(u)[0]
+            assert cols[:Y.size][off].tobytes() == grid[off].tobytes(), u
+            assert cols[Y.size:].tobytes() == grid[cap].tobytes(), u
 
     @pytest.mark.parametrize("name", ["profile_notch",
                                       "profile_notch_default_grid"])

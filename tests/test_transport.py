@@ -7,14 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from horizonlab import transport
 from horizonlab.errors import FocusingError, SlabDomainError
-from horizonlab.regime import derive
-from horizonlab.shear import ProfileSpec, build_profile
+from horizonlab.regime import RegimeParameters, derive
+from horizonlab.shear import ProfileSpec, ShearProfile, build_profile
 from horizonlab.sphere import get_grid
 from horizonlab.transport import (INDETERMINATE, TRAPPED_CERTIFIED,
-                                  UNTRAPPED, SlabModel, _sweep_steps,
-                                  detect_trapped, integrate_cone,
-                                  integrate_data_cone, stage_times)
+                                  UNTRAPPED, Y_POINTS, SlabModel, _distinct,
+                                  _sweep_steps, cone_checks, detect_trapped,
+                                  integrate_cone, integrate_data_cone,
+                                  stage_times)
 
 
 class FakeProfile:
@@ -34,36 +36,39 @@ def zero_amp(u):
     return 0.0
 
 
-def sequential_cone(amp2_at, ubar_end, n_steps, grid, trchi0=2.0,
+def sequential_cone(amp2_at, ubar_end, n_steps, shape, trchi0=2.0,
                     n_store=33):
-    """Reference: the full sweep, then the half sweep, one after the other.
+    """Reference: the full sweep, then the half sweep, one after the other,
+    each carrying trchi - trchi0.
 
     Written independently of ``integrate_cone`` (a new array at every
     step, not buffers updated in place), which must match it bit for bit;
     returns (nodes, snaps, step_error).
     """
-    def rhs(u, y):
-        return -0.5 * y * y - amp2_at(u)
+    c = float(trchi0)
+
+    def rhs(u, z):
+        return (-0.5 * z - c) * z - amp2_at(u) - 0.5 * c * c
 
     def sweep(steps):
         h = ubar_end / steps
-        y = np.full((grid.n_theta, grid.n_phi), float(trchi0))
+        z = np.zeros(shape)
         stride = max(1, steps // max(n_store - 1, 1))
-        nodes, snaps = [0.0], [y.copy()]
+        nodes, snaps = [0.0], [z + c]
         u = 0.0
-        blow = 1e6 * abs(trchi0)
+        blow = 1e6 * abs(c)
         for k in range(steps):
-            k1 = rhs(u, y)
-            k2 = rhs(u + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(u + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(u + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = rhs(u, z)
+            k2 = rhs(u + 0.5 * h, z + 0.5 * h * k1)
+            k3 = rhs(u + 0.5 * h, z + 0.5 * h * k2)
+            k4 = rhs(u + h, z + h * k3)
+            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             u = (k + 1) * h
-            if not np.all(np.isfinite(y)) or np.min(y) < -blow:
+            if not np.all(np.isfinite(z)) or np.min(z) < -blow - c:
                 raise FocusingError(u)
             if (k + 1) % stride == 0 or k == steps - 1:
                 nodes.append(u)
-                snaps.append(y.copy())
+                snaps.append(z + c)
         return np.array(nodes), np.array(snaps)
 
     nodes, snaps = sweep(n_steps)
@@ -74,7 +79,7 @@ def sequential_cone(amp2_at, ubar_end, n_steps, grid, trchi0=2.0,
 
 class TestRiccati:
     def test_zero_shear_closed_form(self, grid_small):
-        state = integrate_cone(zero_amp, 1.0, 512, grid_small)
+        state = integrate_cone(zero_amp, 1.0, 512, grid_small.theta_2d.shape)
         exact = 2.0 / (1.0 + state.ubar_nodes)
         err = np.max(np.abs(state.trchi[:, 0, 0] - exact))
         assert err < 1e-10
@@ -82,13 +87,13 @@ class TestRiccati:
     def test_fourth_order_convergence(self, grid_small):
         errs = []
         for n in (256, 512):
-            state = integrate_cone(zero_amp, 1.0, n, grid_small)
+            state = integrate_cone(zero_amp, 1.0, n, grid_small.theta_2d.shape)
             errs.append(abs(state.trchi_final[0, 0] - 1.0))
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0
 
     def test_step_error_estimate_reported(self, grid_small):
-        state = integrate_cone(zero_amp, 1.0, 512, grid_small)
+        state = integrate_cone(zero_amp, 1.0, 512, grid_small.theta_2d.shape)
         assert 0.0 < state.step_error < 1e-9
 
     def test_default_profile_perturbative(self, profile_mid):
@@ -119,30 +124,34 @@ class TestRiccati:
         assert worst < 1e-5 * 4 * profile_mid.m0
 
     def test_monotone_focusing(self, grid_small):
-        weak = integrate_cone(lambda u: 0.5, 1.0, 256, grid_small)
-        strong = integrate_cone(lambda u: 1.0, 1.0, 256, grid_small)
+        weak = integrate_cone(lambda u: 0.5, 1.0, 256,
+                              grid_small.theta_2d.shape)
+        strong = integrate_cone(lambda u: 1.0, 1.0, 256,
+                                grid_small.theta_2d.shape)
         assert np.all(strong.trchi_final < weak.trchi_final)
 
     def test_blowup_detected(self, grid_small):
         with pytest.raises(FocusingError) as err:
-            integrate_cone(lambda u: 50.0, 1.0, 2048, grid_small)
+            integrate_cone(lambda u: 50.0, 1.0, 2048,
+                           grid_small.theta_2d.shape)
         assert err.value.ubar == 0.35400390625
 
 
 class TestLockstep:
     """integrate_cone's full and half sweeps against the sequential
-    reference, and the amp2_at calls they make."""
+    reference, and what the data-cone sweep evaluates."""
 
     @pytest.mark.parametrize("n_steps, n_store", [(256, 33), (101, 9),
-                                                  (3, 33)])
+                                                  (3, 33), (4, 33)])
     def test_matches_sequential_sweeps(self, profile_notch, n_steps,
                                        n_store, full_grid_amp2):
         ubar_end = profile_notch.derived.ubar_end
+        shape = profile_notch._Y.shape
         state = integrate_cone(profile_notch.amp2_at, ubar_end, n_steps,
-                               profile_notch.grid, n_store=n_store)
+                               shape, n_store=n_store)
         nodes, snaps, err = sequential_cone(
             lambda u: full_grid_amp2(profile_notch, u), ubar_end, n_steps,
-            profile_notch.grid, n_store=n_store)
+            shape, n_store=n_store)
         assert state.ubar_nodes.tobytes() == nodes.tobytes()
         assert state.trchi.tobytes() == snaps.tobytes()
         assert state.trchi_final.tobytes() == snaps[-1].tobytes()
@@ -152,15 +161,14 @@ class TestLockstep:
     @pytest.mark.parametrize("n_steps", [256, 4])
     def test_data_cone_matches_sequential_sweeps(self, profile_notch, n_steps,
                                                  full_grid_amp2):
-        # integrate_data_cone reads the amplitude from the profile's table
-        # of stage times, and must give the untabulated formula's bits.
+        # integrate_data_cone sweeps Y columns and interpolates them, so it
+        # matches the full-grid reference to roundoff, not bit for bit
+        # (integrate_cone's bits are pinned by the test above)
         state = integrate_data_cone(copy.copy(profile_notch), n_steps)
         nodes, snaps, err = sequential_cone(
             lambda u: full_grid_amp2(profile_notch, u),
-            profile_notch.derived.ubar_end, n_steps, profile_notch.grid)
-        assert state.ubar_nodes.tobytes() == nodes.tobytes()
-        assert state.trchi.tobytes() == snaps.tobytes()
-        assert state.step_error == err
+            profile_notch.derived.ubar_end, n_steps, profile_notch._Y.shape)
+        assert_matches(state, nodes, snaps, err)
 
     @pytest.mark.parametrize("node_step", [(2, 4), (3, 5), (16, 32)])
     def test_sampled_snapshots_are_the_full_ones(self, profile_notch,
@@ -177,17 +185,15 @@ class TestLockstep:
         assert part.step_error == full.step_error
 
     def test_stage_times_deduplicated_as_np_unique(self, profile_notch):
-        # tabulate sorts and drops repeats without np.unique (which loads
-        # numpy.ma) and must keep np.unique's bits
+        # the sweep sorts its stage times and drops repeats without
+        # np.unique (which loads numpy.ma) and must keep np.unique's bits
         ubar_end = profile_notch.derived.ubar_end
         times = np.concatenate([t for steps in _sweep_steps(2048)
                                 for t in stage_times(ubar_end, steps)])
         mixed = np.random.default_rng(4).permutation(
             np.concatenate([times[:300], times[100:400], times[-50:]]))
         for ubar in (times, mixed):
-            profile = copy.copy(profile_notch)
-            profile.tabulate(ubar)
-            assert profile._times.tobytes() == np.unique(ubar).tobytes()
+            assert _distinct(ubar).tobytes() == np.unique(ubar).tobytes()
 
     def test_cli_lattice_holds_no_full_snapshots(self, params):
         # at 64x128 the 33 full snapshots alone are 2.2 MB; with
@@ -202,37 +208,51 @@ class TestLockstep:
             tracemalloc.stop()
         assert peak < 2.5e6, peak
 
-    def test_amp2_at_calls_builds_and_reuse(self, profile_notch):
-        # Four amp2_at calls per RK4 step of either sweep, 6 n_steps in all;
-        # within a sweep, one grid build at most per tabulated stage time;
-        # a time asked for twice in a row gets one read-only array back.
+    def test_amp2_at_calls_builds_and_reuse(self, profile_notch,
+                                            monkeypatch):
+        # Four amp2_at calls per RK4 step of either sweep, 6 n_steps in all,
+        # each on the columns; the factors evaluated once, at the distinct
+        # stage times of both sweeps; within a sweep, one amplitude build
+        # at most per stage time; a time asked for twice in a row gets one
+        # read-only array back.
         n_steps = 256
-        profile = copy.copy(profile_notch)
-        amp2_at, grid_amp2 = profile.amp2_at, profile._grid_amp2
-        calls, builds = [], []
+        amp2_at, grid_amp2 = ShearProfile.amp2_at, ShearProfile._grid_amp2
+        factors = ShearProfile._factors
+        calls, builds, asked = [], [], []
 
-        def counted_grid_amp2(*factors):
+        def counted_grid_amp2(self, *f):
             builds.append(len(calls))
-            return grid_amp2(*factors)
+            return grid_amp2(self, *f)
 
-        def recorded_amp2_at(u):
-            out = amp2_at(u)
+        def recorded_amp2_at(self, u):
+            out = amp2_at(self, u)
             calls.append((u, out))
             return out
 
-        profile._grid_amp2 = counted_grid_amp2
-        profile.amp2_at = recorded_amp2_at
-        integrate_data_cone(profile, n_steps)
-        assert len(calls) == 6 * n_steps
+        def recorded_factors(self, ubar):
+            asked.append(ubar.copy())
+            return factors(self, ubar)
 
-        ubar_end = profile.derived.ubar_end
+        monkeypatch.setattr(ShearProfile, "_grid_amp2", counted_grid_amp2)
+        monkeypatch.setattr(ShearProfile, "amp2_at", recorded_amp2_at)
+        monkeypatch.setattr(ShearProfile, "_factors", recorded_factors)
+        integrate_data_cone(profile_notch, n_steps)
+        assert len(calls) == 6 * n_steps
+        n_cols = transport.Y_POINTS + profile_notch._cap.size
+        assert {out.shape for _, out in calls} == {(1, n_cols)}
+
+        ubar_end = profile_notch.derived.ubar_end
+        times = [stage_times(ubar_end, steps)
+                 for steps in _sweep_steps(n_steps)]
+        assert len(asked) == 1
+        assert asked[0].tobytes() == np.unique(np.concatenate(
+            [t for plan in times for t in plan])).tobytes()
         first = 0
-        for steps in _sweep_steps(n_steps):
+        for steps, plan in zip(_sweep_steps(n_steps), times):
             last = first + 4 * steps
             built = [calls[k][0] for k in builds if first <= k < last]
             assert len(built) == len(set(built))
-            assert set(built) <= set(np.concatenate(
-                stage_times(ubar_end, steps)).tolist())
+            assert set(built) <= set(np.concatenate(plan).tolist())
             first = last
 
         repeats = [(a, b) for (u, a), (v, b) in zip(calls, calls[1:])
@@ -250,9 +270,9 @@ class TestLockstep:
             return 1.0e4 if u == 0.25 else 12.0
 
         with pytest.raises(FocusingError) as ref:
-            sequential_cone(amp, 1.0, 5, grid_small)
+            sequential_cone(amp, 1.0, 5, grid_small.theta_2d.shape)
         with pytest.raises(FocusingError) as got:
-            integrate_cone(amp, 1.0, 5, grid_small)
+            integrate_cone(amp, 1.0, 5, grid_small.theta_2d.shape)
         assert got.value.ubar == ref.value.ubar == 1.0
 
     def test_half_sweep_blowup_reported(self, grid_small):
@@ -261,10 +281,139 @@ class TestLockstep:
             return 1.0e4 if u == 0.25 else 0.0
 
         with pytest.raises(FocusingError) as ref:
-            sequential_cone(spike, 1.0, 5, grid_small)
+            sequential_cone(spike, 1.0, 5, grid_small.theta_2d.shape)
         with pytest.raises(FocusingError) as got:
-            integrate_cone(spike, 1.0, 5, grid_small)
+            integrate_cone(spike, 1.0, 5, grid_small.theta_2d.shape)
         assert got.value.ubar == ref.value.ubar == 0.5
+
+
+def assert_matches(state, nodes, snaps, err, rel=1e-13):
+    """A Y sweep against the full-grid reference (nodes, snaps, err): the
+    same stored nodes, and every trchi and the error estimate within rel
+    of max |trchi|."""
+    scale = rel * np.max(np.abs(snaps))
+    assert state.ubar_nodes.tobytes() == nodes.tobytes()
+    assert state.trchi.shape == snaps.shape
+    assert np.max(np.abs(state.trchi - snaps)) <= scale
+    assert np.max(np.abs(state.trchi_final - snaps[-1])) <= scale
+    assert abs(state.step_error - err) <= scale
+
+
+@pytest.fixture(scope="module")
+def y_sweep_settings(params):
+    """(profile, cone_steps): the default, notch-cone's cap width at the
+    default grid, and the second regime at 16x32 with its notch on four
+    grid nodes."""
+    return {
+        "default": (build_profile(params, ProfileSpec(),
+                                  get_grid(64, 128)), 2048),
+        "notch-cone": (build_profile(params, ProfileSpec(cap_width=0.014),
+                                     get_grid(64, 128)), 2048),
+        "second-regime": (build_profile(
+            RegimeParameters(a=100.0, y=4.0),
+            ProfileSpec(n_ubar=129, cap_width=0.1), get_grid(16, 32)), 256),
+    }
+
+
+SETTINGS = ["default", "notch-cone", "second-regime"]
+
+
+class TestYSweep:
+    """integrate_data_cone's Chebyshev columns in the wobble Y against the
+    full-grid sweep, and the two checks evolve reports on them."""
+
+    def test_barycentric_reproduces_polynomials(self):
+        # 17 Lobatto points carry degree 16, their nested 9 degree 8; the
+        # end points are nodes, which take their node's values exactly
+        ys = transport._lobatto(-0.7, 1.3, 17)
+        x = np.linspace(-0.7, 1.3, 41).reshape(41, 1)
+
+        def polys(t, degree):
+            return np.stack([(t - 0.2) ** degree, 3.0 * t * t - 1.0], axis=-1)
+
+        for nodes, degree in ((ys, 16), (ys[::2], 8)):
+            got = transport._barycentric(x, nodes, polys(nodes, degree))
+            want = np.moveaxis(polys(x, degree), -1, 0)
+            assert np.max(np.abs(got - want)) <= 1e-13
+            assert got[:, [0, -1]].tobytes() == want[:, [0, -1]].tobytes()
+
+    @pytest.mark.parametrize("name", SETTINGS)
+    def test_matches_sequential_cone(self, y_sweep_settings, name):
+        profile, n_steps = y_sweep_settings[name]
+        state = integrate_data_cone(profile, n_steps)
+        nodes, snaps, err = sequential_cone(
+            profile.amp2_at, profile.derived.ubar_end, n_steps,
+            profile._Y.shape)
+        assert_matches(state, nodes, snaps, err)
+        assert profile._cap.size == (0 if name == "default" else 4)
+        assert cone_checks(profile, state).passed
+
+    @pytest.mark.parametrize("name", SETTINGS)
+    def test_top_column_without_shear_fails(self, y_sweep_settings, name,
+                                            monkeypatch):
+        # The amplitude formed on a Y range one point short: the top
+        # Lobatto column keeps no shear, and the max-Y node leaves the
+        # bracket.
+        profile, n_steps = y_sweep_settings[name]
+        report = cone_checks(profile, sweep_with_columns_zeroed(
+            profile, n_steps, monkeypatch, slice(Y_POINTS - 1, Y_POINTS)))
+        assert not report["trchi_bracket"].passed
+
+    @pytest.mark.parametrize("name", ["notch-cone", "second-regime"])
+    def test_dropped_cap_columns_fail_the_bracket(self, y_sweep_settings,
+                                                  name, monkeypatch):
+        # Cap columns that keep no shear: the interpolant never reads them,
+        # but their nodes end far above 2 - I.
+        profile, n_steps = y_sweep_settings[name]
+        report = cone_checks(profile, sweep_with_columns_zeroed(
+            profile, n_steps, monkeypatch, slice(Y_POINTS, None)))
+        assert not report["trchi_bracket"].passed
+
+    @pytest.mark.parametrize("corrupt_half", [False, True],
+                             ids=["as-run", "corrupt-half"])
+    def test_amplitude_scaled_fails_the_bracket(self, y_sweep_settings,
+                                                monkeypatch, corrupt_half):
+        # Amplitude factors 0.1 % high move trchi by about 9e-12 at the
+        # default, ten times the bracket's allowance.  The allowance reads
+        # neither sweep, so a half sweep knocked 1e-12 off at every step,
+        # whose step_error is far above that move, does not widen it.
+        profile, n_steps = y_sweep_settings["default"]
+        factors, rk4_sweep = ShearProfile._factors, transport._rk4_sweep
+        sweeps = []
+
+        def scaled(self, ubar):
+            return tuple(1.001 * x for x in factors(self, ubar))
+
+        def knocked(*args):
+            sweeps.append(args)
+            for u, y in rk4_sweep(*args):
+                if len(sweeps) == 2:
+                    y += 1e-12
+                yield u, y
+
+        monkeypatch.setattr(ShearProfile, "_factors", scaled)
+        if corrupt_half:
+            monkeypatch.setattr(transport, "_rk4_sweep", knocked)
+        cone = integrate_data_cone(profile, n_steps)
+        bracket = cone_checks(profile, cone)["trchi_bracket"]
+        assert not bracket.passed
+        assert bracket["measured"] > 5.0 * bracket["threshold"]
+        if corrupt_half:
+            assert cone.step_error > bracket["measured"]
+
+
+def sweep_with_columns_zeroed(profile, n_steps, monkeypatch, columns):
+    """integrate_data_cone with the amplitude on ``columns`` of the sweep
+    set to zero at every stage."""
+    amp2_at = ShearProfile.amp2_at
+
+    def zeroed(self, u):
+        out = amp2_at(self, u).copy()
+        out[0, columns] = 0.0
+        return out
+
+    monkeypatch.setattr(ShearProfile, "amp2_at", zeroed)
+    return integrate_data_cone(profile, n_steps)
 
 
 class TestSlabModel:
