@@ -241,12 +241,12 @@ def _meta(cfg: RunConfig):
 
 def _require(cfg, name):
     producer = next(stage for stage, spec in STAGES.items()
-                    if name in spec.writes)
+                    if spec.writes == name)
     path = cfg.outdir / name
     if not path.exists():
         raise DependencyError(str(path), producer)
     payload = json.loads(path.read_text())
-    found = payload.get("meta", payload).get("config_hash")
+    found = payload.get("meta", {}).get("config_hash")
     if found != cfg.hash:
         raise DependencyError(str(path), producer, (found, cfg.hash))
     return payload
@@ -305,7 +305,7 @@ def cmd_gen_data(cfg: RunConfig, inputs):
 
 def cmd_evolve(cfg: RunConfig, inputs):
     outdir = cfg.outdir
-    profile = ShearProfile.load(outdir / "profile")
+    profile = ShearProfile.load(outdir / "profile", cfg.hash)
     d = profile.derived
     grid = profile.grid
     ti = max(1, grid.n_theta // 8)
@@ -367,17 +367,19 @@ def _load_numpy_random():
 def cmd_find_mots(cfg: RunConfig, inputs):
     _load_numpy_random()
     outdir = cfg.outdir
-    profile = ShearProfile.load(outdir / "profile")
+    profile = ShearProfile.load(outdir / "profile", cfg.hash)
     params = profile.params
     opts = _record(SolveOptions, cfg["solver"])
     ladder = _slice_ladder(cfg, profile.derived)
     (outdir / "mots").mkdir(parents=True, exist_ok=True)
     slices = []
     history_rows = []
+    failures = []
     for idx, ub in enumerate(ladder):
         problem = _slice_problem(cfg, profile, idx, ub)
         solution = solve_slice(problem, opts)
         bounds = verify_apriori(solution, problem, params, cfg["bounds"])
+        failures += [{"index": idx, **c.as_dict()} for c in bounds.failing()]
         solution.save(outdir / "mots" / f"slice_{idx:03d}",
                       config_hash=cfg.hash)
         for rec in solution.newton_trace:
@@ -399,18 +401,14 @@ def cmd_find_mots(cfg: RunConfig, inputs):
     write_csv(outdir / "mots_residual_history.csv",
               ("slice", "ubar", "stage", "lambda", "iteration", "norm"),
               history_rows, stamp=cfg.hash)
-    error = None
-    if not all(s["bounds"]["passed"] for s in slices):
-        error = ConstraintError("apriori_bounds",
-                                "an a-priori bound failed on some slice; "
-                                "see mots_report.json")
-    return {"n_slices": len(slices), "slices": slices}, error
+    return ({"n_slices": len(slices), "slices": slices},
+            _checks_error("apriori_bounds", failures, outdir))
 
 
 def cmd_horizon(cfg: RunConfig, inputs):
     _load_numpy_random()
     outdir = cfg.outdir
-    profile = ShearProfile.load(outdir / "profile")
+    profile = ShearProfile.load(outdir / "profile", cfg.hash)
     solutions = []
     for entry in inputs["mots_report.json"]["slices"]:
         # The loaded radius must solve its slice to find-mots' tol_abs;
@@ -446,7 +444,7 @@ def cmd_horizon(cfg: RunConfig, inputs):
             "spacelike": asdict(sl),
         })
     return {"slices": rows,
-            "disc_hypothesis": assembly.disc_hypothesis}, None
+            "disc_hypothesis": assembly.h_values is not None}, None
 
 
 def cmd_penrose(cfg: RunConfig, inputs):
@@ -579,27 +577,25 @@ def cmd_report(cfg: RunConfig, inputs):
 
 @dataclass(frozen=True)
 class Stage:
-    """A pipeline stage: the hash-stamped JSONs it reads, the ones it
-    writes (its main output first), and its body."""
+    """A pipeline stage: the hash-stamped JSONs it reads, the main JSON it
+    writes, and its body.  evolve, find-mots and horizon also read
+    ``profile.npz``, and horizon ``mots/slice_*.npz``, through the loaders
+    that check those files' own config hash."""
 
     reads: tuple
-    writes: tuple
+    writes: str
     body: object
 
 
 STAGES = {
-    "gen-data": Stage((), ("constraint_report.json", "profile.json"),
-                      cmd_gen_data),
-    "evolve": Stage(("profile.json",), ("evolve.json",), cmd_evolve),
-    "find-mots": Stage(("profile.json",), ("mots_report.json",),
-                       cmd_find_mots),
-    "horizon": Stage(("profile.json", "mots_report.json"),
-                     ("horizon.json",), cmd_horizon),
-    "penrose": Stage(("horizon.json",), ("penrose_audit.json",),
-                     cmd_penrose),
+    "gen-data": Stage((), "constraint_report.json", cmd_gen_data),
+    "evolve": Stage((), "evolve.json", cmd_evolve),
+    "find-mots": Stage((), "mots_report.json", cmd_find_mots),
+    "horizon": Stage(("mots_report.json",), "horizon.json", cmd_horizon),
+    "penrose": Stage(("horizon.json",), "penrose_audit.json", cmd_penrose),
     "report": Stage(("constraint_report.json", "evolve.json",
                      "mots_report.json", "horizon.json",
-                     "penrose_audit.json"), ("summary.json",), cmd_report),
+                     "penrose_audit.json"), "summary.json", cmd_report),
 }
 
 
@@ -619,7 +615,7 @@ def run(subcommand, config_path, overrides=(), outdir=None):
         inputs = {name: _require(cfg, name) for name in stage.reads}
         payload, error = stage.body(cfg, inputs)
         payload["meta"] = _meta(cfg)
-        write_json(cfg.outdir / stage.writes[0], payload)
+        write_json(cfg.outdir / stage.writes, payload)
         write_json(cfg.outdir / "run_meta.json",
                    {"last_subcommand": subcommand,
                     "wall_time_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",

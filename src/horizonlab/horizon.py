@@ -39,8 +39,7 @@ class HorizonAssembly:
     params: RegimeParameters
     ubars: np.ndarray
     solutions: list
-    h_values: list | None              # slope scalar per slice, or None
-    disc_hypothesis: bool
+    h_values: list | None   # slope scalar per slice; None: no disc hypothesis
 
     def dR_dubar(self, k):
         """dR/dubar at slice k (negative k counts from the end) by the
@@ -73,8 +72,7 @@ def assemble(params: RegimeParameters, profile, solutions,
             h_values.append(h_slope(params, u, profile.zbar_at(u),
                                     profile.dzbar_at(u)))
     return HorizonAssembly(params=params, ubars=ubars, solutions=solutions,
-                           h_values=h_values,
-                           disc_hypothesis=disc_hypothesis)
+                           h_values=h_values)
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,7 @@ def spacelike_check(assembly: HorizonAssembly, k) -> SpacelikeResult:
     the report.  With h <= 0 (h = 0 on the null slices past the cutoff) the
     form is degenerate or indefinite along ubar, and no margin is formed.
     """
-    if not assembly.disc_hypothesis or assembly.h_values is None:
+    if assembly.h_values is None:
         return SpacelikeResult("not-certified", "disc hypothesis disabled",
                                float("nan"), float("nan"))
     q33 = assembly.h_values[k] * (1.0 + assembly.params.o1)

@@ -210,7 +210,7 @@ class MotsSolution:
     diagnostics: dict
 
     def save(self, stem, config_hash=""):
-        """Persist as JSON metadata plus an npz array container."""
+        """Persist as one npz; see ``reporting.save_artifact``."""
         meta = {"kind": "horizonlab-mots-solution",
                 "config_hash": config_hash, "ubar": self.ubar,
                 "residual_norm": self.residual_norm,

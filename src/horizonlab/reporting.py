@@ -105,42 +105,34 @@ def _atomic_write(path, text):
 
 
 def save_artifact(stem, meta, arrays):
-    """Write ``stem.npz`` from ``arrays``, then ``stem.json`` from ``meta``.
-
-    Each file is replaced atomically, and both carry ``meta``'s config
-    hash.  The JSON is written last: a failure between the two writes
-    leaves the previous JSON and its hash beside the fresh arrays, and
-    ``load_artifact`` refuses that pair.
-    """
-    stem = Path(stem)
-    stamp = np.array(meta["config_hash"])
+    """Write ``stem.npz``, replaced atomically: ``arrays`` plus a ``meta``
+    entry holding ``meta`` as JSON, config hash included."""
+    stamp = np.array(json.dumps(meta, sort_keys=True))
     _replace_atomically(
-        stem.with_suffix(".npz"),
-        lambda fh: np.savez_compressed(fh, **arrays, config_hash=stamp),
-        "wb")
-    _atomic_write(stem.with_suffix(".json"),
-                  json.dumps(meta, sort_keys=True, indent=1))
+        Path(stem).with_suffix(".npz"),
+        lambda fh: np.savez_compressed(fh, **arrays, meta=stamp), "wb")
 
 
 def load_artifact(stem, names, producer, config_hash=None):
-    """Read ``stem.json`` and the arrays ``names`` of ``stem.npz``.
+    """Read the ``meta`` and the arrays ``names`` of ``stem.npz``.
 
-    Raises DependencyError, naming the ``producer`` stage, if either file
-    is missing, or unless the npz carries the config hash of the JSON
-    and, when ``config_hash`` is given, that hash is ``config_hash``.
+    Raises DependencyError, naming the ``producer`` stage, if the file is
+    missing or has no ``meta`` entry, or if ``config_hash`` is given and
+    ``meta`` carries another.
     """
-    stem = Path(stem)
-    for suffix in (".json", ".npz"):
-        if not stem.with_suffix(suffix).exists():
-            raise DependencyError(str(stem.with_suffix(suffix)), producer)
-    meta = json.loads(stem.with_suffix(".json").read_text())
-    want = meta["config_hash"] if config_hash is None else config_hash
-    with np.load(stem.with_suffix(".npz")) as z:
-        for suffix, found in ((".json", meta["config_hash"]),
-                              (".npz", str(z.get("config_hash")))):
-            if found != want:
-                raise DependencyError(str(stem.with_suffix(suffix)),
-                                      producer, (found, want))
+    path = Path(stem).with_suffix(".npz")
+    if not path.exists():
+        raise DependencyError(str(path), producer)
+    with np.load(path) as z:
+        if "meta" not in z.files:
+            raise DependencyError(str(path), producer, (z.files, "'meta'"),
+                                  "entries", "lack")
+        # .item(), not str(), which formats through numpy's array printing
+        # and raised horizon's peak RSS by 0.3 MB at 32x64.
+        meta = json.loads(z["meta"].item())
+        if config_hash is not None and meta["config_hash"] != config_hash:
+            raise DependencyError(str(path), producer,
+                                  (meta["config_hash"], config_hash))
         return meta, {k: z[k] for k in names}
 
 

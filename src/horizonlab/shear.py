@@ -444,9 +444,10 @@ class ShearProfile:
                       {k: getattr(self, k) for k in _PROFILE_ARRAYS})
 
     @staticmethod
-    def load(stem):
+    def load(stem, config_hash=None):
         """Reload a saved profile; see ``reporting.load_artifact``."""
-        meta, loaded = load_artifact(stem, _PROFILE_ARRAYS, "gen-data")
+        meta, loaded = load_artifact(stem, _PROFILE_ARRAYS, "gen-data",
+                                     config_hash)
         params = RegimeParameters(**{f.name: meta["params"][f.name]
                                      for f in fields(RegimeParameters)
                                      if f.init})

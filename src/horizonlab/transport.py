@@ -41,6 +41,9 @@ INDETERMINATE = "indeterminate"
 # already reproduce the full-grid sweep; 17 carry degree 16 in Y.
 Y_POINTS = 17
 
+# trchi where the data cone u = 1 meets the incoming cone ubar = 0: 2/u.
+TRCHI0 = 2.0
+
 
 @dataclass
 class ConeState:
@@ -109,19 +112,18 @@ def _rk4_sweep(amp2_at, ubar_end, steps, y0, c, blow):
         yield u, y
 
 
-def integrate_cone(amp2_at, ubar_end, n_steps, shape, trchi0=2.0,
-                   n_store=33):
+def integrate_cone(amp2_at, ubar_end, n_steps, shape, n_store=33):
     """RK4 integration of the focusing equation at every point of an array
-    of ``shape`` at once, from trchi = trchi0 at ubar = 0.
+    of ``shape`` at once, from trchi = TRCHI0 at ubar = 0.
 
     ``amp2_at(ubar)`` must return the squared shear on those points.  The
     sweep with ``n_steps`` steps runs to the end, then the one with half
-    as many; both carry trchi - trchi0, so their roundoff scales with
+    as many; both carry trchi - TRCHI0, so their roundoff scales with
     trchi's departure from its start.  ``n_store`` snapshots of the first
     are kept.  A FocusingError carries the full sweep's ubar if it
     diverges, otherwise the half sweep's.
     """
-    c = float(trchi0)
+    c = TRCHI0
     y0, blow = np.zeros(shape), 1e6 * abs(c)
     stride = max(1, n_steps // max(n_store - 1, 1))
     nodes = [0.0]

@@ -178,7 +178,7 @@ class TestConfigHash:
 
 class TestPipeline:
     def test_artifacts_present(self, pipeline_out):
-        for name in ("profile.json", "profile.npz",
+        for name in ("profile.npz",
                      "constraint_report.json", "cumulative_shear.csv",
                      "evolve.json", "cone_trchi.csv", "trapped_map.csv",
                      "mots_report.json", "horizon.json",
@@ -186,6 +186,10 @@ class TestPipeline:
                      "r_band.svg", "trapped_map.svg", "margin.svg",
                      "r_band.gp", "margin.gp"):
             assert (pipeline_out / name).exists(), name
+        # Each array artifact is one npz, its meta inside.
+        assert not (pipeline_out / "profile.json").exists()
+        assert list((pipeline_out / "mots").glob("*.json")) == []
+        assert len(list((pipeline_out / "mots").glob("slice_*.npz"))) == 9
 
     def test_config_hash_embedded(self, pipeline_out, cfg_path):
         cfg = parse_config(cfg_path, overrides=FAST_OVERRIDES_KV())
@@ -283,7 +287,6 @@ class TestPipeline:
         # releases and the right config hash: evolve refuses it on load.
         out = tmp_path / "dense"
         out.mkdir()
-        shutil.copy(pipeline_out / "profile.json", out)
         with np.load(pipeline_out / "profile.npz") as z:
             arrays = dict(z)
         arrays["corr"] = np.zeros((129, 16, 32))
@@ -297,7 +300,7 @@ class TestPipeline:
         assert "(129, 16, 32) != (129, 0)" in err and "gen-data" in err
 
     def test_failures_json_names_the_latest_failure(self, cfg_path,
-                                                    tmp_path):
+                                                    tmp_path, capsys):
         # A failure under one config, a success, then a failure under
         # another: failures.json must describe the last one.
         out = tmp_path / "seq"
@@ -321,14 +324,20 @@ class TestPipeline:
         assert run("gen-data", tight)[0] == 0
         rc, second = run("find-mots", tight)
         assert rc == 3
+        assert "apriori_bounds: 6 checks failed" in capsys.readouterr().err
         assert failures()["meta"]["config_hash"] == second != first
-        assert [f["name"] for f in failures()["failures"]] == \
-            ["apriori_bounds"]
+        # One entry per failing bound, tagged with its slice, as in the
+        # report left on disk.
+        report = json.loads((out / "mots_report.json").read_text())
+        want = [{"index": s["index"], **c} for s in report["slices"]
+                for c in s["bounds"]["checks"] if not c["passed"]]
+        assert failures()["failures"] == want
+        assert [(f["index"], f["name"]) for f in want] == [
+            (k, "c1_gradient") for k in (0, 1, 2, 3, 5, 6)]
 
     def test_foreign_slice_hash_rejected(self, cfg_path, pipeline_out,
                                          tmp_path, capsys):
-        # Both files of one slice come from another config, so only the
-        # check against the active config hash can catch them.
+        # One slice's npz is stamped with another config's hash.
         out = tmp_path / "copy"
         shutil.copytree(pipeline_out, out)
         stem = out / "mots" / "slice_003"
@@ -342,8 +351,8 @@ class TestPipeline:
 
     def test_radius_off_its_equation_rejected(self, cfg_path, pipeline_out,
                                               tmp_path, capsys):
-        # One slice's radius scaled by 1 + 1e-6 under both of its config
-        # hashes: only horizon's residual check against tol_abs sees it.
+        # One slice's radius scaled by 1 + 1e-6 under its config hash:
+        # only horizon's residual check against tol_abs sees it.
         out = tmp_path / "copy"
         shutil.copytree(pipeline_out, out)
         npz = out / "mots" / "slice_003.npz"
@@ -361,7 +370,6 @@ class TestPipeline:
 
     @pytest.mark.parametrize("stage,lost", [
         ("horizon", "mots/slice_003.npz"),
-        ("horizon", "mots/slice_003.json"),
         ("evolve", "profile.npz")])
     def test_missing_half_of_artifact(self, cfg_path, pipeline_out,
                                       tmp_path, capsys, stage, lost):
@@ -375,6 +383,28 @@ class TestPipeline:
         # The directory's own name may contain "missing"; drop it.
         err = capsys.readouterr().err.replace(str(tmp_path), "")
         assert "missing" in err and lost in err
+
+    @pytest.mark.parametrize("stage,npz,producer", [
+        ("evolve", "profile.npz", "gen-data"),
+        ("horizon", "mots/slice_003.npz", "find-mots")])
+    def test_npz_without_meta_refused(self, cfg_path, pipeline_out, tmp_path,
+                                      capsys, stage, npz, producer):
+        # The format of earlier releases: the arrays and a config_hash
+        # entry, with the recipe in a JSON file beside the npz.
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_out, out)
+        with np.load(out / npz) as z:
+            arrays = {k: z[k] for k in z.files if k != "meta"}
+            arrays["config_hash"] = np.array(
+                json.loads(z["meta"].item())["config_hash"])
+        np.savez_compressed(out / npz, **arrays)
+        args = [stage, "--config", str(cfg_path), "--out", str(out)]
+        for ov in FAST_OVERRIDES:
+            args += ["--set", ov]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert str(out / npz) in err and "lack 'meta'" in err
+        assert f"rerun the {producer!r} subcommand" in err
 
     def test_artifact_mode_follows_umask(self, pipeline_out):
         umask = os.umask(0)
@@ -417,9 +447,9 @@ class TestDeterminism:
 
 
 # The stage that writes each hash-stamped JSON a stage reads.
-PRODUCERS = {"profile.json": "gen-data", "constraint_report.json": "gen-data",
-             "evolve.json": "evolve", "mots_report.json": "find-mots",
-             "horizon.json": "horizon", "penrose_audit.json": "penrose"}
+PRODUCERS = {"constraint_report.json": "gen-data", "evolve.json": "evolve",
+             "mots_report.json": "find-mots", "horizon.json": "horizon",
+             "penrose_audit.json": "penrose"}
 
 
 class TestStageTable:
@@ -447,6 +477,32 @@ class TestStageTable:
         assert producer in err and "missing" in err
         (tmp_path / name).write_text(
             json.dumps({"meta": {"config_hash": "0" * 16}}))
+        assert main(args) == 2
+        err = message()
+        assert producer in err and "config hash" in err
+        assert "stale" in err and "missing" not in err
+
+    @pytest.mark.parametrize("stage", ["evolve", "find-mots", "horizon"])
+    def test_profile_missing_or_stale(self, cfg_path, tmp_path, capsys,
+                                      stage):
+        # The stage loads profile.npz with the active config hash; its
+        # JSON inputs are stubs with the right hash.
+        cfg_hash = parse_config(cfg_path).hash
+        for name in STAGES[stage].reads:
+            (tmp_path / name).write_text(
+                json.dumps({"meta": {"config_hash": cfg_hash}}))
+        args = [stage, "--config", str(cfg_path), "--out", str(tmp_path)]
+        producer = "run the 'gen-data' subcommand"
+
+        def message():
+            # The directory's own name may contain "missing"; drop it.
+            return capsys.readouterr().err.replace(str(tmp_path), "")
+
+        assert main(args) == 2
+        err = message()
+        assert producer in err and "missing" in err and "profile.npz" in err
+        meta = json.dumps({"config_hash": "0" * 16})
+        np.savez_compressed(tmp_path / "profile.npz", meta=np.array(meta))
         assert main(args) == 2
         err = message()
         assert producer in err and "config hash" in err

@@ -188,8 +188,7 @@ class TestSpacelike:
         tampered = HorizonAssembly(
             params=assembly.params, ubars=assembly.ubars,
             solutions=assembly.solutions,
-            h_values=[0.0] * len(assembly.ubars),
-            disc_hypothesis=True)
+            h_values=[0.0] * len(assembly.ubars))
         out = spacelike_check(tampered, k)
         assert out.status == "not-certified"
         assert "h = 0" in out.reason

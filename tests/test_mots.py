@@ -477,46 +477,12 @@ class TestPersistence:
                             beta=0.3)
         sol = solve_slice(prob)
         sol.save(tmp_path / "slice", config_hash="deadbeef")
-        back = MotsSolution.load(tmp_path / "slice")
+        back = MotsSolution.load(tmp_path / "slice", config_hash="deadbeef")
+        assert [p.name for p in tmp_path.iterdir()] == ["slice.npz"]
         assert np.array_equal(back.R.values, sol.R.values)
         assert back.ubar == sol.ubar
         assert back.residual_norm == sol.residual_norm
         assert back.lambda_path == [float(v) for v in sol.lambda_path]
-
-    def test_failed_metadata_write_keeps_old_hash(self, grid_small, tmp_path,
-                                                  monkeypatch):
-        # The arrays are replaced first and the JSON with its config hash
-        # last, so a failure between the two leaves the old hash beside
-        # the fresh arrays, never the new hash beside stale arrays.  The
-        # npz carries its own hash, so loading that pair is refused.
-        import json
-        from horizonlab import reporting
-        from horizonlab.errors import DependencyError
-        from horizonlab.mots import MotsSolution
-
-        def solution(radius):
-            return MotsSolution(R=SphereField.constant(grid_small, radius),
-                                ubar=1.0, residual_norm=0.0, newton_trace=[],
-                                lambda_path=[1.0], diagnostics={})
-
-        stem = tmp_path / "slice"
-        solution(1.0).save(stem, config_hash="old")
-
-        def fail(path, text):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(reporting, "_atomic_write", fail)
-        with pytest.raises(OSError):
-            solution(2.0).save(stem, config_hash="new")
-        meta = json.loads(stem.with_suffix(".json").read_text())
-        assert meta["config_hash"] == "old"
-        with np.load(stem.with_suffix(".npz")) as arrays:
-            assert np.all(arrays["R"] == 2.0)
-            assert str(arrays["config_hash"]) == "new"
-        with pytest.raises(DependencyError):
-            MotsSolution.load(stem)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "slice.json", "slice.npz"]
 
 
 class TestProblemInvariants:

@@ -400,7 +400,8 @@ class TestPersistence:
         stem = tmp_path / "prof"
         built.save(stem, config_hash="abc123")
         with np.load(stem.with_suffix(".npz")) as z:
-            assert sorted(z.files) == ["config_hash", "corr", "kappa_repay"]
+            assert sorted(z.files) == ["corr", "kappa_repay", "meta"]
+            assert json.loads(z["meta"].item())["config_hash"] == "abc123"
 
         def no_rebuild(*args):
             raise AssertionError("load rebuilt the profile")
