@@ -378,7 +378,7 @@ def cmd_find_mots(cfg: RunConfig, inputs):
     for idx, ub in enumerate(ladder):
         problem = _slice_problem(cfg, profile, idx, ub)
         solution = solve_slice(problem, opts)
-        bounds = verify_apriori(solution, problem, params, cfg["bounds"])
+        bounds = verify_apriori(solution.R, problem, params, cfg["bounds"])
         failures += [{"index": idx, **c.as_dict()} for c in bounds.failing()]
         solution.save(outdir / "mots" / f"slice_{idx:03d}",
                       config_hash=cfg.hash)
@@ -409,15 +409,16 @@ def cmd_horizon(cfg: RunConfig, inputs):
     _load_numpy_random()
     outdir = cfg.outdir
     profile = ShearProfile.load(outdir / "profile", cfg.hash)
-    solutions = []
-    for entry in inputs["mots_report.json"]["slices"]:
-        # The loaded radius must solve its slice to find-mots' tol_abs;
-        # no problem outlives its check.
+    slices = inputs["mots_report.json"]["slices"]
+    radii = []
+    for entry in slices:
+        # A slice's npz holds only its radius, which must solve the slice
+        # to the report's tol_abs; no problem outlives its check.
         idx = entry["index"]
         stem = outdir / "mots" / f"slice_{idx:03d}"
-        solutions.append(MotsSolution.load(stem, config_hash=cfg.hash))
+        radii.append(MotsSolution.load(stem, config_hash=cfg.hash))
         problem = _slice_problem(cfg, profile, idx, entry["ubar"])
-        res = l2_norm(residual_H(problem, solutions[-1].R))
+        res = l2_norm(residual_H(problem, radii[-1]))
         del problem
         tol = entry["diagnostics"]["tol_abs"]
         if not res <= tol:
@@ -425,7 +426,7 @@ def cmd_horizon(cfg: RunConfig, inputs):
                                   (f"{res:.3e}", f"tol_abs {tol:.3e}"),
                                   "residual norm", ">")
     assembly = horizon_mod.assemble(
-        profile.params, profile, solutions,
+        profile.params, profile, [e["ubar"] for e in slices], radii,
         disc_hypothesis=cfg["toggles"]["disc_hypothesis"])
     rows = []
     for k, ub in enumerate(assembly.ubars):
@@ -434,8 +435,8 @@ def cmd_horizon(cfg: RunConfig, inputs):
         dr = assembly.dR_dubar(k)
         rows.append({
             "ubar": float(ub),
-            "R_min": float(np.min(solutions[k].R.values)),
-            "R_max": float(np.max(solutions[k].R.values)),
+            "R_min": float(np.min(radii[k].values)),
+            "R_max": float(np.max(radii[k].values)),
             "area": asdict(est),
             "dR_dubar_min": (float(np.min(dr.values)) if dr else None),
             "dR_dubar_max": (float(np.max(dr.values)) if dr else None),

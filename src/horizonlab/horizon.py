@@ -1,4 +1,4 @@
-"""Apparent-horizon assembly from per-slice MOTS solutions.
+"""Apparent-horizon assembly from per-slice MOTS radii.
 
 The horizon is the graph u = 1 - R(ubar, omega) over the solved slices.
 This module differentiates the radius in ubar (second-order stencils on
@@ -6,9 +6,9 @@ the nonuniform slice ladder), estimates areas through the certified
 determinant distortion band (1 +- 1/f0), and tests spacelike-ness of the
 swept hypersurface through the quadratic form of the induced metric,
 whose ubar-ubar entry is the slope scalar h available only under the
-small-disc data hypothesis (off by default in ``assemble``, on by
-default in the CLI's ``toggles.disc_hypothesis``; without it the check
-reports not-certified rather than guessing).
+small-disc data hypothesis (the CLI's ``toggles.disc_hypothesis``, on by
+default; without it the check reports not-certified rather than
+guessing).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class HorizonAssembly:
 
     params: RegimeParameters
     ubars: np.ndarray
-    solutions: list
+    radii: list             # SphereField R per slice
     h_values: list | None   # slope scalar per slice; None: no disc hypothesis
 
     def dR_dubar(self, k):
@@ -48,21 +48,22 @@ class HorizonAssembly:
         k = range(len(self.ubars))[k]
         if k in (0, len(self.ubars) - 1):
             return None
-        u, (fm, f0, fp) = self.ubars, self.solutions[k - 1:k + 2]
+        u, (fm, f0, fp) = self.ubars, self.radii[k - 1:k + 2]
         hl, hr = u[k] - u[k - 1], u[k + 1] - u[k]
-        vals = (fp.R.values * hl * hl - fm.R.values * hr * hr
-                + f0.R.values * (hr * hr - hl * hl)) / (hl * hr * (hl + hr))
-        return SphereField(f0.R.grid, vals)
+        vals = (fp.values * hl * hl - fm.values * hr * hr
+                + f0.values * (hr * hr - hl * hl)) / (hl * hr * (hl + hr))
+        return SphereField(f0.grid, vals)
 
 
-def assemble(params: RegimeParameters, profile, solutions,
-             disc_hypothesis=False) -> HorizonAssembly:
-    """Join per-slice solutions into one horizon object.
+def assemble(params: RegimeParameters, profile, ubars, radii, *,
+             disc_hypothesis) -> HorizonAssembly:
+    """Join the radius fields ``radii`` of the slices ``ubars`` into one
+    horizon object.
 
     Slices must be strictly ordered in ubar; ``dR_dubar`` gives the
     ubar-derivative on interior slices.
     """
-    ubars = np.array([s.ubar for s in solutions], dtype=float)
+    ubars = np.array(ubars, dtype=float)
     if np.any(np.diff(ubars) <= 0.0):
         raise ValueError("slices must be strictly increasing in ubar")
     h_values = None
@@ -71,7 +72,7 @@ def assemble(params: RegimeParameters, profile, solutions,
         for u in map(float, ubars):
             h_values.append(h_slope(params, u, profile.zbar_at(u),
                                     profile.dzbar_at(u)))
-    return HorizonAssembly(params=params, ubars=ubars, solutions=solutions,
+    return HorizonAssembly(params=params, ubars=ubars, radii=radii,
                            h_values=h_values)
 
 
@@ -92,7 +93,7 @@ def area(assembly: HorizonAssembly, k) -> AreaEstimate:
     sphere grid.  R > 0 is not checked here: ``mots.residual_H`` raises
     PositivityError at a radius that is not, and the CLI takes that
     residual of every slice before any area."""
-    R = assembly.solutions[k].R
+    R = assembly.radii[k]
     a_mid = integrate(SphereField(R.grid, np.square(R.values)))
     f0 = assembly.params.f0
     a_lo = (1.0 - 1.0 / f0) * a_mid
@@ -108,8 +109,8 @@ def area(assembly: HorizonAssembly, k) -> AreaEstimate:
 class SpacelikeResult:
     status: str                       # "spacelike" | "not-certified"
     reason: str
-    min_schur: float                  # adversarial-direction margin
-    min_sampled: float
+    min_schur: float | None           # adversarial-direction margin
+    min_sampled: float | None         # None: no margin is formed
 
 
 def spacelike_check(assembly: HorizonAssembly, k) -> SpacelikeResult:
@@ -125,15 +126,14 @@ def spacelike_check(assembly: HorizonAssembly, k) -> SpacelikeResult:
     """
     if assembly.h_values is None:
         return SpacelikeResult("not-certified", "disc hypothesis disabled",
-                               float("nan"), float("nan"))
+                               None, None)
     q33 = assembly.h_values[k] * (1.0 + assembly.params.o1)
     if q33 <= 0.0:
         return SpacelikeResult("not-certified", "slope scalar h <= 0: the "
                                "ubar direction is null (h = 0) or timelike",
-                               float("nan"), float("nan"))
-    sol = assembly.solutions[k]
-    grid = sol.R.grid
-    Rv = sol.R.values
+                               None, None)
+    R = assembly.radii[k]
+    grid, Rv = R.grid, R.values
     gt, gp = grid.gradient_values(Rv)
     sin = grid.sin_theta[:, None]
     g11 = Rv * Rv

@@ -203,34 +203,26 @@ class SolveOptions:
 @dataclass
 class MotsSolution:
     R: SphereField
-    ubar: float
     residual_norm: float
     newton_trace: list
     lambda_path: list
     diagnostics: dict
 
     def save(self, stem, config_hash=""):
-        """Persist as one npz; see ``reporting.save_artifact``."""
-        meta = {"kind": "horizonlab-mots-solution",
-                "config_hash": config_hash, "ubar": self.ubar,
-                "residual_norm": self.residual_norm,
-                "lambda_path": [float(v) for v in self.lambda_path],
-                "diagnostics": self.diagnostics,
-                "grid": {"n_theta": self.R.grid.n_theta,
-                         "n_phi": self.R.grid.n_phi}}
-        save_artifact(stem, meta, {"R": self.R.values})
+        """Persist the radius as one npz; see ``reporting.save_artifact``.
+        Every other number about the slice is in ``mots_report.json``."""
+        g = self.R.grid
+        save_artifact(stem, {"kind": "horizonlab-mots-solution",
+                             "config_hash": config_hash,
+                             "grid": {"n_theta": g.n_theta, "n_phi": g.n_phi}},
+                      {"R": self.R.values})
 
     @staticmethod
-    def load(stem, config_hash=None):
-        """Reload a saved solution; see ``reporting.load_artifact``."""
+    def load(stem, config_hash=None) -> SphereField:
+        """Reload a saved radius; see ``reporting.load_artifact``."""
         meta, arrays = load_artifact(stem, ("R",), "find-mots", config_hash)
         grid = get_grid(meta["grid"]["n_theta"], meta["grid"]["n_phi"])
-        return MotsSolution(R=SphereField(grid, arrays["R"]),
-                            ubar=meta["ubar"],
-                            residual_norm=meta["residual_norm"],
-                            newton_trace=[],
-                            lambda_path=meta["lambda_path"],
-                            diagnostics=meta["diagnostics"])
+        return SphereField(grid, arrays["R"])
 
 
 class _NewtonFail(Exception):
@@ -433,7 +425,7 @@ def solve_slice(problem: MotsProblem, options: SolveOptions | None = None,
         raise NonConvergenceError(str(exc), trace) from exc
 
     return MotsSolution(
-        R=SphereField(grid, Rv), ubar=problem.ubar, residual_norm=norm,
+        R=SphereField(grid, Rv), residual_norm=norm,
         newton_trace=trace, lambda_path=lam_path,
         diagnostics={"c0_band": (float(np.min(Rv)), float(np.max(Rv))),
                      "tol_abs": tol_abs})
@@ -456,11 +448,12 @@ def c0_band(params: RegimeParameters, m0_min, m0_max):
     return lo, hi
 
 
-def verify_apriori(solution: MotsSolution, problem: MotsProblem,
+def verify_apriori(R: SphereField, problem: MotsProblem,
                    params: RegimeParameters, bounds=BOUNDS) -> Report:
-    """Check every a-priori bound the continuity argument relies on."""
+    """Check every a-priori bound the continuity argument relies on for
+    the radius ``R`` of ``problem``'s slice."""
     grid = problem.grid
-    Rv = solution.R.values
+    Rv = R.values
     M0 = problem.M0.values
     checks = []
 

@@ -318,10 +318,6 @@ class ShearProfile:
         return self._model.m0
 
     @property
-    def shear_amp(self):
-        return self._model.A
-
-    @property
     def derived(self):
         return self._model.derived
 
@@ -437,8 +433,6 @@ class ShearProfile:
             "params": asdict(self.params),
             "spec": asdict(self.spec),
             "grid": {"n_theta": self.grid.n_theta, "n_phi": self.grid.n_phi},
-            "m0": self.m0,
-            "shear_amp": self.shear_amp,
         }
         save_artifact(stem, meta,
                       {k: getattr(self, k) for k in _PROFILE_ARRAYS})

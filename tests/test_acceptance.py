@@ -144,7 +144,7 @@ def test_criterion_05_c1_c2_bounds(profile64, ladder64):
     ubars, problems, solutions = ladder64
     worst_g, worst_h = 0.0, 0.0
     for prob, sol in zip(problems, solutions):
-        rep = verify_apriori(sol, prob, p)
+        rep = verify_apriori(sol.R, prob, p)
         g = rep["c1_gradient"]
         h = rep["c2_hessian"]
         assert g["value"] < 0.1
@@ -185,7 +185,8 @@ def test_criterion_07_area_band(profile64, ladder64):
     ubars, problems, solutions = ladder64
     p = profile64.params
     d = profile64.derived
-    asm = assemble(p, profile64, solutions, disc_hypothesis=True)
+    asm = assemble(p, profile64, ubars, [s.R for s in solutions],
+                   disc_hypothesis=True)
     amp = d.shear_amp
     o1 = 0.05
     checked = 0
@@ -207,7 +208,8 @@ def test_criterion_08_null_approach(profile64, ladder64):
     ubars, problems, solutions = ladder64
     p = profile64.params
     d = profile64.derived
-    asm = assemble(p, profile64, solutions)
+    asm = assemble(p, profile64, ubars, [s.R for s in solutions],
+                   disc_hypothesis=False)
     amp = d.shear_amp
     checked, worst = 0, 0.0
     for k in range(1, len(ubars) - 1):

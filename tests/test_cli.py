@@ -15,10 +15,9 @@ import horizonlab
 from horizonlab.cli import (STAGES, _record, default_config_text, main,
                             parse_config)
 from horizonlab.errors import ConfigError
-from horizonlab.mots import (BOUNDS, MotsSolution, SolveOptions, make_problem,
-                             verify_apriori)
+from horizonlab.mots import BOUNDS, SolveOptions, make_problem, verify_apriori
 from horizonlab.regime import RegimeParameters, validate
-from horizonlab.reporting import config_hash
+from horizonlab.reporting import config_hash, load_artifact, save_artifact
 from horizonlab.shear import ProfileSpec, ShearProfile, verify_profile
 from horizonlab.sphere import SphereField
 
@@ -341,7 +340,8 @@ class TestPipeline:
         out = tmp_path / "copy"
         shutil.copytree(pipeline_out, out)
         stem = out / "mots" / "slice_003"
-        MotsSolution.load(stem).save(stem, config_hash="0" * 16)
+        meta, arrays = load_artifact(stem, ("R",), "find-mots")
+        save_artifact(stem, dict(meta, config_hash="0" * 16), arrays)
         args = ["horizon", "--config", str(cfg_path), "--out", str(out)]
         for ov in FAST_OVERRIDES:
             args += ["--set", ov]
@@ -405,6 +405,35 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert str(out / npz) in err and "lack 'meta'" in err
         assert f"rerun the {producer!r} subcommand" in err
+
+    def test_each_number_has_one_home(self, pipeline_out):
+        # A slice npz is its radius: ubar, residual and diagnostics live
+        # in mots_report.json only, and m0 and shear_amp come from the
+        # profile's params.
+        slices = sorted((pipeline_out / "mots").glob("slice_*.npz"))
+        assert slices
+        for npz in slices:
+            with np.load(npz) as z:
+                assert sorted(z.files) == ["R", "meta"], npz.name
+                assert set(json.loads(z["meta"].item())) == {
+                    "kind", "config_hash", "grid"}, npz.name
+        with np.load(pipeline_out / "profile.npz") as z:
+            assert set(json.loads(z["meta"].item())) == {
+                "kind", "config_hash", "params", "spec", "grid"}
+
+    def test_json_artifacts_are_strict_json(self, pipeline_out):
+        # RFC 8259 has no NaN or Infinity; a margin that is not formed is
+        # written as null.
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        names = sorted(pipeline_out.glob("*.json"))
+        assert pipeline_out / "horizon.json" in names
+        for path in names:
+            json.loads(path.read_text(), parse_constant=refuse)
+        rows = json.loads((pipeline_out / "horizon.json").read_text())
+        assert any(r["spacelike"]["min_schur"] is None
+                   for r in rows["slices"])
 
     def test_artifact_mode_follows_umask(self, pipeline_out):
         umask = os.umask(0)
@@ -522,11 +551,8 @@ def test_check_key_sets(params, profile_mid):
     assert keys(verify_profile(profile_mid)) == {
         frozenset(common | {"measured", "threshold"})}
     problem = make_problem(profile_mid, 1.5 * profile_mid.derived.delta)
-    solution = MotsSolution(
-        R=SphereField(problem.grid, 0.5 * problem.M0.values), ubar=1.0,
-        residual_norm=0.0, newton_trace=[], lambda_path=[1.0],
-        diagnostics={})
-    assert keys(verify_apriori(solution, problem, params)) == {
+    R = SphereField(problem.grid, 0.5 * problem.M0.values)
+    assert keys(verify_apriori(R, problem, params)) == {
         frozenset(common | {"value", "threshold", "ratio"})}
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from horizonlab.horizon import (HorizonAssembly, area, assemble,
                                 spacelike_check)
-from horizonlab.mots import MotsSolution, make_problem, solve_slice
+from horizonlab.mots import make_problem, solve_slice
 from horizonlab.sphere import SphereField, get_grid
 
 
@@ -20,23 +20,24 @@ def ladder(profile_mid):
     trans = np.linspace(d.ubar_lambda, d.ubar_lambda_hi, 4)[1:-1]
     tail = np.linspace(d.ubar_lambda_hi, d.ubar_end, 4)[1:]
     ubars = np.concatenate([window, trans, tail])
-    solutions = [solve_slice(make_problem(profile_mid, float(ub),
-                                          seed=100 + i, beta=0.4))
-                 for i, ub in enumerate(ubars)]
-    return ubars, solutions
+    radii = [solve_slice(make_problem(profile_mid, float(ub),
+                                      seed=100 + i, beta=0.4)).R
+             for i, ub in enumerate(ubars)]
+    return ubars, radii
 
 
 @pytest.fixture(scope="module")
 def assembly(profile_mid, params, ladder):
-    ubars, solutions = ladder
-    return assemble(params, profile_mid, solutions, disc_hypothesis=True)
+    ubars, radii = ladder
+    return assemble(params, profile_mid, ubars, radii, disc_hypothesis=True)
 
 
 class TestAssemble:
     def test_ordering_enforced(self, profile_mid, params, ladder):
-        ubars, solutions = ladder
+        ubars, radii = ladder
         with pytest.raises(ValueError):
-            assemble(params, profile_mid, solutions[::-1])
+            assemble(params, profile_mid, ubars[::-1], radii[::-1],
+                     disc_hypothesis=False)
 
     def test_interior_derivatives_present(self, assembly):
         n = len(assembly.ubars)
@@ -47,7 +48,7 @@ class TestAssemble:
 
     def test_derivative_is_the_centered_stencil_exactly(self, assembly):
         u = assembly.ubars
-        R = [s.R.values for s in assembly.solutions]
+        R = [r.values for r in assembly.radii]
         for k in range(1, len(u) - 1):
             hl, hr = u[k] - u[k - 1], u[k + 1] - u[k]
             want = (R[k + 1] * hl * hl - R[k - 1] * hr * hr
@@ -60,22 +61,19 @@ class TestAssemble:
         # 24 slices at 64x128: the derivatives are built on demand, so
         # assembling allocates less than one grid array (65 KB).
         grid = get_grid(64, 128)
-        sols = [MotsSolution(R=SphereField.constant(grid, 1.0 + u),
-                             ubar=float(u), residual_norm=0.0,
-                             newton_trace=[], lambda_path=[1.0],
-                             diagnostics={})
-                for u in np.linspace(0.1, 0.5, 24)]
+        ubars = np.linspace(0.1, 0.5, 24)
+        radii = [SphereField.constant(grid, 1.0 + u) for u in ubars]
         tracemalloc.start()
         try:
-            assemble(params, None, sols)
+            assemble(params, None, ubars, radii, disc_hypothesis=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < sols[0].R.values.nbytes
+        assert peak < radii[0].values.nbytes
 
     def test_window_slope_matches_half_amp2(self, profile_mid, assembly):
         # dR/dubar ~ amp2/2 pointwise inside the window (R = I/2 + tiny).
-        amp = profile_mid.shear_amp
+        amp = profile_mid.derived.shear_amp
         for k in (2, 3, 4):
             ub = float(assembly.ubars[k])
             expected = 0.5 * profile_mid.amp2_at(ub)
@@ -87,7 +85,7 @@ class TestAssemble:
         # Only stencils fully inside (lambda' delta, 2 delta] qualify;
         # a stencil touching the transition region sees its slope.
         d = profile_mid.derived
-        amp = profile_mid.shear_amp
+        amp = profile_mid.derived.shear_amp
         checked = 0
         for k in range(1, len(assembly.ubars) - 1):
             if assembly.ubars[k - 1] > d.ubar_lambda_hi:
@@ -98,25 +96,18 @@ class TestAssemble:
 
     def test_h_values_window_level(self, profile_mid, params, assembly):
         # zeta == 1, zeta' == 0 in the window: h = amp/2.
-        amp = profile_mid.shear_amp
+        amp = profile_mid.derived.shear_amp
         assert assembly.h_values[2] == pytest.approx(0.5 * amp, rel=1e-12)
 
     def test_derivative_probe_second_order(self, grid_small, params):
         # Synthetic radius R(ubar) = 1 + ubar + ubar^3: halving the
         # spacing quarters the stencil error.
-        def fake(ubars):
-            sols = []
-            for u in ubars:
-                sols.append(MotsSolution(
-                    R=SphereField.constant(grid_small, 1 + u + u**3),
-                    ubar=float(u), residual_norm=0.0, newton_trace=[],
-                    lambda_path=[1.0], diagnostics={}))
-            return sols
-
         errs = []
         for h in (0.1, 0.05):
             ubars = np.array([0.5 - h, 0.5, 0.5 + h])
-            asm = assemble(params, None, fake(ubars))
+            radii = [SphereField.constant(grid_small, 1 + u + u**3)
+                     for u in ubars]
+            asm = assemble(params, None, ubars, radii, disc_hypothesis=False)
             exact = 1 + 3 * 0.25
             errs.append(abs(asm.dR_dubar(1).values[0, 0] - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
@@ -125,12 +116,10 @@ class TestAssemble:
 class TestArea:
     def test_round_sphere_limit(self, grid_small, params):
         r = 2.0
-        sols = [MotsSolution(R=SphereField.constant(grid_small, r),
-                             ubar=float(u), residual_norm=0.0,
-                             newton_trace=[], lambda_path=[1.0],
-                             diagnostics={}) for u in (0.1, 0.2, 0.3)]
+        radii = [SphereField.constant(grid_small, r)] * 3
         big_f0 = replace(params, f0=1e15)
-        asm = assemble(big_f0, None, sols)
+        asm = assemble(big_f0, None, (0.1, 0.2, 0.3), radii,
+                       disc_hypothesis=False)
         est = area(asm, 1)
         assert est.area_mid == pytest.approx(4 * math.pi * r * r,
                                              rel=1e-12)
@@ -147,7 +136,7 @@ class TestArea:
     def test_window_band_and_cutoff_value(self, profile_mid, assembly):
         d = profile_mid.derived
         o1 = profile_mid.params.o1
-        amp = profile_mid.shear_amp
+        amp = profile_mid.derived.shear_amp
         for k, ub in enumerate(assembly.ubars):
             est = area(assembly, k)
             if ub <= d.ubar_lambda * (1 + 1e-12):
@@ -171,8 +160,9 @@ class TestArea:
 
 class TestSpacelike:
     def test_disc_hypothesis_disabled(self, profile_mid, params, ladder):
-        ubars, solutions = ladder
-        asm = assemble(params, profile_mid, solutions, disc_hypothesis=False)
+        ubars, radii = ladder
+        asm = assemble(params, profile_mid, ubars, radii,
+                       disc_hypothesis=False)
         out = spacelike_check(asm, 2)
         assert out.status == "not-certified"
         assert "disc hypothesis" in out.reason
@@ -187,10 +177,10 @@ class TestSpacelike:
         k = 2
         tampered = HorizonAssembly(
             params=assembly.params, ubars=assembly.ubars,
-            solutions=assembly.solutions,
+            radii=assembly.radii,
             h_values=[0.0] * len(assembly.ubars))
         out = spacelike_check(tampered, k)
         assert out.status == "not-certified"
         assert "h = 0" in out.reason
-        assert math.isnan(out.min_schur) and math.isnan(out.min_sampled)
+        assert out.min_schur is None and out.min_sampled is None
 

@@ -40,7 +40,7 @@ def test_alt_trapped_and_mots(alt_params, alt_profile):
         "certified-trapped"
     prob = make_problem(alt_profile, 0.5 * d.ubar_lambda, seed=3, beta=0.4)
     sol = solve_slice(prob)
-    rep = verify_apriori(sol, prob, alt_params)
+    rep = verify_apriori(sol.R, prob, alt_params)
     assert rep.passed
     center = np.mean(prob.M0.values) / 2
     assert np.mean(sol.R.values) == pytest.approx(center, rel=0.05)
