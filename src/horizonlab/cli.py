@@ -96,7 +96,8 @@ _SCHEMA = {
 
 # Values no stage can run with, refused at parse time: (keys, test of
 # their sum, requirement).  The step-error estimate halves cone_steps;
-# beta scales the perturbation fields against their b^(1/4) bound.
+# beta scales the perturbation fields against their b^(1/4) bound; the
+# a-priori bound ratios divide by each threshold and by h_threshold - 1.
 _SLICES = tuple(f"solver.n_{k}_slices" for k in ("window", "transition",
                                                   "null"))
 _RANGES = (
@@ -105,7 +106,11 @@ _RANGES = (
     *(((key,), lambda v: v >= 0, "at least 0") for key in _SLICES),
     (_SLICES, lambda v: v >= 1, "at least 1 in sum"),
     (("solver.dlam_init",), lambda v: v > 0.0, "positive"),
-    (("solver.beta",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]"))
+    (("solver.beta",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    (("solver.max_iter",), lambda v: v >= 0, "at least 0"),
+    *(((f"bounds.{k}_threshold",), lambda v: v > 0.0, "positive")
+      for k in ("c1", "hess", "w12")),
+    (("bounds.h_threshold",), lambda v: v > 1.0, "above 1"))
 
 
 def _convert(kind, raw, where):
@@ -545,16 +550,11 @@ def cmd_report(cfg: RunConfig, inputs):
                    ("numeric_lo", "numeric_hi", "analytic_lo"),
                    stamp=cfg.hash)
 
-    window = [s for s in mots["slices"]
+    # (ubar, radius proxy) of each window slice, against the area band
+    window = [(s["ubar"], a["area"]["radius_proxy_mid"]) for s, a in
+              zip(mots["slices"], inputs["horizon.json"]["slices"])
               if s["ubar"] <= d.ubar_lambda * (1 + 1e-12)]
-    amp = d.shear_amp
-    in_area_band = []
-    for s, a_row in zip(mots["slices"], inputs["horizon.json"]["slices"]):
-        rp = a_row["area"]["radius_proxy_mid"]
-        band_lo = (0.25 - params.o1) * amp * s["ubar"]
-        band_hi = (0.25 + params.o1) * amp * s["ubar"]
-        if s["ubar"] <= d.ubar_lambda * (1 + 1e-12):
-            in_area_band.append(band_lo <= rp <= band_hi)
+    band = [(0.25 - params.o1) * d.shear_amp, (0.25 + params.o1) * d.shear_amp]
     summary = {
         "regime": {"validation": validate(params).as_dict(),
                    "derived": asdict(d)},
@@ -566,7 +566,8 @@ def cmd_report(cfg: RunConfig, inputs):
         "all_bounds_passed": all(s["bounds"]["passed"]
                                  for s in mots["slices"]),
         "window_slices": len(window),
-        "area_band_ok": all(in_area_band),
+        "area_band_ok": all(band[0] * u <= rp <= band[1] * u
+                            for u, rp in window),
         "classification_at_window_start":
             audit["slices"][0]["classification"]["status"]
             if audit["slices"] and audit["slices"][0]["classification"]

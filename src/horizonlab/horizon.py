@@ -66,12 +66,8 @@ def assemble(params: RegimeParameters, profile, ubars, radii, *,
     ubars = np.array(ubars, dtype=float)
     if np.any(np.diff(ubars) <= 0.0):
         raise ValueError("slices must be strictly increasing in ubar")
-    h_values = None
-    if disc_hypothesis:
-        h_values = []
-        for u in map(float, ubars):
-            h_values.append(h_slope(params, u, profile.zbar_at(u),
-                                    profile.dzbar_at(u)))
+    h_values = [h_slope(params, u, profile.zbar_at(u), profile.dzbar_at(u))
+                for u in map(float, ubars)] if disc_hypothesis else None
     return HorizonAssembly(params=params, ubars=ubars, radii=radii,
                            h_values=h_values)
 

@@ -220,9 +220,11 @@ class MotsSolution:
     @staticmethod
     def load(stem, config_hash=None) -> SphereField:
         """Reload a saved radius; see ``reporting.load_artifact``."""
-        meta, arrays = load_artifact(stem, ("R",), "find-mots", config_hash)
-        grid = get_grid(meta["grid"]["n_theta"], meta["grid"]["n_phi"])
-        return SphereField(grid, arrays["R"])
+        _, arrays = load_artifact(
+            stem, lambda meta: {"R": (meta["grid"]["n_theta"],
+                                      meta["grid"]["n_phi"])},
+            "find-mots", config_hash)
+        return SphereField(get_grid(*arrays["R"].shape), arrays["R"])
 
 
 class _NewtonFail(Exception):

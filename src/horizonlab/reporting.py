@@ -113,12 +113,14 @@ def save_artifact(stem, meta, arrays):
         lambda fh: np.savez_compressed(fh, **arrays, meta=stamp), "wb")
 
 
-def load_artifact(stem, names, producer, config_hash=None):
-    """Read the ``meta`` and the arrays ``names`` of ``stem.npz``.
+def load_artifact(stem, shapes, producer, config_hash=None):
+    """Read the ``meta`` and the arrays of ``stem.npz``: ``shapes(meta)``
+    maps each array's name to its required shape.
 
     Raises DependencyError, naming the ``producer`` stage, if the file is
-    missing or has no ``meta`` entry, or if ``config_hash`` is given and
-    ``meta`` carries another.
+    missing or has no ``meta`` entry, if ``config_hash`` is given and
+    ``meta`` carries another, or if an array has another shape or an entry
+    that is not finite.
     """
     path = Path(stem).with_suffix(".npz")
     if not path.exists():
@@ -133,7 +135,16 @@ def load_artifact(stem, names, producer, config_hash=None):
         if config_hash is not None and meta["config_hash"] != config_hash:
             raise DependencyError(str(path), producer,
                                   (meta["config_hash"], config_hash))
-        return meta, {k: z[k] for k in names}
+        arrays = {}
+        for k, shape in shapes(meta).items():
+            a = arrays[k] = z[k]
+            if a.shape != shape:
+                raise DependencyError(str(path), producer, (a.shape, shape),
+                                      f"{k} shape")
+            if not np.isfinite(a).all():
+                raise DependencyError(str(path), producer, (k, "finite"),
+                                      "array", "is not")
+        return meta, arrays
 
 
 def write_json(path, payload):

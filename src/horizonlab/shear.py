@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstraintError, DependencyError, ResolutionError
+from .errors import ConstraintError, ResolutionError
 from .regime import RegimeParameters, derive
 from .reporting import Check, Report, load_artifact, save_artifact
 from .sphere import SphereGrid, SphereField, get_grid
@@ -311,7 +311,7 @@ class ShearProfile:
         self._cap_phi = g.phi_2d.ravel()[cap]
         self._cap_kappa = self.kappa_repay.ravel()[cap]
         self._cap_Y = self._Y.ravel()[cap]
-        self._times, self._last = np.empty(0), (None, None)
+        self._times = np.empty(0)
 
     @property
     def m0(self):
@@ -331,56 +331,45 @@ class ShearProfile:
             ubar, self._cap_theta, self._cap_phi, self._cap_Y)
         return alpha, beta, _repaid(main, gate, self._cap_kappa, repay)
 
-    def _grid_amp2(self, alpha, beta, cap):
-        # alpha + beta * Y with the cap nodes set: one time's scalar
-        # factors, or (n, 1, 1) ones for a slice per time
-        out = np.multiply(self._Y, beta)
-        out += alpha
-        if self._cap.size:
-            out.reshape(out.shape[:-2] + (-1,))[..., self._cap] = cap
+    def _amp2(self, ubar):
+        # alpha + beta * Y with the cap nodes set, at each time of the 1-D
+        # array ubar: the (len(ubar),) + points amplitude
+        alpha, beta, cap = self._factors(ubar)
+        out = np.multiply(self._Y, beta[:, None, None])
+        out += alpha[:, None, None]
+        out.reshape(len(ubar), -1)[:, self._cap] = cap
         return out
 
     def on_columns(self, Y, ubar):
         """This profile on columns in place of the sphere grid: one per
         value of the 1-D wobble array Y, then one per cap node.  Its
-        ``amp2_at`` returns the (1, n_columns) amplitude on them and reads
-        the factors from a table, evaluated once at the sorted distinct
-        times ``ubar``."""
+        ``amp2_at`` returns the (1, n_columns) amplitude on them, a row of
+        one read-only table built at the sorted distinct times ``ubar``."""
         view = copy.copy(self)
         view._Y = np.concatenate((Y, self._cap_Y))[None]
         view._cap = np.arange(len(Y), view._Y.size)
-        view._times, view._last = ubar, (None, None)
-        view._table = self._factors(ubar)
+        view._times, view._table = ubar, view._amp2(ubar)
+        view._table.flags.writeable = False
         return view
 
     def amp2_at(self, ubar):
         """Squared shear amplitude at ``ubar`` on the sphere grid, or on
         the columns of an ``on_columns`` view; read-only.
 
-        A view reads the factors from its table at a time it was built
-        for, elsewhere the same vectorised formula runs on a one-element
-        array, so a time gets the same bits either way.  It keeps the
-        amplitude of the last table time asked for, which an RK4 sweep
-        asks for again at once: a step's two midpoint stages share a
-        time, and its end is the next step's start.
+        A view returns its table's row at a time it was built for,
+        elsewhere the same vectorised formula runs on a one-element array,
+        so a time gets the same bits either way.
         """
-        if ubar == self._last[0]:
-            return self._last[1]
         i = int(self._times.searchsorted(ubar))
         if i < self._times.size and self._times[i] == ubar:
-            alpha, beta, cap = self._table
-            out = self._grid_amp2(alpha[i], beta[i], cap[i])
-            self._last = (ubar, out)
-        else:
-            out = self._grid_amp2(*(f[0] for f in self._factors(
-                np.array([float(ubar)]))))
+            return self._table[i]
+        out = self._amp2(np.array([float(ubar)]))[0]
         out.flags.writeable = False
         return out
 
     def node_amp2(self, lo, hi):
         """The amplitude, not clipped at zero, at ubar nodes lo..hi-1."""
-        alpha, beta, cap = self._factors(self.ubar_grid[lo:hi])
-        return self._grid_amp2(alpha[:, None, None], beta[:, None, None], cap)
+        return self._amp2(self.ubar_grid[lo:hi])
 
     def node_tables(self, lo, hi) -> ProfileTables:
         """The tables at ubar nodes lo..hi-1.  A node's rows depend on that
@@ -434,29 +423,29 @@ class ShearProfile:
             "spec": asdict(self.spec),
             "grid": {"n_theta": self.grid.n_theta, "n_phi": self.grid.n_phi},
         }
-        save_artifact(stem, meta,
-                      {k: getattr(self, k) for k in _PROFILE_ARRAYS})
+        save_artifact(stem, meta, {"kappa_repay": self.kappa_repay,
+                                   "corr": self.corr})
 
     @staticmethod
     def load(stem, config_hash=None):
-        """Reload a saved profile; see ``reporting.load_artifact``."""
-        meta, loaded = load_artifact(stem, _PROFILE_ARRAYS, "gen-data",
-                                     config_hash)
-        params = RegimeParameters(**{f.name: meta["params"][f.name]
-                                     for f in fields(RegimeParameters)
-                                     if f.init})
-        spec = ProfileSpec(**meta["spec"])
-        grid = get_grid(meta["grid"]["n_theta"], meta["grid"]["n_phi"])
-        profile = ShearProfile(params=params, spec=spec, grid=grid, **loaded)
-        want = (len(profile.ubar_grid), len(profile._cap))
-        if profile.corr.shape != want:
-            raise DependencyError(f"{stem}.npz", "gen-data",
-                                  (profile.corr.shape, want), "corr shape")
-        return profile
+        """Reload a saved profile; see ``reporting.load_artifact``.  Its
+        recipe fixes the shape of each array."""
+        recipe = {}
 
+        def shapes(meta):
+            p, g = meta["params"], meta["grid"]
+            g = get_grid(g["n_theta"], g["n_phi"])
+            spec = ProfileSpec(**meta["spec"])
+            recipe.update(params=RegimeParameters(**{
+                f.name: p[f.name] for f in fields(RegimeParameters)
+                if f.init}), spec=spec, grid=g)
+            cap = _ProfileModel(recipe["params"], spec).cap_nodes(
+                g.theta_2d, g.phi_2d)
+            return {"kappa_repay": g.theta_2d.shape,
+                    "corr": (spec.n_ubar, cap.size)}
 
-# The arrays ShearProfile saves, in their npz order.
-_PROFILE_ARRAYS = ("kappa_repay", "corr")
+        _, arrays = load_artifact(stem, shapes, "gen-data", config_hash)
+        return ShearProfile(**recipe, **arrays)
 
 
 def _repayment(model: _ProfileModel, ubar, grid: SphereGrid):

@@ -211,8 +211,8 @@ def integrate_data_cone(profile, n_steps=2048, n_store=33,
     on the angle through the wobble Y alone.  ``integrate_cone`` therefore
     runs on the profile's ``on_columns`` view: Y_POINTS Chebyshev-Lobatto
     columns spanning the grid's [min Y, max Y], and one column per cap
-    node; the amplitude's factors are evaluated once, at the distinct
-    stage times of both sweeps.  The barycentric formula takes the final
+    node, whose amplitude is one read-only table at the distinct stage
+    times of both sweeps.  The barycentric formula takes the final
     trchi of both sweeps to the full grid, where ``step_error`` is taken,
     and the snapshots to the nodes ``[::ti, ::pj]`` only.
     """

@@ -54,6 +54,21 @@ def pipeline_out(cfg_path, tmp_path_factory):
     return out
 
 
+# cap_width 0.1: the notch reaches grid nodes, so kappa_repay and corr are
+# read on them.
+NOTCH = ["--set", "profile.cap_width=0.1"]
+
+
+@pytest.fixture(scope="module")
+def notch_profile_out(cfg_path, tmp_path_factory):
+    out = tmp_path_factory.mktemp("notch")
+    args = ["gen-data", "--config", str(cfg_path), "--out", str(out)]
+    for ov in FAST_OVERRIDES:
+        args += ["--set", ov]
+    assert main(args + NOTCH) == 0
+    return out
+
+
 class TestConfig:
     def test_init_writes_parseable_config(self, tmp_path):
         path = tmp_path / "default.ini"
@@ -126,6 +141,12 @@ class TestConfig:
         ("find-mots", ["solver.beta=2"]),
         ("find-mots", ["solver.beta=-0.1"]),
         ("penrose", ["sweep.ubar_frac="]),
+        ("find-mots", ["bounds.c1_threshold=0"]),
+        ("find-mots", ["bounds.hess_threshold=0"]),
+        ("find-mots", ["bounds.w12_threshold=0"]),
+        ("find-mots", ["bounds.w12_threshold=-0.1"]),
+        ("find-mots", ["bounds.h_threshold=1"]),
+        ("find-mots", ["solver.max_iter=-1"]),
     ])
     def test_refused_stage_value_exit_code(self, cfg_path, tmp_path, capsys,
                                            stage, overrides):
@@ -298,6 +319,68 @@ class TestPipeline:
         assert str(out / "profile.npz") in err
         assert "(129, 16, 32) != (129, 0)" in err and "gen-data" in err
 
+    @pytest.mark.parametrize("defect, found", [
+        ("transposed", "kappa_repay shape (32, 16) != (16, 32)"),
+        ("truncated", "kappa_repay shape (8, 32) != (16, 32)"),
+        ("infinite", "array corr is not finite"),
+    ], ids=["transposed", "truncated", "infinite"])
+    def test_malformed_profile_array_refused(self, cfg_path,
+                                             notch_profile_out, tmp_path,
+                                             capsys, defect, found):
+        # Each array under the right config hash: without the loader's
+        # check, evolve ran on the transposed kappa_repay with the wrong
+        # gain on the cap nodes and died on the truncated one.
+        out = tmp_path / "copy"
+        shutil.copytree(notch_profile_out, out)
+        npz = out / "profile.npz"
+        with np.load(npz) as z:
+            arrays = dict(z)
+        kappa, corr = arrays["kappa_repay"], arrays["corr"].copy()
+        assert np.any(kappa) and corr.shape[1] > 0
+        if defect == "transposed":
+            arrays["kappa_repay"] = kappa.T.copy()
+        elif defect == "truncated":
+            arrays["kappa_repay"] = kappa[:8]
+        else:
+            corr[-1, 0] = np.inf
+            arrays["corr"] = corr
+        np.savez_compressed(npz, **arrays)
+        args = ["evolve", "--config", str(cfg_path), "--out", str(out)]
+        for ov in FAST_OVERRIDES:
+            args += ["--set", ov]
+        assert main(args + NOTCH) == 2
+        err = capsys.readouterr().err
+        assert str(npz) in err and found in err
+        assert "rerun the 'gen-data' subcommand" in err
+
+    @pytest.mark.parametrize("defect, found", [
+        ("square", "R shape (16, 16) != (16, 32)"),
+        ("nan", "array R is not finite"),
+    ], ids=["square", "nan"])
+    def test_malformed_slice_radius_refused(self, cfg_path, pipeline_out,
+                                            tmp_path, capsys, defect, found):
+        # Without the loader's check horizon died on either radius, with a
+        # GridMismatchError (exit 1) or a ValueError traceback.
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_out, out)
+        npz = out / "mots" / "slice_003.npz"
+        with np.load(npz) as z:
+            arrays = dict(z)
+        R = arrays["R"].copy()
+        if defect == "square":
+            R = R[:, :16].copy()
+        else:
+            R[3, 5] = np.nan
+        arrays["R"] = R
+        np.savez_compressed(npz, **arrays)
+        args = ["horizon", "--config", str(cfg_path), "--out", str(out)]
+        for ov in FAST_OVERRIDES:
+            args += ["--set", ov]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert str(npz) in err and found in err
+        assert "rerun the 'find-mots' subcommand" in err
+
     def test_failures_json_names_the_latest_failure(self, cfg_path,
                                                     tmp_path, capsys):
         # A failure under one config, a success, then a failure under
@@ -340,7 +423,8 @@ class TestPipeline:
         out = tmp_path / "copy"
         shutil.copytree(pipeline_out, out)
         stem = out / "mots" / "slice_003"
-        meta, arrays = load_artifact(stem, ("R",), "find-mots")
+        meta, arrays = load_artifact(stem, lambda meta: {"R": (16, 32)},
+                                     "find-mots")
         save_artifact(stem, dict(meta, config_hash="0" * 16), arrays)
         args = ["horizon", "--config", str(cfg_path), "--out", str(out)]
         for ov in FAST_OVERRIDES:

@@ -211,56 +211,48 @@ class TestLockstep:
     def test_amp2_at_calls_builds_and_reuse(self, profile_notch,
                                             monkeypatch):
         # Four amp2_at calls per RK4 step of either sweep, 6 n_steps in all,
-        # each on the columns; the factors evaluated once, at the distinct
-        # stage times of both sweeps; within a sweep, one amplitude build
-        # at most per stage time; a time asked for twice in a row gets one
-        # read-only array back.
+        # each a read-only row on the columns; the view's amplitude built by
+        # one _amp2 call, at the distinct stage times of both sweeps; the
+        # sweep writes no attribute of the view or of the profile.
         n_steps = 256
-        amp2_at, grid_amp2 = ShearProfile.amp2_at, ShearProfile._grid_amp2
-        factors = ShearProfile._factors
-        calls, builds, asked = [], [], []
-
-        def counted_grid_amp2(self, *f):
-            builds.append(len(calls))
-            return grid_amp2(self, *f)
+        amp2_at, amp2 = ShearProfile.amp2_at, ShearProfile._amp2
+        on_columns = ShearProfile.on_columns
+        calls, builds, views = [], [], []
 
         def recorded_amp2_at(self, u):
-            out = amp2_at(self, u)
-            calls.append((u, out))
-            return out
+            calls.append(amp2_at(self, u))
+            return calls[-1]
 
-        def recorded_factors(self, ubar):
-            asked.append(ubar.copy())
-            return factors(self, ubar)
+        def recorded_amp2(self, ubar):
+            builds.append((self, ubar.copy()))
+            return amp2(self, ubar)
 
-        monkeypatch.setattr(ShearProfile, "_grid_amp2", counted_grid_amp2)
+        def recorded_on_columns(self, Y, ubar):
+            view = on_columns(self, Y, ubar)
+            views.append((view, dict(vars(view))))
+            return view
+
         monkeypatch.setattr(ShearProfile, "amp2_at", recorded_amp2_at)
-        monkeypatch.setattr(ShearProfile, "_factors", recorded_factors)
+        monkeypatch.setattr(ShearProfile, "_amp2", recorded_amp2)
+        monkeypatch.setattr(ShearProfile, "on_columns", recorded_on_columns)
+        before = dict(vars(profile_notch))
         integrate_data_cone(profile_notch, n_steps)
         assert len(calls) == 6 * n_steps
         n_cols = transport.Y_POINTS + profile_notch._cap.size
-        assert {out.shape for _, out in calls} == {(1, n_cols)}
+        assert {out.shape for out in calls} == {(1, n_cols)}
+        assert not any(out.flags.writeable for out in calls)
 
+        (view, state), = views
+        (built_on, asked), = builds
+        assert built_on is view
         ubar_end = profile_notch.derived.ubar_end
-        times = [stage_times(ubar_end, steps)
-                 for steps in _sweep_steps(n_steps)]
-        assert len(asked) == 1
-        assert asked[0].tobytes() == np.unique(np.concatenate(
-            [t for plan in times for t in plan])).tobytes()
-        first = 0
-        for steps, plan in zip(_sweep_steps(n_steps), times):
-            last = first + 4 * steps
-            built = [calls[k][0] for k in builds if first <= k < last]
-            assert len(built) == len(set(built))
-            assert set(built) <= set(np.concatenate(plan).tolist())
-            first = last
-
-        repeats = [(a, b) for (u, a), (v, b) in zip(calls, calls[1:])
-                   if u == v]
-        assert len(repeats) >= n_steps + n_steps // 2   # midpoint stages
-        for a, b in repeats:
-            assert b is a
-            assert not b.flags.writeable
+        assert asked.tobytes() == np.unique(np.concatenate(
+            [t for steps in _sweep_steps(n_steps)
+             for t in stage_times(ubar_end, steps)])).tobytes()
+        for obj, was in ((view, state), (profile_notch, before)):
+            now = vars(obj)
+            assert now.keys() == was.keys()
+            assert all(now[k] is v for k, v in was.items())
 
     def test_full_sweep_blowup_wins(self, grid_small):
         # The spike at ubar = 0.25 is a stage time of the 2-step half sweep
