@@ -42,8 +42,8 @@ from .sphere import SphereGrid, SphereField, get_grid
 # frozen with headroom (see scale_critical_norm).
 NORM_BUDGET = 6.0e19
 # ubar nodes per chunk of verify_profile and scale_critical_norm.  Their
-# work arrays set gen-data's peak: at 64x128, 4 nodes peak 2.8 MB below 8
-# for about 0.2 s more; the results do not depend on the chunk size.
+# work arrays set gen-data's peak: at 64x128 the verifier's traced peak is
+# 3.96 MB at 4 nodes, 7.10 MB at 8, for 0.03 s more; no result depends on it.
 UBAR_CHUNK = 4
 
 
@@ -323,21 +323,15 @@ class ShearProfile:
 
     # -- closed-form evaluators (exact, any ubar) ----------------------
 
-    def _factors(self, ubar):
-        # alpha, beta and the repaid amplitude on the cap nodes at each
-        # time of the 1-D array ubar: off the cap nodes the amplitude is
-        # alpha + beta * Y
+    def _amp2(self, ubar):
+        # alpha + beta * Y, repaid on the cap nodes, at each time of the
+        # 1-D array ubar: the (len(ubar),) + points amplitude
         alpha, beta, main, gate, repay = self._model.cap_terms(
             ubar, self._cap_theta, self._cap_phi, self._cap_Y)
-        return alpha, beta, _repaid(main, gate, self._cap_kappa, repay)
-
-    def _amp2(self, ubar):
-        # alpha + beta * Y with the cap nodes set, at each time of the 1-D
-        # array ubar: the (len(ubar),) + points amplitude
-        alpha, beta, cap = self._factors(ubar)
         out = np.multiply(self._Y, beta[:, None, None])
         out += alpha[:, None, None]
-        out.reshape(len(ubar), -1)[:, self._cap] = cap
+        out.reshape(len(ubar), -1)[:, self._cap] = _repaid(
+            main, gate, self._cap_kappa, repay)
         return out
 
     def on_columns(self, Y, ubar):

@@ -54,6 +54,9 @@ class ConeState:
     trchi_final: np.ndarray          # the full sweep's last step
     trchi_half: np.ndarray           # the half sweep's last step
     n_steps: int
+    # integrate_data_cone's max |S(full) - S(half)| over the columns, S
+    # Simpson's rule on a sweep's stage times; integrate_cone leaves 0.0
+    simpson_halving: float = 0.0
 
     @property
     def step_error(self):
@@ -64,25 +67,26 @@ class ConeState:
         return float(np.max(np.abs(self.trchi_final - self.trchi_half))) / 15
 
 
-def _sweep_steps(n_steps):
-    # the full sweep and the half sweep of the step-halving estimate
-    return n_steps, max(2, n_steps // 2)
+def step_plans(ubar_end, n_steps):
+    """Yield (h, at, stages) of the full sweep to ``ubar_end``, then of the
+    half sweep of the step-halving estimate: the only place RK4 step times
+    are formed.  Step k runs from at[k] = k h to at[k + 1], which the sweep
+    reports.  Its stages read the amplitude at stages[0][k] = at[k], twice
+    at the midpoint stages[1][k], and at stages[2][k] = at[k] + h, which
+    may differ from at[k + 1] in the last bit."""
+    for steps in (n_steps, max(2, n_steps // 2)):
+        h = ubar_end / steps
+        at = np.arange(steps + 1) * h
+        yield h, at, (at[:-1], at[:-1] + 0.5 * h, at[:-1] + h)
 
 
-def stage_times(ubar_end, steps):
-    """Start, midpoint and end of each of ``steps`` RK4 steps from 0."""
-    h = ubar_end / steps
-    u = np.arange(steps) * h
-    return u, u + 0.5 * h, u + h
-
-
-def _rk4_sweep(amp2_at, ubar_end, steps, y0, c, blow):
-    """Fixed-step RK4 for y = trchi - c from y = y0 at u = 0, that is
-    dy/du = -(y/2 + c) y - amp2_at(u) - c^2/2, in place on preallocated
-    buffers in the textbook operation order: yields (u, y) after each
-    step, y overwritten by the next, and raises FocusingError where trchi
-    falls below -blow or is not finite."""
-    h, half_c2 = ubar_end / steps, 0.5 * c * c
+def _rk4_sweep(amp2_at, plan, y0, c, blow):
+    """Fixed-step RK4 for y = trchi - c from y = y0 at u = 0 on the steps of
+    ``plan``, that is dy/du = -(y/2 + c) y - amp2_at(u) - c^2/2, in place on
+    preallocated buffers in the textbook operation order: yields (u, y)
+    after each step, y overwritten by the next, and raises FocusingError
+    where trchi falls below -blow or is not finite."""
+    (h, at, stages), half_c2 = plan, 0.5 * c * c
     y = y0.copy()
     k1, k2, k3, k4, ys = (np.empty_like(y) for _ in range(5))
 
@@ -96,8 +100,8 @@ def _rk4_sweep(amp2_at, ubar_end, steps, y0, c, blow):
     def shifted(k, a):                  # y + a k
         return np.add(y, np.multiply(k, a, out=ys), out=ys)
 
-    times = zip(*(t.tolist() for t in stage_times(ubar_end, steps)))
-    for k, (u0, um, u1) in enumerate(times):
+    times = zip(*(t.tolist() for t in stages + (at[1:],)))
+    for u0, um, u1, u in times:
         rhs(u0, y, k1)
         rhs(um, shifted(k1, 0.5 * h), k2)
         rhs(um, shifted(k2, 0.5 * h), k3)
@@ -106,7 +110,6 @@ def _rk4_sweep(amp2_at, ubar_end, steps, y0, c, blow):
         acc += np.multiply(k3, 2.0, out=k3)
         acc += k4
         y += np.multiply(acc, h / 6.0, out=acc)
-        u = (k + 1) * h
         if not (y.min() >= -blow - c and y.max() < math.inf):   # or NaN
             raise FocusingError(u)
         yield u, y
@@ -117,27 +120,27 @@ def integrate_cone(amp2_at, ubar_end, n_steps, shape, n_store=33):
     of ``shape`` at once, from trchi = TRCHI0 at ubar = 0.
 
     ``amp2_at(ubar)`` must return the squared shear on those points.  The
-    sweep with ``n_steps`` steps runs to the end, then the one with half
-    as many; both carry trchi - TRCHI0, so their roundoff scales with
-    trchi's departure from its start.  ``n_store`` snapshots of the first
-    are kept.  A FocusingError carries the full sweep's ubar if it
-    diverges, otherwise the half sweep's.
+    sweeps of ``step_plans`` run one after the other, the full one to the
+    end, then the half one; both carry trchi - TRCHI0, so their roundoff
+    scales with trchi's departure from its start.  ``n_store`` snapshots
+    of the first are kept.  A FocusingError carries the full sweep's ubar
+    if it diverges, otherwise the half sweep's.
     """
     c = TRCHI0
     y0, blow = np.zeros(shape), 1e6 * abs(c)
+    full, half = step_plans(ubar_end, n_steps)
     stride = max(1, n_steps // max(n_store - 1, 1))
     nodes = [0.0]
     # y0, then every stride-th step and the last: ceil(n_steps / stride)
     snaps = np.empty((1 - (-n_steps // stride),) + y0.shape)
     snaps[0] = y0
-    for k, (u, y) in enumerate(
-            _rk4_sweep(amp2_at, ubar_end, n_steps, y0, c, blow), start=1):
+    for k, (u, y) in enumerate(_rk4_sweep(amp2_at, full, y0, c, blow),
+                               start=1):
         if k % stride == 0 or k == n_steps:
             snaps[len(nodes)] = y
             nodes.append(u)
     # y is the full sweep's last step; the half sweep has its own buffers
-    for _, half_y in _rk4_sweep(amp2_at, ubar_end, _sweep_steps(n_steps)[1],
-                                y0, c, blow):
+    for _, half_y in _rk4_sweep(amp2_at, half, y0, c, blow):
         pass
     snaps += c
     return ConeState(ubar_nodes=np.array(nodes), trchi=snaps,
@@ -212,24 +215,41 @@ def integrate_data_cone(profile, n_steps=2048, n_store=33,
     runs on the profile's ``on_columns`` view: Y_POINTS Chebyshev-Lobatto
     columns spanning the grid's [min Y, max Y], and one column per cap
     node, whose amplitude is one read-only table at the distinct stage
-    times of both sweeps.  The barycentric formula takes the final
-    trchi of both sweeps to the full grid, where ``step_error`` is taken,
-    and the snapshots to the nodes ``[::ti, ::pj]`` only.
+    times of both sweeps, which also gives ``simpson_halving``.  The
+    barycentric formula takes the final trchi of both sweeps to the grid,
+    where ``step_error`` is taken, and the snapshots to ``[::ti, ::pj]``.
     """
     ubar_end = profile.derived.ubar_end
     Y, cap = profile._Y, profile._cap
     ys = _lobatto(float(np.min(Y)), float(np.max(Y)), Y_POINTS)
-    columns = profile.on_columns(ys, _distinct(np.concatenate([
-        t for steps in _sweep_steps(n_steps)
-        for t in stage_times(ubar_end, steps)])))
+    plans = tuple(step_plans(ubar_end, n_steps))
+    columns = profile.on_columns(ys, _distinct(np.concatenate(
+        [t for _, _, stages in plans for t in stages])))
     cone = integrate_cone(columns.amp2_at, ubar_end, n_steps,
                           columns._Y.shape, n_store=n_store)
+    allowance = _simpson_halving(columns, plans)
+    del columns                 # its table is not held through _to_nodes
     final, half = _to_nodes(
         np.concatenate((cone.trchi_final, cone.trchi_half)).T, ys, Y, cap)
     return ConeState(ubar_nodes=cone.ubar_nodes,
                      trchi=_to_nodes(cone.trchi[:, 0].T, ys, Y, cap,
                                      node_step),
-                     trchi_final=final, trchi_half=half, n_steps=n_steps)
+                     trchi_final=final, trchi_half=half, n_steps=n_steps,
+                     simpson_halving=allowance)
+
+
+def _simpson_halving(columns, plans):
+    """max over the columns of |S(full) - S(half)|, S Simpson's rule on a
+    sweep's stage times: one weight per time of the view's table, so one
+    product with it.  The columns span the grid's Y range, where the
+    amplitude is affine, and every cap node."""
+    times, table = columns._times, columns._table
+    w = np.zeros(times.size)
+    for sign, (h, _, stages) in zip((1.0, -1.0), plans):
+        for t, weight in zip(stages, (1.0, 4.0, 1.0)):
+            # a sweep's starts (or midpoints, or ends) are distinct times
+            w[times.searchsorted(t)] += sign * weight * h / 6.0
+    return float(np.max(np.abs(w @ table.reshape(times.size, -1))))
 
 
 def cone_checks(profile, cone) -> Report:
@@ -239,40 +259,21 @@ def cone_checks(profile, cone) -> Report:
     trchi <= 2 - I, I the closed-form cumulative shear, which the check
     asks of every node at ubar_end.  An RK4 step adds exactly Simpson's
     rule on the amplitude, so the interval is widened by the step-halving
-    difference of that quadrature, computed apart from both sweeps, and
-    by the roundoff allowance n_steps * eps * max |trchi|.  A wrong
-    amplitude, which moves both sweeps alike, fails it.
+    difference of that quadrature, ``cone.simpson_halving``, which reads no
+    sweep, and by the roundoff allowance n_steps * eps * max |trchi|.  A
+    wrong amplitude, which moves both sweeps alike, fails it.
     """
     u = profile.derived.ubar_end
     y = cone.trchi_final
     I = profile.I_at(u)
     outside = float(np.max(np.maximum((2.0 - 2.0 * u - I) - y, y - (2.0 - I))))
     allowance = (cone.n_steps * np.finfo(float).eps * float(np.max(np.abs(y)))
-                 + _simpson_halving(profile, u, cone.n_steps))
+                 + cone.simpson_halving)
     return Report((
         Check("trchi_bracket", bool(outside <= allowance),
               {"measured": outside, "threshold": allowance},
               "largest excess of trchi_final over [2 - 2 ubar_end - I, "
               "2 - I] (negative: inside)"),))
-
-
-def _simpson_halving(profile, ubar_end, n_steps):
-    """max over the nodes of |S(n_steps) - S(n_steps // 2)|, S(n) the
-    composite Simpson rule of the amplitude over n uniform steps.  Off the
-    cap it is affine in Y, so the grid's extreme Y values bound it."""
-    total = 0.0
-    for steps, sign in ((n_steps, 1.0), (n_steps // 2, -1.0)):
-        t = np.linspace(0.0, ubar_end, 2 * steps + 1)
-        # the steps' starts, midpoints and ends, one set at a time
-        for nodes, w in ((t[:-1:2], 1.0), (t[1::2], 4.0), (t[2::2], 1.0)):
-            alpha, beta, cap = profile._factors(nodes)
-            sums = np.concatenate(([alpha.sum(), beta.sum()], cap.sum(0)))
-            total = total + sign * w * ubar_end / (6.0 * steps) * sums
-    alpha, beta, cap = total[0], total[1], total[2:]
-    Y = profile._Y
-    return float(max(abs(alpha + beta * np.min(Y)),
-                     abs(alpha + beta * np.max(Y)),
-                     np.max(np.abs(cap), initial=0.0)))
 
 
 @dataclass

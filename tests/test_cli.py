@@ -285,13 +285,13 @@ class TestPipeline:
 
     def test_evolve_check_failure_leaves_its_json(self, cfg_path, tmp_path,
                                                   monkeypatch):
-        # Amplitude factors 0.1 % high fail trchi_bracket: evolve exits 3
-        # with evolve.json on disk and the failure in failures.json.
+        # An amplitude 0.1 % high fails trchi_bracket: evolve exits 3 with
+        # evolve.json on disk and the failure in failures.json.
         out = tmp_path / "scaled"
         run_pipeline(cfg_path, out, ["gen-data"])
-        factors = ShearProfile._factors
-        monkeypatch.setattr(ShearProfile, "_factors", lambda self, u: tuple(
-            1.001 * x for x in factors(self, u)))
+        amp2 = ShearProfile._amp2
+        monkeypatch.setattr(ShearProfile, "_amp2",
+                            lambda self, u: 1.001 * amp2(self, u))
         args = ["evolve", "--config", str(cfg_path), "--out", str(out)]
         for ov in FAST_OVERRIDES:
             args += ["--set", ov]
@@ -488,6 +488,26 @@ class TestPipeline:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert str(out / npz) in err and "lack 'meta'" in err
+        assert f"rerun the {producer!r} subcommand" in err
+
+    @pytest.mark.parametrize("stage,npz,lost,producer", [
+        ("evolve", "profile.npz", "corr", "gen-data"),
+        ("horizon", "mots/slice_003.npz", "R", "find-mots")])
+    def test_npz_without_an_array_refused(self, cfg_path, pipeline_out,
+                                          tmp_path, capsys, stage, npz, lost,
+                                          producer):
+        # meta and the config hash match, but a named array is gone.
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_out, out)
+        with np.load(out / npz) as z:
+            arrays = {k: z[k] for k in z.files if k != lost}
+        np.savez_compressed(out / npz, **arrays)
+        args = [stage, "--config", str(cfg_path), "--out", str(out)]
+        for ov in FAST_OVERRIDES:
+            args += ["--set", ov]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert str(out / npz) in err and f"lack {lost!r}" in err
         assert f"rerun the {producer!r} subcommand" in err
 
     def test_each_number_has_one_home(self, pipeline_out):

@@ -1,16 +1,21 @@
 """Residual oracles, Newton/continuation behavior, and a-priori bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
-from horizonlab import mots
+from horizonlab import mots, shear
+from horizonlab.cli import _slice_ladder
 from horizonlab.errors import PositivityError
+from horizonlab.horizon import area, assemble
 from horizonlab.mots import (MotsProblem, SolveOptions, _eval_residual,
                              gmres, make_problem, residual_H,
                              sample_perturbations, solve_slice,
                              verify_apriori)
+from horizonlab.penrose import Interval, margin
 from horizonlab.regime import RegimeParameters
-from horizonlab.shear import ProfileSpec, build_profile
+from horizonlab.shear import ProfileSpec, ShearProfile, build_profile
 from horizonlab.sphere import SphereField, get_grid, integrate
 
 
@@ -532,3 +537,152 @@ class TestProblemInvariants:
         tail = make_problem(profile_mid, 1.8 * d.delta, seed=0, beta=0.3)
         assert np.max(np.abs(tail.M0.values / (4 * profile_mid.m0) - 1)) \
             < 1e-12
+
+
+# -- an independent route: the unperturbed MOTS as an ODE in the wobble Y ----
+
+def cheb(n):
+    """Chebyshev-Lobatto points cos(j pi / n), j = 0..n, and the
+    differentiation matrix on them (Trefethen, Spectral Methods in MATLAB,
+    SIAM 2000, ch. 6)."""
+    j = np.arange(n + 1)
+    x = np.cos(np.pi * j / n)
+    c = np.where(j % n == 0, 2.0, 1.0) * (-1.0) ** j
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    return D - np.diag(D.sum(axis=1)), x
+
+
+def zonal_radius(model, ubar, n=16):
+    """Chebyshev coefficients of the slice radius as a function of the
+    wobble Y alone, with the perturbation terms dropped.
+
+    M0 = I_main(ubar, Y) depends on the angle through Y, the height along
+    a fixed axis, so R(Y) solves the slice equation times R^2 with
+    Delta R = (1 - Y^2) R'' - 2 Y R' and |grad R|^2 = (1 - Y^2) R'^2:
+
+        (1 - Y^2) R'' - 2 Y R' - (1 - Y^2) R'^2 / R - R + M0 / 2 = 0
+
+    on [-1, 1], its own regularity condition at Y = +-1.  Collocation on
+    n + 1 points, Newton from M0 / 2.
+    """
+    D, x = cheb(n)
+    D2, w = D @ D, 1.0 - x * x
+    M0 = model.I_main(ubar, x)
+    R = 0.5 * M0
+    for _ in range(20):
+        R1 = D @ R
+        F = w * (D2 @ R) - 2.0 * x * R1 - w * R1 * R1 / R - R + 0.5 * M0
+        J = (w[:, None] * D2 - (2.0 * x + 2.0 * w * R1 / R)[:, None] * D
+             + np.diag(w * R1 * R1 / (R * R) - 1.0))
+        dR = np.linalg.solve(J, -F)
+        R = R + dR
+        if np.max(np.abs(dR)) <= 1e-15 * np.max(R):
+            break
+    return np.polynomial.chebyshev.chebfit(x, R, n)
+
+
+def solve_ladder(profile, seed=1234, **counts):
+    """The slices of the CLI's ladder (default counts) and their solutions,
+    slice i drawn with seed + i as find-mots draws it."""
+    solver = {"n_window_slices": 16, "n_transition_slices": 4,
+              "n_null_slices": 4, **counts}
+    ubars = _slice_ladder({"solver": solver}, profile.derived)
+    problems = [make_problem(profile, float(ub), seed=seed + i)
+                for i, ub in enumerate(ubars)]
+    return ubars, problems, [solve_slice(p) for p in problems]
+
+
+def zonal_differences(profile, ubars, solutions):
+    """Per slice, the relative differences of the solved radius, its
+    ``area_mid`` and its numeric Penrose margin from the zonal route's,
+    whose area is 2 pi int R(Y)^2 dY.  The margin, the ADM mass less the
+    radius proxy, can sit near zero, so its ends are compared relative to
+    the radius proxy."""
+    params, grid = profile.params, profile.grid
+    Y = shear.angular_wobble(grid.theta_2d, grid.phi_2d)
+    g, wg = np.polynomial.legendre.leggauss(40)
+    assembly = assemble(params, profile, ubars, [s.R for s in solutions],
+                        disc_hypothesis=False)
+    out = []
+    for k, ub in enumerate(map(float, ubars)):
+        c = zonal_radius(profile._model, ub)
+        R = np.polynomial.chebyshev.chebval(Y, c)
+        a_mid = 2.0 * np.pi * np.sum(
+            wg * np.polynomial.chebyshev.chebval(g, c) ** 2)
+        est = area(assembly, k)
+        rp = [math.sqrt((1.0 + s / params.f0) * a_mid / (16.0 * math.pi))
+              for s in (-1.0, 1.0)]
+        want = margin(params, Interval(*rp), ub).numeric
+        got = margin(params, Interval(est.radius_proxy_lo,
+                                      est.radius_proxy_hi), ub).numeric
+        out.append({
+            "R": np.max(np.abs(solutions[k].R.values - R)) / np.max(R),
+            "area_mid": abs(est.area_mid - a_mid) / a_mid,
+            "margin": max(abs(got.lo - want.lo), abs(got.hi - want.hi))
+            / rp[1]})
+    return out
+
+
+def zonal_failures(profile, ubars, solutions):
+    """(slice, quantity, difference, bound) wherever a slice leaves the
+    zonal route by more than 1e-12 relative, or 10 newton_tol on a slice
+    whose residual norm is not below 1e-3 tol_abs."""
+    failures = []
+    diffs = zonal_differences(profile, ubars, solutions)
+    for k, (sol, diff) in enumerate(zip(solutions, diffs)):
+        tight = sol.residual_norm < 1e-3 * sol.diagnostics["tol_abs"]
+        bound = 1e-12 if tight else 10.0 * SolveOptions().newton_tol
+        failures += [(k, name, d, bound) for name, d in diff.items()
+                     if not d <= bound]
+    return failures
+
+
+@pytest.fixture(scope="module")
+def default_ladder(params):
+    """The default profile at 64x128 and its 24 slices, solved."""
+    profile = build_profile(params, ProfileSpec(), get_grid(64, 128))
+    return (profile,) + solve_ladder(profile)
+
+
+class TestZonalOracle:
+    """find-mots against a 1-D Chebyshev solve in the wobble Y, which
+    shares no transform, GMRES or continuation with it."""
+
+    def test_default_slices_match(self, default_ladder):
+        profile, ubars, problems, solutions = default_ladder
+        # the premise: the perturbation terms are negligible to the mass
+        ratio = max(p.pert_scale * p.coeff_bound / (0.5 * np.min(p.M0.values))
+                    for p in problems)
+        assert ratio < 1e-20
+        assert profile._cap.size == 0           # M0 is I_main everywhere
+        assert zonal_failures(profile, ubars, solutions) == []
+
+    @pytest.mark.parametrize("mutation", ["no-gradient-term", "mass-1e-9"])
+    def test_mutations_fail(self, default_ladder, monkeypatch, mutation):
+        profile, ubars, _, _ = default_ladder
+        if mutation == "no-gradient-term":
+            eval_residual = mots._eval_residual
+
+            def dropped(problem, Rv, c_scale=1.0, aux=None):
+                # adds back the -|grad R|^2 / R^3 term
+                res, aux = eval_residual(problem, Rv, c_scale, aux)
+                return res + aux[3] / Rv ** 3, aux
+
+            monkeypatch.setattr(mots, "_eval_residual", dropped)
+        else:
+            I_at = ShearProfile.I_at
+            monkeypatch.setattr(ShearProfile, "I_at",
+                                lambda self, u: I_at(self, u) * (1.0 + 1e-9))
+        _, _, solutions = solve_ladder(profile)
+        assert zonal_failures(profile, ubars, solutions)
+
+    def test_second_regime_perturbations_act(self):
+        # At a = 100, y = 4 the c-terms move every radius off the zonal one.
+        profile = build_profile(RegimeParameters(a=100.0, y=4.0),
+                                ProfileSpec(n_ubar=129), get_grid(16, 32))
+        assert profile._cap.size == 0
+        ubars, _, solutions = solve_ladder(
+            profile, seed=1, n_window_slices=5, n_transition_slices=2,
+            n_null_slices=2)
+        diffs = zonal_differences(profile, ubars, solutions)
+        assert min(d["R"] for d in diffs) > 1e-7

@@ -7,16 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from horizonlab import transport
+from horizonlab import shear, transport
 from horizonlab.errors import FocusingError, SlabDomainError
 from horizonlab.regime import RegimeParameters, derive
 from horizonlab.shear import ProfileSpec, ShearProfile, build_profile
 from horizonlab.sphere import get_grid
 from horizonlab.transport import (INDETERMINATE, TRAPPED_CERTIFIED,
                                   UNTRAPPED, Y_POINTS, SlabModel, _distinct,
-                                  _sweep_steps, cone_checks, detect_trapped,
+                                  cone_checks, detect_trapped,
                                   integrate_cone, integrate_data_cone,
-                                  stage_times)
+                                  step_plans)
 
 
 class FakeProfile:
@@ -188,8 +188,8 @@ class TestLockstep:
         # the sweep sorts its stage times and drops repeats without
         # np.unique (which loads numpy.ma) and must keep np.unique's bits
         ubar_end = profile_notch.derived.ubar_end
-        times = np.concatenate([t for steps in _sweep_steps(2048)
-                                for t in stage_times(ubar_end, steps)])
+        plans = step_plans(ubar_end, 2048)
+        times = np.concatenate([t for _, _, stages in plans for t in stages])
         mixed = np.random.default_rng(4).permutation(
             np.concatenate([times[:300], times[100:400], times[-50:]]))
         for ubar in (times, mixed):
@@ -247,8 +247,8 @@ class TestLockstep:
         assert built_on is view
         ubar_end = profile_notch.derived.ubar_end
         assert asked.tobytes() == np.unique(np.concatenate(
-            [t for steps in _sweep_steps(n_steps)
-             for t in stage_times(ubar_end, steps)])).tobytes()
+            [t for _, _, stages in step_plans(ubar_end, n_steps)
+             for t in stages])).tobytes()
         for obj, was in ((view, state), (profile_notch, before)):
             now = vars(obj)
             assert now.keys() == was.keys()
@@ -365,16 +365,16 @@ class TestYSweep:
                              ids=["as-run", "corrupt-half"])
     def test_amplitude_scaled_fails_the_bracket(self, y_sweep_settings,
                                                 monkeypatch, corrupt_half):
-        # Amplitude factors 0.1 % high move trchi by about 9e-12 at the
+        # An amplitude 0.1 % high moves trchi by about 9e-12 at the
         # default, ten times the bracket's allowance.  The allowance reads
         # neither sweep, so a half sweep knocked 1e-12 off at every step,
         # whose step_error is far above that move, does not widen it.
         profile, n_steps = y_sweep_settings["default"]
-        factors, rk4_sweep = ShearProfile._factors, transport._rk4_sweep
+        amp2, rk4_sweep = ShearProfile._amp2, transport._rk4_sweep
         sweeps = []
 
         def scaled(self, ubar):
-            return tuple(1.001 * x for x in factors(self, ubar))
+            return 1.001 * amp2(self, ubar)
 
         def knocked(*args):
             sweeps.append(args)
@@ -383,7 +383,7 @@ class TestYSweep:
                     y += 1e-12
                 yield u, y
 
-        monkeypatch.setattr(ShearProfile, "_factors", scaled)
+        monkeypatch.setattr(ShearProfile, "_amp2", scaled)
         if corrupt_half:
             monkeypatch.setattr(transport, "_rk4_sweep", knocked)
         cone = integrate_data_cone(profile, n_steps)
@@ -392,6 +392,44 @@ class TestYSweep:
         assert bracket["measured"] > 5.0 * bracket["threshold"]
         if corrupt_half:
             assert cone.step_error > bracket["measured"]
+
+    @pytest.mark.parametrize("name", ["notch", "second-regime"])
+    def test_allowance_is_simpson_on_the_grid(self, y_sweep_settings,
+                                              profile_notch, name):
+        # The allowance, taken on the columns' table, against Simpson's
+        # rule on every RK4 stage time of both sweeps, summed from the
+        # full-grid amplitude node by node.
+        profile, n_steps = ((profile_notch, 256) if name == "notch"
+                            else y_sweep_settings[name])
+        ubar_end = profile.derived.ubar_end
+        total = 0.0
+        for steps, sign in ((n_steps, 1.0), (n_steps // 2, -1.0)):
+            h = ubar_end / steps
+            for k in range(steps):
+                u = k * h
+                total = total + sign * h / 6.0 * (
+                    profile.amp2_at(u) + 4.0 * profile.amp2_at(u + 0.5 * h)
+                    + profile.amp2_at(u + h))
+        want = float(np.max(np.abs(total)))
+        got = integrate_data_cone(profile, n_steps).simpson_halving
+        assert got == pytest.approx(want, rel=1e-8)
+
+    def test_cone_checks_build_no_amplitude(self, y_sweep_settings,
+                                            monkeypatch):
+        # The bracket reads the allowance the sweep handed over: checking
+        # a swept cone evaluates no amplitude factor.
+        profile, n_steps = y_sweep_settings["notch-cone"]
+        cone = integrate_data_cone(profile, n_steps)
+        calls = []
+        factors = shear._ProfileModel.amp2_factors
+
+        def recorded(self, ubar):
+            calls.append(ubar)
+            return factors(self, ubar)
+
+        monkeypatch.setattr(shear._ProfileModel, "amp2_factors", recorded)
+        assert cone_checks(profile, cone).passed
+        assert calls == []
 
 
 def sweep_with_columns_zeroed(profile, n_steps, monkeypatch, columns):
