@@ -27,7 +27,7 @@ from __future__ import annotations
 import collections
 import copy
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import InitVar, asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -284,9 +284,10 @@ class ShearProfile:
     need a rebuild to reproduce; they are the arrays saved.  I differs
     from I_main only on the nodes the zero notch reaches, so ``corr`` has
     one column per node of ``cap_nodes``.  The 1-D node arrays are
-    computed on construction.  No dense table is kept: ``node_tables``
-    builds the tables of gen-data's checks a chunk of nodes at a time.
-    Instances are treated as immutable.
+    computed on construction; the cap set, which fixes ``corr``'s width,
+    is passed in as ``cap`` by whoever built or read ``corr``.  No dense
+    table is kept: ``node_tables`` builds the tables of gen-data's checks
+    a chunk of nodes at a time.  Instances are treated as immutable.
     """
 
     params: RegimeParameters
@@ -294,11 +295,12 @@ class ShearProfile:
     grid: SphereGrid
     kappa_repay: np.ndarray   # (n_theta, n_phi) per-angle repay gain
     corr: np.ndarray          # (n_ubar, n_cap) I - I_main on the cap
+    cap: InitVar[np.ndarray]  # (n_cap,) flat cap_nodes of the grid
     ubar_grid: np.ndarray = field(init=False)
     zbar: np.ndarray = field(init=False)   # angular-mean cutoff per node
     zero_locus_theta: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, cap):
         m = self._model = _ProfileModel(self.params, self.spec)
         g = self.grid
         self._Y = angular_wobble(g.theta_2d, g.phi_2d)
@@ -306,7 +308,7 @@ class ShearProfile:
         self.ubar_grid = _build_ubar_grid(m, self.spec.n_ubar)
         self.zbar = m.zbar(self.ubar_grid)
         self.zero_locus_theta = m.locus_theta(self.ubar_grid)
-        cap = self._cap = m.cap_nodes(g.theta_2d, g.phi_2d)
+        self._cap = cap
         self._cap_theta = g.theta_2d.ravel()[cap]
         self._cap_phi = g.phi_2d.ravel()[cap]
         self._cap_kappa = self.kappa_repay.ravel()[cap]
@@ -423,7 +425,8 @@ class ShearProfile:
     @staticmethod
     def load(stem, config_hash=None):
         """Reload a saved profile; see ``reporting.load_artifact``.  Its
-        recipe fixes the shape of each array."""
+        recipe fixes the shape of each array, through the cap set the
+        profile is then built with."""
         recipe = {}
 
         def shapes(meta):
@@ -433,8 +436,8 @@ class ShearProfile:
             recipe.update(params=RegimeParameters(**{
                 f.name: p[f.name] for f in fields(RegimeParameters)
                 if f.init}), spec=spec, grid=g)
-            cap = _ProfileModel(recipe["params"], spec).cap_nodes(
-                g.theta_2d, g.phi_2d)
+            cap = recipe["cap"] = _ProfileModel(
+                recipe["params"], spec).cap_nodes(g.theta_2d, g.phi_2d)
             return {"kappa_repay": g.theta_2d.shape,
                     "corr": (spec.n_ubar, cap.size)}
 
@@ -444,8 +447,9 @@ class ShearProfile:
 
 def _repayment(model: _ProfileModel, ubar, grid: SphereGrid):
     """Per-angle gain that repays, in the grid trapezoid quadrature, what
-    the zero notch removed, and ``corr``, the cumulative shear it adds on
-    the cap nodes.  Off them gate is 1.0: nothing is cut, kappa is +0.0."""
+    the zero notch removed, ``corr``, the cumulative shear it adds on the
+    cap nodes, and those nodes.  Off them gate is 1.0: nothing is cut,
+    kappa is +0.0."""
     cap = model.cap_nodes(grid.theta_2d, grid.phi_2d)
     theta, phi = grid.theta_2d.ravel()[cap], grid.phi_2d.ravel()[cap]
     _, _, on_cap, gate, repay = model.cap_terms(
@@ -461,7 +465,7 @@ def _repayment(model: _ProfileModel, ubar, grid: SphereGrid):
             "shrink cap_width or widen the repay window")
     amp2 = _repaid(on_cap, gate, kappa[cap], repay)
     return (kappa.reshape(grid.theta_2d.shape),
-            _cumtrapz(np.maximum(amp2, 0.0) - on_cap, ubar))
+            _cumtrapz(np.maximum(amp2, 0.0) - on_cap, ubar), cap)
 
 
 def build_profile(params: RegimeParameters, spec: ProfileSpec,
@@ -490,10 +494,10 @@ def build_profile(params: RegimeParameters, spec: ProfileSpec,
             f"{dom:.3g}, incompatible with d0={params.d0:.3g}")
 
     model = _ProfileModel(params, spec)
-    kappa, corr = _repayment(model, _build_ubar_grid(model, spec.n_ubar),
-                             grid)
+    kappa, corr, cap = _repayment(
+        model, _build_ubar_grid(model, spec.n_ubar), grid)
     return ShearProfile(params=params, spec=spec, grid=grid,
-                        kappa_repay=kappa, corr=corr)
+                        kappa_repay=kappa, corr=corr, cap=cap)
 
 
 # -- verification ----------------------------------------------------------
@@ -681,6 +685,19 @@ def _ubar_gradient(f, x):
     return out
 
 
+def _angular_levels(grid, h):
+    """L2 norms of h, |grad h| and grad |grad h| for each slice of the
+    stack h: one analysis and two syntheses for |grad h|, one analysis for
+    the last.  Its arrays die on return, before the caller's next stack."""
+    gt, gp = grid.gradient_values(h)
+    gt *= gt
+    gp *= gp
+    gt += gp
+    grad = np.sqrt(gt, out=gt)
+    return (*(np.sqrt(np.sum(grid.weights * f * f, axis=(1, 2)))
+              for f in (h, grad)), grid.gradient_norm(grad))
+
+
 def scale_critical_norm(profile: ShearProfile, amp2=None,
                         budget=NORM_BUDGET):
     """Discrete surrogate of the scale-critical data norm.
@@ -688,7 +705,12 @@ def scale_critical_norm(profile: ShearProfile, amp2=None,
     Sums delta^j * a^(-1/2) * max_ubar L2(S^2) of j-th ubar finite
     differences and i-th angular derivative magnitudes of the amplitude
     |chihat_0| = sqrt(amp2), for j, i <= 2, at the profile's ubar nodes,
-    amp2 clipped at zero.  ``amp2(lo, hi)`` gives the table at nodes
+    amp2 clipped at zero.  For each j, the i = 1 level is the quadrature
+    of |grad h_j| synthesized from one analysis, and the i = 2 level is
+    ``grid.gradient_norm(|grad h_j|)``, the Parseval sum of a second
+    analysis, which equals the quadrature of the synthesized gradient to
+    roundoff: per chunk and order, two analyses and two syntheses.
+    ``amp2(lo, hi)`` gives the table at nodes
     lo..hi-1 (default ``profile.node_amp2``); it is read in chunks of
     UBAR_CHUNK nodes, each with the two nodes on either side that the
     second ubar difference reaches, so no (n_ubar, n_theta, n_phi) array
@@ -710,17 +732,8 @@ def scale_critical_norm(profile: ShearProfile, amp2=None,
         for j in range(3):
             if j > 0:
                 du_j = _ubar_gradient(du_j, ubar[a:b])
-            # The angular chain acts slice by slice, on the chunk's stack.
-            ang = du_j[lo - a:hi - a]
-            for i in range(3):
-                if i > 0:
-                    gt, gp = grid.gradient_values(ang)
-                    gt *= gt
-                    gp *= gp
-                    gt += gp
-                    ang = np.sqrt(gt, out=gt)
-                norms[j, i, lo:hi] = np.sqrt(
-                    np.sum(grid.weights * ang * ang, axis=(1, 2)))
+            norms[j, :, lo:hi] = _angular_levels(grid,
+                                                 du_j[lo - a:hi - a])
     total = 0.0
     for j in range(3):
         for i in range(3):

@@ -89,6 +89,10 @@ def _legendre_tables(x, lmax):
     return p, dp
 
 
+# Within 1.3e-3 of the nodes (n = 2), so 5 Newton steps reach the floor.
+_NEWTON_STEPS = 5
+
+
 def _gauss_legendre(n):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
@@ -99,6 +103,13 @@ def _gauss_legendre(n):
     each once to float64.  The negative half mirrors the positive one, and
     the middle node of odd n is 0.  An eigensolver's weights are off by a
     relative 1e-12 at n = 64, a leak the Laplacian amplifies by l(l+1).
+
+    After _NEWTON_STEPS steps a node need not be a fixed point: in longdouble
+    the iterate can cycle among up to 4 neighbouring values (n <= 128), so
+    where a count of steps ends would move the float64 weights by an ulp
+    (at n = 33, 58, 100 and 125).  Each node is the iterate of smallest
+    |P_n| (the smaller on a tie) over one walk round its cycle, whichever
+    value the walk starts at; every n <= 128 is on its cycle by step 4.
 
     This relies on ``np.longdouble`` being wider than float64 (80-bit on
     x86-64 Linux).  Where it is not, the same steps in float64 leave the
@@ -114,10 +125,21 @@ def _gauss_legendre(n):
             p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
         return p, n * (x * p - p_prev) / (x * x - 1)
 
-    # Within 1.3e-3 of the nodes (n = 2), so 5 steps reach the floor.
-    for _ in range(5):
+    for _ in range(_NEWTON_STEPS):
         p, dp = p_and_dp(x)
         x = x - p / dp
+    # Walk on until every node is back where it started: its whole cycle.
+    start, back = x, np.zeros(x.shape, bool)
+    best, best_p = x, np.full(x.shape, np.inf, x.dtype)
+    for _ in range(8):
+        p, dp = p_and_dp(x)
+        take = (abs(p) < best_p) | ((abs(p) == best_p) & (x < best))
+        best, best_p = np.where(take, x, best), np.where(take, abs(p), best_p)
+        x = x - p / dp
+        back |= x == start
+        if back.all():
+            break
+    x = best
     # Every operation is odd or even in x, so the weights mirror exactly.
     x = np.concatenate((-x, np.zeros(n % 2, x.dtype), x[::-1]))
     _, dp = p_and_dp(x)
@@ -141,6 +163,10 @@ class SphereGrid:
     def __post_init__(self):
         order = np.arange(self.lmax + 1)
         self._eig = -order * (order + 1.0)     # Laplacian eigenvalue per l
+        # Parseval weight per order m: 2 pi, twice for m > 0 (m < 0 by
+        # symmetry).
+        self._m_weight = np.full(order.size, 4 * np.pi)
+        self._m_weight[0] = 2 * np.pi
         self._dphi = 1j * order                # d/dphi multiplier per m
         self.sin_theta = np.sqrt(1.0 - self.x * self.x)
         # Broadcastable node coordinate arrays.
@@ -221,6 +247,24 @@ class SphereGrid:
         coeff = self.analyze(values)
         return (self.synthesize(coeff, self._dp),
                 self.synthesize_dphi_over_sin(coeff))
+
+    def gradient_norm(self, values):
+        """L2 norm over the unit sphere of each slice's gradient, shape
+        ``values.shape[:-2]``, from one analysis and no synthesis.
+
+        |grad Pf|^2 of the band-limited projection Pf has degree at most
+        2 lmax <= 2 n_theta - 1, so the grid quadrature of the synthesized
+        gradient integrates it exactly; this is that integral's Parseval
+        sum, sum_{l,m} 2 pi l(l+1) |C_lm|^2 with each m > 0 counted twice.
+        It squares ``analyze``'s contiguous [m, l, stack] memory in place,
+        as real pairs, and reduces it with the weights l(l+1) over l, then
+        the order weights over m."""
+        n = self.lmax + 1
+        c = self.analyze(values)
+        sq = c.reshape(-1, n, n).transpose(2, 1, 0).view(float)
+        np.multiply(sq, sq, out=sq)
+        s = self._m_weight @ (-self._eig @ sq)
+        return np.sqrt(s.reshape(-1, 2).sum(axis=1)).reshape(c.shape[:-2])
 
     def derivatives(self, values):
         """(Laplacian, e_theta and e_phi gradient parts) from one analysis;

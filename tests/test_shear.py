@@ -13,7 +13,7 @@ from horizonlab.errors import ConstraintError, ResolutionError
 from horizonlab.regime import RegimeParameters
 from horizonlab.shear import (ProfileSpec, ShearProfile, build_profile,
                               scale_critical_norm, verify_profile)
-from horizonlab.sphere import get_grid
+from horizonlab.sphere import SphereGrid, get_grid
 from horizonlab.transport import integrate_cone
 
 
@@ -213,6 +213,20 @@ class TestScaleCriticalNorm:
                                    lambda lo, hi: loud[lo:hi])["value"] == \
             pytest.approx(2.0 * base, rel=1e-12)
 
+    def test_transform_budget(self, profile_mid, monkeypatch):
+        # Per chunk and ubar order: one analysis and two syntheses give
+        # |grad h|, one analysis gives the L2 norm of its gradient.
+        counts = dict.fromkeys(("analyze", "synthesize"), 0)
+        for name in counts:
+            def counted(self, *args, _name=name,
+                        _method=getattr(SphereGrid, name)):
+                counts[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(SphereGrid, name, counted)
+        scale_critical_norm(profile_mid)
+        orders = 3 * len(shear._chunks(len(profile_mid.ubar_grid)))
+        assert counts == {"analyze": 2 * orders, "synthesize": 2 * orders}
+
     def test_default_within_budget(self, profile_mid):
         assert scale_critical_norm(profile_mid)["passed"]
 
@@ -348,11 +362,12 @@ class TestProfileTables:
         model = shear._ProfileModel(
             params, ProfileSpec(n_ubar=n_ubar, cap_width=cap_width))
         ubar = shear._build_ubar_grid(model, n_ubar)
-        kappa, corr = shear._repayment(model, ubar, grid)
+        kappa, corr, cap = shear._repayment(model, ubar, grid)
         want_kappa, want_corr = full_row_repayment(model, ubar, grid)
         assert np.count_nonzero(kappa) == 2
         assert kappa.tobytes() == want_kappa.tobytes()
-        cap = model.cap_nodes(grid.theta_2d, grid.phi_2d)
+        assert np.array_equal(cap, model.cap_nodes(grid.theta_2d,
+                                                   grid.phi_2d))
         assert dense_corr(corr, cap, grid).tobytes() == want_corr.tobytes()
 
     def test_I_at_equals_dense_interpolation(self, profile_notch):

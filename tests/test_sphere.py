@@ -89,6 +89,20 @@ class TestGrid:
             assert np.array_equal(got_x, -got_x[::-1])
             assert np.array_equal(got_w, got_w[::-1])
 
+    def test_nodes_settle_whatever_the_step_count(self, monkeypatch):
+        # In longdouble Newton can cycle among neighbouring values (a
+        # 2-cycle at n = 33, 58, 100 and 125); the iterate kept must not
+        # depend on where the step count ends, odd or even, or the float64
+        # weights there move by an ulp.
+        want = [sphere._gauss_legendre(n) for n in range(1, 129)]
+        for steps in (4, 6, 7, 8):
+            monkeypatch.setattr(sphere, "_NEWTON_STEPS", steps)
+            for n, (x, w) in enumerate(want, 1):
+                # array_equal: a longdouble's tobytes() holds padding bytes
+                x2, w2 = sphere._gauss_legendre(n)
+                assert np.array_equal(x, x2) and np.array_equal(w, w2), \
+                    (steps, n)
+
     def test_no_polynomial_module_loaded(self):
         # Nodes come from Newton on an asymptotic start, not from an
         # eigensolver: a grid and a transform import no numpy.polynomial.
@@ -466,6 +480,51 @@ class TestGradient:
         assert np.max(np.abs(gt - np.cos(grid_small.theta_2d)
                              * np.sin(grid_small.phi_2d))) < 1e-11
         assert np.max(np.abs(gp - np.cos(grid_small.phi_2d))) < 1e-11
+
+
+class TestGradientNorm:
+    """gradient_norm, the Parseval sum of one analysis, against the
+    quadrature of the synthesized gradient, which integrates the
+    band-limited projection's |grad|^2 exactly."""
+
+    @staticmethod
+    def mismatch(g, values):
+        gt, gp = g.gradient_values(values)
+        want = np.sqrt(np.sum(g.weights * (gt * gt + gp * gp), axis=(1, 2)))
+        return np.max(np.abs(g.gradient_norm(values) - want) / want)
+
+    @staticmethod
+    def rough(nt):
+        # Random node values: not band-limited, so only their projection
+        # has a gradient the quadrature integrates exactly.
+        return np.random.default_rng(nt).standard_normal((3, nt, 2 * nt))
+
+    @pytest.mark.parametrize("nt", [16, 32, 64])
+    def test_matches_quadrature_of_gradient_values(self, nt):
+        g = get_grid(nt, 2 * nt)
+        values = self.rough(nt)
+        assert g.gradient_norm(values).shape == (3,)
+        assert self.mismatch(g, values) <= 1e-14
+
+    @pytest.mark.parametrize("mutation", ["l_squared", "m_not_doubled"])
+    def test_mutated_weights_fail_the_comparison(self, mutation,
+                                                 monkeypatch):
+        g = SphereGrid.create(32, 64)          # not the shared instance
+        order = np.arange(g.lmax + 1)
+        if mutation == "l_squared":
+            monkeypatch.setattr(g, "_eig", -order * order * 1.0)
+        else:
+            monkeypatch.setattr(g, "_m_weight", np.full(order.size,
+                                                        2.0 * np.pi))
+        assert self.mismatch(g, self.rough(32)) > 1e-3
+
+    @pytest.mark.parametrize("nt", [16, 32, 64])
+    def test_stack_of_one_equals_single_slice_exactly(self, nt):
+        g = get_grid(nt, 2 * nt)
+        values = self.rough(nt)[0]
+        single = g.gradient_norm(values)
+        assert single.shape == ()
+        assert g.gradient_norm(values[None])[0].tobytes() == single.tobytes()
 
 
 class TestFieldValidation:
