@@ -7,7 +7,8 @@ default except solver.seed, which is mandatory for reproducibility.
 The keys, kinds and defaults of [regime], [profile] and [solver] are the
 init fields of ``RegimeParameters``, ``ProfileSpec`` (but for n_ubar,
 which [grid] sets, plus norm_budget) and ``SolveOptions`` (plus the
-seed, beta and the slice counts); those of [bounds] are ``mots.BOUNDS``.
+seed, beta and the slice counts); those of [bounds] are
+``regime.BOUNDS``.
 Each artifact embeds the hash of the numeric-relevant configuration, and
 downstream subcommands refuse to run against artifacts produced from a
 different configuration.  Reruns with identical config and seed emit
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import importlib.util
 import json
 import os
 import sys
@@ -30,23 +32,37 @@ import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
-from . import horizon as horizon_mod
-from . import penrose as penrose_mod
+from . import penrose
 from .errors import (ConfigError, ConstraintError, DependencyError,
                      HorizonLabError, MalformedParametersError,
                      NonConvergenceError, ResolutionError)
-from .mots import (BOUNDS, MotsSolution, SolveOptions, c0_band, make_problem,
-                   residual_H, solve_slice, verify_apriori)
-from .regime import RegimeParameters, derive, validate
+from .regime import (BOUNDS, NORM_BUDGET, ProfileSpec, RegimeParameters,
+                     SolveOptions, c0_band, derive, validate)
 from .reporting import (config_hash, gnuplot_script, svg_class_map,
                         svg_line_chart, write_csv, write_dat, write_json)
-from .shear import (NORM_BUDGET, ProfileSpec, ShearProfile, build_profile,
-                    scale_critical_norm, verify_profile)
-from .sphere import get_grid, l2_norm
-from .transport import (SlabModel, cone_checks, detect_trapped,
-                        integrate_data_cone)
+
+
+def _lazy(name):
+    """``horizonlab.<name>``, registered in ``sys.modules`` but executed
+    only when an attribute of it is first read, so each stage process
+    runs (and loads numpy for) only the modules its body uses.  Never
+    applied to numpy: wrapping an imported numpy re-executes it."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+sphere = _lazy("sphere")
+shear = _lazy("shear")
+transport = _lazy("transport")
+mots = _lazy("mots")
+horizon = _lazy("horizon")
 
 ENV_OUTDIR = "HORIZONLAB_OUT"
 
@@ -157,7 +173,7 @@ class RunConfig:
 
     def grid(self):
         g = self.resolved["grid"]
-        return get_grid(g["n_theta"], g["n_phi"])
+        return sphere.get_grid(g["n_theta"], g["n_phi"])
 
 
 def parse_config(path, overrides=(), outdir_flag=None) -> RunConfig:
@@ -258,6 +274,7 @@ def _require(cfg, name):
 
 
 def _slice_ladder(cfg, d):
+    import numpy as np
     s = cfg["solver"]
     window = np.geomspace(d.ubar_start, d.ubar_lambda,
                           s["n_window_slices"])
@@ -285,10 +302,11 @@ def _checks_error(constraint, failures, outdir):
 def cmd_gen_data(cfg: RunConfig, inputs):
     outdir = cfg.outdir
     grid = cfg.grid()
-    profile = build_profile(cfg.params(), cfg.profile_spec(), grid)
+    profile = shear.build_profile(cfg.params(), cfg.profile_spec(), grid)
     profile.save(outdir / "profile", config_hash=cfg.hash)
-    report = verify_profile(profile)
-    norm = scale_critical_norm(profile, budget=cfg["profile"]["norm_budget"])
+    report = shear.verify_profile(profile)
+    norm = shear.scale_critical_norm(profile,
+                                     budget=cfg["profile"]["norm_budget"])
     d = profile.derived
     rows = []
     for u in (d.ubar_start, 0.5 * d.ubar_lambda, d.ubar_lambda,
@@ -309,15 +327,16 @@ def cmd_gen_data(cfg: RunConfig, inputs):
 
 
 def cmd_evolve(cfg: RunConfig, inputs):
+    import numpy as np
     outdir = cfg.outdir
-    profile = ShearProfile.load(outdir / "profile", cfg.hash)
+    profile = shear.ShearProfile.load(outdir / "profile", cfg.hash)
     d = profile.derived
     grid = profile.grid
     ti = max(1, grid.n_theta // 8)
     pj = max(1, grid.n_phi // 8)
     # the cone keeps only the nodes cone_trchi.csv reads
-    cone = integrate_data_cone(profile, n_steps=cfg["grid"]["cone_steps"],
-                               node_step=(ti, pj))
+    cone = transport.integrate_data_cone(
+        profile, n_steps=cfg["grid"]["cone_steps"], node_step=(ti, pj))
     rows = []
     for k, u in enumerate(cone.ubar_nodes):
         for i, theta in enumerate(grid.theta[::ti]):
@@ -327,21 +346,21 @@ def cmd_evolve(cfg: RunConfig, inputs):
     write_csv(outdir / "cone_trchi.csv", ("ubar", "theta", "phi", "trchi"),
               rows, stamp=cfg.hash)
 
-    slab = SlabModel(profile.params, profile,
-                     cfg["toggles"]["envelope_multiplier"])
+    slab = transport.SlabModel(profile.params, profile,
+                               cfg["toggles"]["envelope_multiplier"])
     u_lattice = np.geomspace(d.u_trapped, 1.0, 9)
     ubar_lattice = np.linspace(0.0, d.delta, 9)
     map_rows = []
     for u in u_lattice:
         for ub in ubar_lattice:
-            v = detect_trapped(slab, float(u), float(ub))
+            v = transport.detect_trapped(slab, float(u), float(ub))
             map_rows.append((float(u), float(ub), v.status,
                              v.min_leading, v.max_leading, v.envelope))
     write_csv(outdir / "trapped_map.csv",
               ("u", "ubar", "status", "min_leading", "max_leading",
                "envelope"), map_rows, stamp=cfg.hash)
-    verdict = detect_trapped(slab, d.u_trapped, d.delta)
-    checks = cone_checks(profile, cone)
+    verdict = transport.detect_trapped(slab, d.u_trapped, d.delta)
+    checks = transport.cone_checks(profile, cone)
     payload = {"step_error": cone.step_error,
                "n_steps": cone.n_steps,
                "trchi_final_min": float(np.min(cone.trchi_final)),
@@ -357,22 +376,26 @@ def _slice_problem(cfg, profile, idx, ubar):
     """Slice idx's problem at ``ubar``: its perturbations are drawn with
     seed + idx."""
     s = cfg["solver"]
-    return make_problem(profile, float(ubar), seed=s["seed"] + idx,
+    return mots.make_problem(profile, float(ubar), seed=s["seed"] + idx,
                         beta=s["beta"])
 
 
 def _load_numpy_random():
     # numpy.random loads OpenSSL's libcrypto (through secrets and hmac).
-    # Loaded before the profile's arrays rather than at the first
-    # make_problem, it keeps horizon's peak RSS lower (41.8 against
-    # 42.1 MB at 32x64 in the second regime).
+    # ``run`` has executed the stage's modules by now, so they compile
+    # before OpenSSL is mapped: the other way round, without a bytecode
+    # cache, horizon peaked 0.7 MiB and find-mots 0.4 MiB higher.  Loaded
+    # before the profile's arrays rather than at the first make_problem,
+    # it keeps horizon's peak RSS lower (41.8 against 42.1 MB at 32x64 in
+    # the second regime).
     import numpy.random  # noqa: F401
 
 
 def cmd_find_mots(cfg: RunConfig, inputs):
+    import numpy as np
     _load_numpy_random()
     outdir = cfg.outdir
-    profile = ShearProfile.load(outdir / "profile", cfg.hash)
+    profile = shear.ShearProfile.load(outdir / "profile", cfg.hash)
     params = profile.params
     opts = _record(SolveOptions, cfg["solver"])
     ladder = _slice_ladder(cfg, profile.derived)
@@ -382,8 +405,9 @@ def cmd_find_mots(cfg: RunConfig, inputs):
     failures = []
     for idx, ub in enumerate(ladder):
         problem = _slice_problem(cfg, profile, idx, ub)
-        solution = solve_slice(problem, opts)
-        bounds = verify_apriori(solution.R, problem, params, cfg["bounds"])
+        solution = mots.solve_slice(problem, opts)
+        bounds = mots.verify_apriori(solution.R, problem, params,
+                                     cfg["bounds"])
         failures += [{"index": idx, **c.as_dict()} for c in bounds.failing()]
         solution.save(outdir / "mots" / f"slice_{idx:03d}",
                       config_hash=cfg.hash)
@@ -411,9 +435,10 @@ def cmd_find_mots(cfg: RunConfig, inputs):
 
 
 def cmd_horizon(cfg: RunConfig, inputs):
+    import numpy as np
     _load_numpy_random()
     outdir = cfg.outdir
-    profile = ShearProfile.load(outdir / "profile", cfg.hash)
+    profile = shear.ShearProfile.load(outdir / "profile", cfg.hash)
     slices = inputs["mots_report.json"]["slices"]
     radii = []
     for entry in slices:
@@ -421,22 +446,22 @@ def cmd_horizon(cfg: RunConfig, inputs):
         # to the report's tol_abs; no problem outlives its check.
         idx = entry["index"]
         stem = outdir / "mots" / f"slice_{idx:03d}"
-        radii.append(MotsSolution.load(stem, config_hash=cfg.hash))
+        radii.append(mots.MotsSolution.load(stem, config_hash=cfg.hash))
         problem = _slice_problem(cfg, profile, idx, entry["ubar"])
-        res = l2_norm(residual_H(problem, radii[-1]))
+        res = sphere.l2_norm(mots.residual_H(problem, radii[-1]))
         del problem
         tol = entry["diagnostics"]["tol_abs"]
         if not res <= tol:
             raise DependencyError(str(stem.with_suffix(".npz")), "find-mots",
                                   (f"{res:.3e}", f"tol_abs {tol:.3e}"),
                                   "residual norm", ">")
-    assembly = horizon_mod.assemble(
+    assembly = horizon.assemble(
         profile.params, profile, [e["ubar"] for e in slices], radii,
         disc_hypothesis=cfg["toggles"]["disc_hypothesis"])
     rows = []
     for k, ub in enumerate(assembly.ubars):
-        est = horizon_mod.area(assembly, k)
-        sl = horizon_mod.spacelike_check(assembly, k)
+        est = horizon.area(assembly, k)
+        sl = horizon.spacelike_check(assembly, k)
         dr = assembly.dR_dubar(k)
         rows.append({
             "ubar": float(ub),
@@ -458,25 +483,25 @@ def cmd_penrose(cfg: RunConfig, inputs):
     d = derive(params)
     slices_out = []
     for row in inputs["horizon.json"]["slices"]:
-        rp = penrose_mod.Interval(row["area"]["radius_proxy_lo"],
-                                  row["area"]["radius_proxy_hi"])
-        mg = penrose_mod.margin(params, rp, row["ubar"])
-        cls = penrose_mod.classify_regime(params, row["ubar"]) \
+        rp = penrose.Interval(row["area"]["radius_proxy_lo"],
+                              row["area"]["radius_proxy_hi"])
+        mg = penrose.margin(params, rp, row["ubar"])
+        cls = penrose.classify_regime(params, row["ubar"]) \
             if params.penrose_coupling else None
         slices_out.append({"ubar": row["ubar"],
                            "margin": asdict(mg),
                            "classification": asdict(cls) if cls else None})
-    payload = {"adm_mass": asdict(penrose_mod.adm_mass(params)),
+    payload = {"adm_mass": asdict(penrose.adm_mass(params)),
                "eps_glue": d.eps_glue,
-               "exponents": penrose_mod.exponent_ledger(params),
+               "exponents": penrose.exponent_ledger(params),
                "margin_exponent_forms":
-                   penrose_mod.margin_exponent_forms(params),
+                   penrose.margin_exponent_forms(params),
                "slices": slices_out}
 
     axes = {k: v for k, v in cfg["sweep"].items()
             if k in ("kappa", "y", "t") and v}
-    rows = penrose_mod.sweep(params, axes,
-                             ubar_fracs=cfg["sweep"]["ubar_frac"])
+    rows = penrose.sweep(params, axes,
+                         ubar_fracs=cfg["sweep"]["ubar_frac"])
     write_csv(cfg.outdir / "sweep.csv",
               ("kappa", "mu", "y", "t", "ubar_frac", "status", "valid",
                "reason", "log_slack"),
@@ -491,15 +516,15 @@ def cmd_report(cfg: RunConfig, inputs):
     params = cfg.params()
     d = derive(params)
     evolve = inputs["evolve.json"]
-    mots = inputs["mots_report.json"]
+    mots_report = inputs["mots_report.json"]
     audit = inputs["penrose_audit.json"]
-    ubars = [s["ubar"] for s in mots["slices"]]
+    ubars = [s["ubar"] for s in mots_report["slices"]]
     xs = [u / d.delta for u in ubars]
     m0 = d.m0
-    rmin = [s["diagnostics"]["c0_band"][0] / m0 for s in mots["slices"]]
-    rmax = [s["diagnostics"]["c0_band"][1] / m0 for s in mots["slices"]]
+    rmin = [s["diagnostics"]["c0_band"][0] / m0 for s in mots_report["slices"]]
+    rmax = [s["diagnostics"]["c0_band"][1] / m0 for s in mots_report["slices"]]
     bands = [c0_band(params, s["M0_min"], s["M0_max"])
-             for s in mots["slices"]]
+             for s in mots_report["slices"]]
     lo = [b_lo / m0 for b_lo, _ in bands]
     hi = [b_hi / m0 for _, b_hi in bands]
     svg_line_chart(outdir / "r_band.svg",
@@ -552,7 +577,7 @@ def cmd_report(cfg: RunConfig, inputs):
 
     # (ubar, radius proxy) of each window slice, against the area band
     window = [(s["ubar"], a["area"]["radius_proxy_mid"]) for s, a in
-              zip(mots["slices"], inputs["horizon.json"]["slices"])
+              zip(mots_report["slices"], inputs["horizon.json"]["slices"])
               if s["ubar"] <= d.ubar_lambda * (1 + 1e-12)]
     band = [(0.25 - params.o1) * d.shear_amp, (0.25 + params.o1) * d.shear_amp]
     summary = {
@@ -562,9 +587,9 @@ def cmd_report(cfg: RunConfig, inputs):
             inputs["constraint_report.json"]["constraints"]["passed"],
         "trapped_at_predicted_sphere":
             evolve["trapped_at_predicted_sphere"]["status"],
-        "n_slices": mots["n_slices"],
+        "n_slices": mots_report["n_slices"],
         "all_bounds_passed": all(s["bounds"]["passed"]
-                                 for s in mots["slices"]),
+                                 for s in mots_report["slices"]),
         "window_slices": len(window),
         "area_band_ok": all(band[0] * u <= rp <= band[1] * u
                             for u, rp in window),
@@ -580,20 +605,26 @@ def cmd_report(cfg: RunConfig, inputs):
 @dataclass(frozen=True)
 class Stage:
     """A pipeline stage: the hash-stamped JSONs it reads, the main JSON it
-    writes, and its body.  evolve, find-mots and horizon also read
-    ``profile.npz``, and horizon ``mots/slice_*.npz``, through the loaders
-    that check those files' own config hash."""
+    writes, its body, and the lazy modules (see ``_lazy``) that body runs.
+    evolve, find-mots and horizon also read ``profile.npz``, and horizon
+    ``mots/slice_*.npz``, through the loaders that check those files' own
+    config hash."""
 
     reads: tuple
     writes: str
     body: object
+    runs: tuple = ()
 
 
 STAGES = {
-    "gen-data": Stage((), "constraint_report.json", cmd_gen_data),
-    "evolve": Stage((), "evolve.json", cmd_evolve),
-    "find-mots": Stage((), "mots_report.json", cmd_find_mots),
-    "horizon": Stage(("mots_report.json",), "horizon.json", cmd_horizon),
+    "gen-data": Stage((), "constraint_report.json", cmd_gen_data,
+                      (sphere, shear)),
+    "evolve": Stage((), "evolve.json", cmd_evolve,
+                    (sphere, shear, transport)),
+    "find-mots": Stage((), "mots_report.json", cmd_find_mots,
+                       (sphere, shear, mots)),
+    "horizon": Stage(("mots_report.json",), "horizon.json", cmd_horizon,
+                     (sphere, shear, mots, horizon)),
     "penrose": Stage(("horizon.json",), "penrose_audit.json", cmd_penrose),
     "report": Stage(("constraint_report.json", "evolve.json",
                      "mots_report.json", "horizon.json",
@@ -613,6 +644,13 @@ def run(subcommand, config_path, overrides=(), outdir=None):
     if subcommand not in STAGES:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     stage = STAGES[subcommand]
+    # Reading a module's namespace executes it, here before the input JSONs
+    # are parsed: executed after them, horizon's modules and numpy raised
+    # its peak RSS by 0.15 MiB.  Each stage lists a module before those
+    # that import it: run from inside shear, sphere left find-mots 0.25 MB
+    # higher at the mots-ladder config.
+    for module in stage.runs:
+        vars(module)
     try:
         inputs = {name: _require(cfg, name) for name in stage.reads}
         payload, error = stage.body(cfg, inputs)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, PositivityError
-from .regime import RegimeParameters
+from .regime import BOUNDS, RegimeParameters, SolveOptions, c0_band
 from .reporting import Check, Report, load_artifact, save_artifact
 from .sphere import SphereField, get_grid, integrate, l2_norm
 
@@ -189,15 +189,6 @@ def residual_H(problem: MotsProblem, R: SphereField) -> SphereField:
 MAX_BACKTRACKS = 6
 GMRES_RESTART = 60
 GMRES_MAXITER = 4
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    newton_tol: float = 1.0e-9       # relative to the slice 1/length scale
-    max_iter: int = 50
-    lin_tol: float = 1.0e-10
-    dlam_init: float = 0.1
-    dlam_floor: float = 1.0e-4
 
 
 @dataclass
@@ -434,21 +425,6 @@ def solve_slice(problem: MotsProblem, options: SolveOptions | None = None,
 
 
 # -- a-priori bound verification --------------------------------------------
-
-# Thresholds of the a-priori bounds, keyed as in the config's [bounds].
-BOUNDS = {"c1_threshold": 0.1, "hess_threshold": 0.1,
-          "w12_threshold": 0.1, "h_threshold": 1.5}
-
-
-def c0_band(params: RegimeParameters, m0_min, m0_max):
-    """The C0 band (1 -+ 1/c1)(1 -+ 1/c2)(1/2 -+ o1) M0 of the radius,
-    from the extremes of the mass profile M0."""
-    lo = ((1.0 - 1.0 / params.c1) * (1.0 - 1.0 / params.c2_zeta)
-          * (0.5 - params.o1) * m0_min)
-    hi = ((1.0 + 1.0 / params.c1) * (1.0 + 1.0 / params.c2_zeta)
-          * (0.5 + params.o1) * m0_max)
-    return lo, hi
-
 
 def verify_apriori(R: SphereField, problem: MotsProblem,
                    params: RegimeParameters, bounds=BOUNDS) -> Report:

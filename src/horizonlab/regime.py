@@ -5,6 +5,11 @@ kappa, mu, y through b = a**kappa and delta = a**(-y).  Everything else
 (window endpoints, the trapped-sphere location, the gluing half-width,
 the mass scale m0) is derived.  ``validate`` reports every inequality
 with its numeric slack; ``derive`` refuses to run on an invalid regime.
+
+This module is also the numpy-free home of the stage parameter records
+the CLI's config schema reads at import (``ProfileSpec``, ``NORM_BUDGET``,
+``SolveOptions``, ``BOUNDS``) and of ``c0_band``, which the report stage
+evaluates; ``shear`` and ``mots`` re-export them.
 """
 
 from __future__ import annotations
@@ -163,3 +168,55 @@ def derive(params: RegimeParameters) -> DerivedScalars:
         raise ConstraintError("window_ordering",
                               "ubar window endpoints are not strictly ordered")
     return d
+
+
+# -- stage parameter records ------------------------------------------------
+
+# Scale-critical norm budget, calibrated once on the default regime
+# (measured 3.9e19 at the default grids, stable under refinement) and
+# frozen with headroom (see shear.scale_critical_norm).
+NORM_BUDGET = 6.0e19
+
+
+@dataclass(frozen=True)
+class ProfileSpec:
+    """Shape knobs for the admissible example built by
+    ``shear.build_profile``.
+
+    ``wobble_frac`` and ``zeta_wobble_frac`` are the fraction of the
+    1/c1 and 1/c2 angular budgets spent on the smooth background wobble;
+    the rest of the f budget absorbs the moving-zero deficit.
+    """
+
+    n_ubar: int = 257
+    wobble_frac: float = 0.5
+    zeta_wobble_frac: float = 0.5
+    cap_width: float = 3.0e-4      # angular half-width of the zero notch
+    park_frac: float = 0.25        # locus ramp-in scale, fraction of w0
+    phi0: float = 0.7              # meridian carrying the zero set
+    repay_lo: float = 0.30         # repay bump support, fractions of
+    repay_hi: float = 0.70         # lambda*delta
+
+
+@dataclass(frozen=True)
+class SolveOptions:
+    newton_tol: float = 1.0e-9       # relative to the slice 1/length scale
+    max_iter: int = 50
+    lin_tol: float = 1.0e-10
+    dlam_init: float = 0.1
+    dlam_floor: float = 1.0e-4
+
+
+# Thresholds of the a-priori bounds, keyed as in the config's [bounds].
+BOUNDS = {"c1_threshold": 0.1, "hess_threshold": 0.1,
+          "w12_threshold": 0.1, "h_threshold": 1.5}
+
+
+def c0_band(params: RegimeParameters, m0_min, m0_max):
+    """The C0 band (1 -+ 1/c1)(1 -+ 1/c2)(1/2 -+ o1) M0 of the radius,
+    from the extremes of the mass profile M0."""
+    lo = ((1.0 - 1.0 / params.c1) * (1.0 - 1.0 / params.c2_zeta)
+          * (0.5 - params.o1) * m0_min)
+    hi = ((1.0 + 1.0 / params.c1) * (1.0 + 1.0 / params.c2_zeta)
+          * (0.5 + params.o1) * m0_max)
+    return lo, hi

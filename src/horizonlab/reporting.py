@@ -1,5 +1,7 @@
 """Check reports and deterministic artifact writers: JSON, CSV, SVG
-charts, gnuplot scripts.
+charts, gnuplot scripts.  Only the npz pair ``save_artifact`` and
+``load_artifact`` imports numpy, so the stages that write text alone run
+without it.
 
 Numeric artifacts must be byte-identical across reruns with the same
 config and seed, so everything here is rendered from the data alone:
@@ -14,8 +16,6 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import DependencyError
 
@@ -107,6 +107,7 @@ def _atomic_write(path, text):
 def save_artifact(stem, meta, arrays):
     """Write ``stem.npz``, replaced atomically: ``arrays`` plus a ``meta``
     entry holding ``meta`` as JSON, config hash included."""
+    import numpy as np
     stamp = np.array(json.dumps(meta, sort_keys=True))
     _replace_atomically(
         Path(stem).with_suffix(".npz"),
@@ -122,6 +123,7 @@ def load_artifact(stem, shapes, producer, config_hash=None):
     ``meta`` carries another, or if an array is missing, has another shape
     or has an entry that is not finite.
     """
+    import numpy as np
     path = Path(stem).with_suffix(".npz")
     if not path.exists():
         raise DependencyError(str(path), producer)

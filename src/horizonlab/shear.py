@@ -33,14 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConstraintError, ResolutionError
-from .regime import RegimeParameters, derive
+from .regime import NORM_BUDGET, ProfileSpec, RegimeParameters, derive
 from .reporting import Check, Report, load_artifact, save_artifact
 from .sphere import SphereGrid, SphereField, get_grid
 
-# Scale-critical norm budget, calibrated once on the default regime
-# (measured 3.9e19 at the default grids, stable under refinement) and
-# frozen with headroom (see scale_critical_norm).
-NORM_BUDGET = 6.0e19
 # ubar nodes per chunk of verify_profile and scale_critical_norm.  Their
 # work arrays set gen-data's peak: at 64x128 the verifier's traced peak is
 # 3.96 MB at 4 nodes, 7.10 MB at 8, for 0.03 s more; no result depends on it.
@@ -84,27 +80,6 @@ def bump(x):
     with np.errstate(over="ignore"):
         out = np.exp(1.0 - 1.0 / np.maximum(1.0 - xs * xs, 1e-300))
     return np.where(inside, out, 0.0)
-
-
-# -- profile specification ------------------------------------------------
-
-@dataclass(frozen=True)
-class ProfileSpec:
-    """Shape knobs for the admissible example built by ``build_profile``.
-
-    ``wobble_frac`` and ``zeta_wobble_frac`` are the fraction of the
-    1/c1 and 1/c2 angular budgets spent on the smooth background wobble;
-    the rest of the f budget absorbs the moving-zero deficit.
-    """
-
-    n_ubar: int = 257
-    wobble_frac: float = 0.5
-    zeta_wobble_frac: float = 0.5
-    cap_width: float = 3.0e-4      # angular half-width of the zero notch
-    park_frac: float = 0.25        # locus ramp-in scale, fraction of w0
-    phi0: float = 0.7              # meridian carrying the zero set
-    repay_lo: float = 0.30         # repay bump support, fractions of
-    repay_hi: float = 0.70         # lambda*delta
 
 
 def angular_wobble(theta, phi):

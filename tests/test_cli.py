@@ -692,6 +692,17 @@ def test_record_key_sets(pipeline_out):
             "status", "upper_side", "reasons", "log_slack", "exponents"}
 
 
+def fresh_process(code, *argv):
+    """The last line ``code`` prints, run with ``argv`` in a fresh
+    interpreter that imports horizonlab from this checkout."""
+    src = os.path.dirname(os.path.dirname(horizonlab.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
 def modules_after_stage(tmp_path, stage, package):
     """Run gen-data, then ``stage`` in a fresh process at the fast
     overrides; return the loaded modules that are ``package`` or in it."""
@@ -709,10 +720,7 @@ def modules_after_stage(tmp_path, stage, package):
             "rc = main(sys.argv[2:]); "
             "print(sorted(m for m in sys.modules if m == sys.argv[1] "
             "or m.startswith(sys.argv[1] + '.'))); sys.exit(rc)")
-    proc = subprocess.run([sys.executable, "-c", code, package, stage,
-                           *args], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip().splitlines()[-1]
+    return fresh_process(code, package, stage, *args)
 
 
 def test_find_mots_runs_without_scipy(tmp_path):
@@ -730,18 +738,69 @@ def test_evolve_runs_without_numpy_ma(tmp_path):
     assert (tmp_path / "out" / "cone_trchi.csv").stat().st_size > 0
 
 
+ARRAY_MODULES = ["horizon", "mots", "shear", "sphere", "transport"]
+# the array modules each stage leaves unexecuted
+IDLE = {"init": ARRAY_MODULES,
+        "gen-data": ["horizon", "mots", "transport"],
+        "evolve": ["horizon", "mots"],
+        "find-mots": ["horizon", "transport"],
+        "horizon": ["transport"],
+        "penrose": ARRAY_MODULES,
+        "report": ARRAY_MODULES}
+
+
+@pytest.mark.parametrize("stage", list(IDLE))
+def test_stage_executes_only_its_modules(cfg_path, pipeline_out, tmp_path,
+                                         stage):
+    # a module the CLI registered lazily keeps its lazy type until read;
+    # init, penrose and report read and write only text, so they execute
+    # no array module and numpy stays out of their processes
+    if stage == "init":
+        args = ["--config", str(tmp_path / "run.ini")]
+    else:
+        shutil.copytree(pipeline_out, tmp_path / "out")
+        args = ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        for ov in FAST_OVERRIDES:
+            args += ["--set", ov]
+    code = ("import json, sys, types; from horizonlab.cli import main; "
+            "rc = main(sys.argv[1:]); "
+            "print(json.dumps([sorted(n.split('.')[1] "
+            "for n, m in sys.modules.items() if n.startswith('horizonlab.') "
+            "and type(m) is not types.ModuleType), 'numpy' in sys.modules])); "
+            "sys.exit(rc)")
+    assert json.loads(fresh_process(code, stage, *args)) == [
+        IDLE[stage], IDLE[stage] != ARRAY_MODULES]
+
+
+def test_cli_import_registers_every_traced_module():
+    # perfbench/tracing.py reads each module it wraps from sys.modules
+    # right after importing horizonlab.cli, then reads their attributes:
+    # the array modules are registered there unexecuted, and reading an
+    # attribute runs them
+    code = ("import json, sys, horizonlab.cli; "
+            "names = ['sphere', 'shear', 'transport', 'mots', 'horizon', "
+            "'penrose', 'reporting']; "
+            "registered = all('horizonlab.' + n in sys.modules "
+            "for n in names); numpy = 'numpy' in sys.modules; "
+            "fn = getattr(sys.modules['horizonlab.mots'], 'solve_slice'); "
+            "print(json.dumps([registered, numpy, fn.__module__, "
+            "fn.__name__, callable(fn)]))")
+    assert json.loads(fresh_process(code)) == [
+        True, False, "horizonlab.mots", "solve_slice", True]
+
+
 def test_one_problem_per_slice_and_stage(cfg_path, tmp_path, monkeypatch):
     # find-mots builds every slice's problem once to solve it, horizon
     # once to check the loaded radius against it, and the sampler's
     # basis fields are built once for the shared grid
-    from horizonlab import cli, mots
+    from horizonlab import mots
     built = []
 
     def counting(profile, ubar, **kwargs):
         built.append(ubar)
         return make_problem(profile, ubar, **kwargs)
 
-    monkeypatch.setattr(cli, "make_problem", counting)
+    monkeypatch.setattr(mots, "make_problem", counting)
     mots._perturbation_basis.cache_clear()
     run_pipeline(cfg_path, tmp_path, ["gen-data", "find-mots", "horizon"])
     cfg = parse_config(cfg_path, FAST_OVERRIDES)

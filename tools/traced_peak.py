@@ -3,9 +3,12 @@
     python tools/traced_peak.py [--limit MB] STAGE --config RUN.INI ...
 
 Starts tracemalloc before horizonlab is imported, resets the peak once
-``horizonlab.cli`` is loaded and the import's garbage is collected, runs
-the stage in this process with the arguments given, and prints the
-highest traced allocation above what the import left, in MB.  With
+``horizonlab.cli``, numpy and the five array modules are loaded and the
+import's garbage is collected, runs the stage in this process with the
+arguments given, and prints the highest traced allocation above what the
+imports left, in MB.  ``horizonlab.cli`` defers the array modules until a
+stage first uses them; they are imported here before the floor, as the
+CLI import itself once did, so the peak measures the stage's own work.  With
 ``--limit`` it exits 1 when that peak is above the limit.  Run the stages
 in pipeline order: each reads what the one before wrote.
 
@@ -16,6 +19,7 @@ by tenths of a MB with code layout.
 """
 
 import gc
+import importlib
 import sys
 import tracemalloc
 
@@ -25,7 +29,10 @@ def main(argv):
     if argv[:1] == ["--limit"]:
         limit, argv = float(argv[1]), argv[2:]
     tracemalloc.start()
+    import numpy  # noqa: F401
     from horizonlab import cli
+    for name in ("sphere", "shear", "transport", "mots", "horizon"):
+        vars(importlib.import_module(f"horizonlab.{name}"))  # executes it
     # The import's cyclic garbage, collected during the stage, would lower
     # the floor there and move the peak by tens of KB with the code layout.
     gc.collect()
