@@ -28,6 +28,7 @@ import collections
 import copy
 import math
 from dataclasses import InitVar, asdict, dataclass, field, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -37,10 +38,15 @@ from .regime import NORM_BUDGET, ProfileSpec, RegimeParameters, derive
 from .reporting import Check, Report, load_artifact, save_artifact
 from .sphere import SphereGrid, SphereField, get_grid
 
-# ubar nodes per chunk of verify_profile and scale_critical_norm.  Their
-# work arrays set gen-data's peak: at 64x128 the verifier's traced peak is
+# ubar nodes per chunk of verify_profile: at 64x128 its traced peak is
 # 3.96 MB at 4 nodes, 7.10 MB at 8, for 0.03 s more; no result depends on it.
 UBAR_CHUNK = 4
+# ubar nodes scale_critical_norm loads per step.  Its ring holds (h, grad h)
+# at NORM_STEP + 4 nodes and each transform stacks NORM_STEP slices, on top
+# of the grid's 4.2 MB of Legendre tables, which sets gen-data's traced peak:
+# at 64x128 the norm peaks 1.82, 2.03 and 3.20 MB above the tables at 1, 2
+# and 4 nodes, in 0.30, 0.23 and 0.19 s.  The value moves by roundoff with it.
+NORM_STEP = 2
 
 
 # -- smooth shape functions ----------------------------------------------
@@ -259,7 +265,8 @@ class ShearProfile:
     need a rebuild to reproduce; they are the arrays saved.  I differs
     from I_main only on the nodes the zero notch reaches, so ``corr`` has
     one column per node of ``cap_nodes``.  The 1-D node arrays are
-    computed on construction; the cap set, which fixes ``corr``'s width,
+    computed on construction, the amplitude's factors at every node at the
+    first ``node_amp2``; the cap set, which fixes ``corr``'s width,
     is passed in as ``cap`` by whoever built or read ``corr``.  No dense
     table is kept: ``node_tables`` builds the tables of gen-data's checks
     a chunk of nodes at a time.  Instances are treated as immutable.
@@ -300,14 +307,23 @@ class ShearProfile:
 
     # -- closed-form evaluators (exact, any ubar) ----------------------
 
-    def _amp2(self, ubar):
+    def _terms(self, ubar):
+        return self._model.cap_terms(ubar, self._cap_theta, self._cap_phi,
+                                     self._cap_Y)
+
+    @cached_property
+    def _node_terms(self):
+        # built at the first node_amp2, so that the stages that read no
+        # node amplitude (evolve, find-mots, horizon) never build it
+        return self._terms(self.ubar_grid)
+
+    def _amp2(self, ubar, terms=None):
         # alpha + beta * Y, repaid on the cap nodes, at each time of the
         # 1-D array ubar: the (len(ubar),) + points amplitude
-        alpha, beta, main, gate, repay = self._model.cap_terms(
-            ubar, self._cap_theta, self._cap_phi, self._cap_Y)
+        alpha, beta, main, gate, repay = terms or self._terms(ubar)
         out = np.multiply(self._Y, beta[:, None, None])
         out += alpha[:, None, None]
-        out.reshape(len(ubar), -1)[:, self._cap] = _repaid(
+        out.reshape(len(ubar), self._Y.size)[:, self._cap] = _repaid(
             main, gate, self._cap_kappa, repay)
         return out
 
@@ -339,8 +355,11 @@ class ShearProfile:
         return out
 
     def node_amp2(self, lo, hi):
-        """The amplitude, not clipped at zero, at ubar nodes lo..hi-1."""
-        return self._amp2(self.ubar_grid[lo:hi])
+        """The amplitude, not clipped at zero, at ubar nodes lo..hi-1, from
+        the factors tabulated at every node: the same bits as evaluating
+        them at those nodes."""
+        return self._amp2(self.ubar_grid[lo:hi],
+                          [t[lo:hi] for t in self._node_terms])
 
     def node_tables(self, lo, hi) -> ProfileTables:
         """The tables at ubar nodes lo..hi-1.  A node's rows depend on that
@@ -350,7 +369,7 @@ class ShearProfile:
         u = ubar[:, None, None]
         rho, f = m.rho(ubar), m.fbg(u, Y)
         I = m.I_of(u, f, rho[:, None, None])
-        I.reshape(len(ubar), -1)[:, self._cap] += self.corr[lo:hi]
+        I.reshape(len(ubar), self._Y.size)[:, self._cap] += self.corr[lo:hi]
         # Unity before the window, wobbled cutoff across it, zero after.
         shape = np.clip((ubar - m.ulam) / m.zwindow, 0.0, 1.0)
         swob = (4.0 * shape * (1.0 - shape)) ** 2
@@ -477,9 +496,11 @@ def build_profile(params: RegimeParameters, spec: ProfileSpec,
 
 # -- verification ----------------------------------------------------------
 
-def _chunks(n):
-    """(lo, hi) of consecutive runs of UBAR_CHUNK of n ubar nodes."""
-    return [(lo, min(lo + UBAR_CHUNK, n)) for lo in range(0, n, UBAR_CHUNK)]
+def _chunks(n, size=None):
+    """(lo, hi) of consecutive runs of size (default UBAR_CHUNK) of n ubar
+    nodes."""
+    size = size or UBAR_CHUNK
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def verify_profile(profile: ShearProfile, tables=None) -> Report:
@@ -642,35 +663,45 @@ def verify_profile(profile: ShearProfile, tables=None) -> Report:
     return Report(tuple(checks))
 
 
-def _ubar_gradient(f, x):
-    """``np.gradient(f, x, axis=0)`` by its formula for uneven spacing.
+def _ubar_stencils(x):
+    """(len(x), 3, 5) weights that take f at the nodes m-2..m+2 of x to f,
+    ``np.gradient(f, x, axis=0)`` and that gradient's gradient at node m,
+    zero where a node lies outside x: np.gradient's own weights (uneven
+    spacing, one-sided at the ends), bit for bit.  They are read off a
+    comb whose column k is 1 at the nodes m = k mod 5: five consecutive
+    nodes fall in distinct columns, so no two weights of a row share one."""
+    n = len(x)
+    comb = [np.eye(5)[np.arange(n) % 5]]
+    for _ in range(2):
+        comb.append(np.gradient(comb[-1], x, axis=0))
+    cols = (np.arange(n)[:, None] + np.arange(-2, 3)) % 5
+    return np.stack([np.take_along_axis(f, cols, axis=1) for f in comb],
+                    axis=1)
 
-    numpy takes its even-spacing formula, with other bits, wherever the
-    spacing of x is constant, as it can be on a chunk of the ubar nodes
-    but is not on all of them.
-    """
-    dx = np.diff(x).reshape((-1,) + (1,) * (f.ndim - 1))
-    dx1, dx2 = dx[:-1], dx[1:]
-    out = np.empty_like(f)
-    out[1:-1] = (-dx2 / (dx1 * (dx1 + dx2)) * f[:-2]
-                 + (dx2 - dx1) / (dx1 * dx2) * f[1:-1]
-                 + dx1 / (dx2 * (dx1 + dx2)) * f[2:])
-    out[0] = (f[1] - f[0]) / dx[0]
-    out[-1] = (f[-1] - f[-2]) / dx[-1]
+
+def _order_levels(grid, band, ring, w):
+    """(3, 3, n) norms at n ubar nodes: for each order j the window rows
+    ``band[j] @ ring`` are (h_j, grad_theta h_j, grad_phi h_j) there, and
+    i = 0, 1, 2 are the L2 norms of h_j, of |grad h_j| and of its
+    gradient, the last by ``grid.gradient_norm``, skipped where |grad h_j|
+    is exactly zero.  Its arrays die on return, before the next load."""
+    n = band.shape[1]
+    out = np.zeros((3, 3, n))
+    mag, sq = np.empty((2, n, w.size))
+    for j in range(3):
+        np.matmul(band[j], ring[0], out=sq)
+        sq *= sq
+        out[j, 0] = np.sqrt(sq @ w)
+        for k, dst in ((1, mag), (2, sq)):
+            np.matmul(band[j], ring[k], out=dst)
+            dst *= dst
+        mag += sq
+        out[j, 1] = np.sqrt(mag @ w)
+        np.sqrt(mag, out=mag)
+        if mag.any():
+            out[j, 2] = grid.gradient_norm(
+                mag.reshape((n,) + grid.weights.shape))
     return out
-
-
-def _angular_levels(grid, h):
-    """L2 norms of h, |grad h| and grad |grad h| for each slice of the
-    stack h: one analysis and two syntheses for |grad h|, one analysis for
-    the last.  Its arrays die on return, before the caller's next stack."""
-    gt, gp = grid.gradient_values(h)
-    gt *= gt
-    gp *= gp
-    gt += gp
-    grad = np.sqrt(gt, out=gt)
-    return (*(np.sqrt(np.sum(grid.weights * f * f, axis=(1, 2)))
-              for f in (h, grad)), grid.gradient_norm(grad))
 
 
 def scale_critical_norm(profile: ShearProfile, amp2=None,
@@ -680,35 +711,63 @@ def scale_critical_norm(profile: ShearProfile, amp2=None,
     Sums delta^j * a^(-1/2) * max_ubar L2(S^2) of j-th ubar finite
     differences and i-th angular derivative magnitudes of the amplitude
     |chihat_0| = sqrt(amp2), for j, i <= 2, at the profile's ubar nodes,
-    amp2 clipped at zero.  For each j, the i = 1 level is the quadrature
-    of |grad h_j| synthesized from one analysis, and the i = 2 level is
-    ``grid.gradient_norm(|grad h_j|)``, the Parseval sum of a second
-    analysis, which equals the quadrature of the synthesized gradient to
-    roundoff: per chunk and order, two analyses and two syntheses.
-    ``amp2(lo, hi)`` gives the table at nodes
-    lo..hi-1 (default ``profile.node_amp2``); it is read in chunks of
-    UBAR_CHUNK nodes, each with the two nodes on either side that the
-    second ubar difference reaches, so no (n_ubar, n_theta, n_phi) array
-    is held.  The budget was calibrated once on the default regime at
-    exactly those orders and frozen; the norm is homogeneous of degree
-    one in the amplitude, so a profile built at the wrong amplitude power
-    fails by the corresponding factor.
+    amp2 clipped at zero.
+
+    The spectral gradient is linear and the ubar difference acts node by
+    node, so grad h_j is the j-th difference of grad h_0: each node's h_0
+    gets one ``gradient_values`` (one analysis, two syntheses), and each
+    order's |grad h_j| one analysis in ``grid.gradient_norm``, a Parseval
+    sum: six transform passes per node.  ``amp2(lo, hi)`` gives the table
+    at nodes lo..hi-1 (default ``profile.node_amp2``); it is read
+    NORM_STEP nodes at a time into a ring of (h_0, grad h_0) rows that
+    carries the four nodes the next step's second difference reaches, so
+    no node is read twice and no (n_ubar, n_theta, n_phi) array is held.
+    A load whose amplitude is exactly zero, and an order whose |grad h_j|
+    is, transforms nothing and adds exact zeros: at the default config the
+    33 nodes at ubar = 0 and past the cutoff.  The sum equals that of
+    synthesizing each difference (the tests' per-slice reference) to
+    roundoff: within 3e-15 relative at the default config, the second
+    regime at 32x64 and 16x32 with cap_width 0.1, and 2e-13 at cap_width
+    0.014, whose i = 2 terms differ by up to 2.4e-12.  The budget was
+    calibrated once on the default regime at exactly those orders and
+    frozen; the norm is homogeneous of degree one in the amplitude, so a
+    profile built at the wrong amplitude power fails by the corresponding
+    factor.
     """
     amp2 = amp2 or profile.node_amp2
     ubar = profile.ubar_grid
-    nu = len(ubar)
+    nu, c = len(ubar), NORM_STEP
     grid = profile.grid
     p = profile.params
+    stencils = _ubar_stencils(ubar)
+    w = grid.weights.ravel()
+    # Node m's (h, grad_theta h, grad_phi h) sit in slot (m - 2) % size of
+    # the ring, which holds the c + 4 nodes a step reads; size is a
+    # multiple of c, so each step's new nodes fill c consecutive slots.
+    size = -(-(c + 4) // c) * c
+    ring = np.zeros((3, size, w.size))
     norms = np.empty((3, 3, nu))
-    for lo, hi in _chunks(nu):
-        a, b = max(lo - 2, 0), min(hi + 2, nu)
-        du_j = np.maximum(amp2(a, b), 0.0)
-        np.sqrt(du_j, out=du_j)
-        for j in range(3):
-            if j > 0:
-                du_j = _ubar_gradient(du_j, ubar[a:b])
-            norms[j, :, lo:hi] = _angular_levels(grid,
-                                                 du_j[lo - a:hi - a])
+
+    def load(a, b):
+        rows = ring[:, (a - 2) % size:][:, :b - a]
+        h = rows[0].reshape((-1,) + grid.weights.shape)
+        np.maximum(amp2(a, b), 0.0, out=h)
+        np.sqrt(h, out=h)
+        if h.any():
+            for r, f in zip((1, 2), grid.gradient_values(h)):
+                rows[r] = f.reshape(len(h), -1)
+        else:
+            rows[1:] = 0.0
+
+    load(0, 2)
+    for lo, hi in _chunks(nu, c):
+        n = hi - lo
+        load(min(lo + 2, nu), min(hi + 2, nu))
+        band = np.zeros((3, n, size))
+        i = np.arange(n)[:, None]
+        band[:, i, (lo - 4 + i + np.arange(5)) % size] = \
+            stencils[lo:hi].transpose(1, 0, 2)
+        norms[:, :, lo:hi] = _order_levels(grid, band, ring, w)
     total = 0.0
     for j in range(3):
         for i in range(3):

@@ -193,6 +193,25 @@ def per_slice_norm(profile, amp2):
     return total
 
 
+def norm_transforms(live, step):
+    """(analyses, syntheses) of ``scale_critical_norm`` when the ubar nodes
+    flagged in ``live`` are the ones with a nonzero amplitude: a load of
+    nodes a..b-1 runs one gradient_values if one of them is live, and the
+    order-j levels of the chunk lo..hi-1 one gradient_norm if one of the
+    nodes lo-j..hi-1+j is."""
+    n = len(live)
+
+    def any_live(a, b):
+        return bool(live[max(a, 0):min(b, n)].any())
+
+    chunks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    loads = sum(any_live(a, b)
+                for a, b in [(0, 2)] + [(lo + 2, hi + 2) for lo, hi in chunks])
+    norms = sum(any_live(lo - j, hi + j) for lo, hi in chunks
+                for j in range(3))
+    return loads + norms, 2 * loads
+
+
 class TestScaleCriticalNorm:
     @pytest.mark.parametrize("name", ["profile_mid", "profile_notch"])
     def test_matches_per_slice_reference(self, name, request, dense_tables):
@@ -213,9 +232,10 @@ class TestScaleCriticalNorm:
                                    lambda lo, hi: loud[lo:hi])["value"] == \
             pytest.approx(2.0 * base, rel=1e-12)
 
-    def test_transform_budget(self, profile_mid, monkeypatch):
-        # Per chunk and ubar order: one analysis and two syntheses give
-        # |grad h|, one analysis gives the L2 norm of its gradient.
+    def test_transform_budget(self, profile_mid, tables_mid, monkeypatch):
+        # One gradient_values per load of nodes with a nonzero amplitude,
+        # one gradient_norm per chunk and ubar order whose stencil reaches
+        # such a node: six passes per node, none on an all-zero window.
         counts = dict.fromkeys(("analyze", "synthesize"), 0)
         for name in counts:
             def counted(self, *args, _name=name,
@@ -224,8 +244,61 @@ class TestScaleCriticalNorm:
                 return _method(self, *args)
             monkeypatch.setattr(SphereGrid, name, counted)
         scale_critical_norm(profile_mid)
-        orders = 3 * len(shear._chunks(len(profile_mid.ubar_grid)))
-        assert counts == {"analyze": 2 * orders, "synthesize": 2 * orders}
+        live = (tables_mid.amp2 > 0.0).any(axis=(1, 2))
+        analyses, syntheses = norm_transforms(live, shear.NORM_STEP)
+        assert counts == {"analyze": analyses, "synthesize": syntheses}
+        assert counts == {"analyze": 341, "synthesize": 170}
+
+    def test_zero_tail_runs_no_transform(self, profile_mid, tables_mid,
+                                         monkeypatch):
+        # The amplitude is exactly zero from node k on, as past the cutoff;
+        # a window that sees only such nodes adds zeros and transforms
+        # nothing, so no transform ever receives an all-zero stack.
+        table = tables_mid.amp2.copy()
+        table[len(table) // 2 + 3:] = 0.0
+        nonzero = []
+        for name in ("analyze", "synthesize"):
+            def recorded(self, values, *args,
+                         _method=getattr(SphereGrid, name)):
+                nonzero.append(bool(np.any(values)))
+                return _method(self, values, *args)
+            monkeypatch.setattr(SphereGrid, name, recorded)
+        got = scale_critical_norm(profile_mid,
+                                  lambda lo, hi: table[lo:hi])["value"]
+        monkeypatch.undo()
+        assert all(nonzero)
+        live = (table > 0.0).any(axis=(1, 2))
+        assert len(nonzero) == sum(norm_transforms(live, shear.NORM_STEP))
+        want = per_slice_norm(profile_mid, table)
+        assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("name", ["profile_mid", "profile_notch"])
+    def test_step_moves_value_at_roundoff(self, name, request, monkeypatch):
+        # Other steps put the nodes in other ring slots and chunks, and
+        # one step takes every node at once; only the transforms' stacks
+        # round differently.
+        profile = request.getfixturevalue(name)
+        want = scale_critical_norm(profile)["value"]
+        for step in (1, 3, 5, len(profile.ubar_grid)):
+            monkeypatch.setattr(shear, "NORM_STEP", step)
+            got = scale_critical_norm(profile)["value"]
+            assert abs(got - want) <= 1e-13 * want, step
+
+    @pytest.mark.parametrize("n_theta", [16, 64])
+    def test_ubar_differences_commute_with_gradient(self, n_theta):
+        # The premise of the norm: grad h_j is the j-th ubar difference of
+        # grad h_0, so each node's gradient is synthesized once.
+        grid = get_grid(n_theta, 2 * n_theta)
+        rng = np.random.default_rng(n_theta)
+        h = rng.standard_normal((5, n_theta, 2 * n_theta))
+        x = np.cumsum(rng.uniform(0.5, 1.5, 5))
+        want = np.array(grid.gradient_values(h))
+        for _ in range(2):
+            h = np.gradient(h, x, axis=0)
+            want = np.gradient(want, x, axis=1)
+            got = np.array(grid.gradient_values(h))
+            assert np.max(np.abs(got - want)) \
+                <= 1e-13 * np.max(np.abs(want))
 
     def test_default_within_budget(self, profile_mid):
         assert scale_critical_norm(profile_mid)["passed"]
@@ -254,18 +327,45 @@ class TestChunking:
 
     @pytest.mark.parametrize("n_ubar", [129, 193, 257])
     def test_ubar_gradient_on_windows_equals_full(self, params, n_ubar):
-        # Many 3-node windows of the ubar nodes are evenly spaced, where
-        # np.gradient itself would switch formulas; the norm's maximum
-        # over ubar can hide that, so every node is compared here.
+        # Every node's 5-node stencil holds, bit for bit, the weights that
+        # np.gradient applies over the whole grid (many 3-node windows of
+        # the ubar nodes are evenly spaced, where np.gradient on the window
+        # alone would switch formulas), and zeros off the grid.
         model = shear._ProfileModel(params, ProfileSpec(n_ubar=n_ubar))
         ubar = shear._build_ubar_grid(model, n_ubar)
+        stencils = shear._ubar_stencils(ubar)
         f = np.random.default_rng(n_ubar).standard_normal((n_ubar, 3))
-        full = np.gradient(f, ubar, axis=0)
-        assert shear._ubar_gradient(f, ubar).tobytes() == full.tobytes()
-        for k in range(n_ubar):
-            a, b = max(k - 1, 0), min(k + 2, n_ubar)
-            got = shear._ubar_gradient(f[a:b], ubar[a:b])[k - a]
-            assert got.tobytes() == full[k].tobytes(), k
+        dense, want = [np.eye(n_ubar)], [f]
+        for _ in range(2):
+            dense.append(np.gradient(dense[-1], ubar, axis=0))
+            want.append(np.gradient(want[-1], ubar, axis=0))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((np.zeros((2, 3)), f, np.zeros((2, 3)))), 5,
+            axis=0)
+        for j in range(3):
+            for k in range(n_ubar):
+                a, b = max(k - 2, 0), min(k + 3, n_ubar)
+                got = stencils[k, j, a - k + 2:b - k + 2]
+                assert got.tobytes() == dense[j][k, a:b].tobytes(), (j, k)
+                assert not stencils[k, j, :a - k + 2].any()
+                assert not stencils[k, j, b - k + 2:].any()
+            got = np.einsum("kt,kct->kc", stencils[:, j], windows)
+            assert np.max(np.abs(got - want[j])) \
+                <= 1e-14 * np.max(np.abs(want[j])), j
+
+    def test_empty_node_ranges(self, profile_notch):
+        # The norm's last loads ask for no node at all; the notch puts
+        # nodes on the cap, whose columns the tables index.
+        g = profile_notch.grid
+        empty = (0, g.n_theta, g.n_phi)
+        for k in (0, 7, len(profile_notch.ubar_grid)):
+            assert profile_notch.node_amp2(k, k).shape == empty
+            assert all(t.shape == empty
+                       for t in profile_notch.node_tables(k, k))
+        view = profile_notch.on_columns(np.linspace(-1.0, 1.0, 5),
+                                        profile_notch.ubar_grid[:3])
+        columns = 5 + profile_notch._cap.size
+        assert view.node_amp2(7, 7).shape == (0, 1, columns)
 
     def test_checks_hold_less_than_one_dense_table(self, params):
         profile = build_profile(params, ProfileSpec(), get_grid(64, 128))
