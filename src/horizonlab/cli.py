@@ -318,8 +318,7 @@ def cmd_gen_data(cfg: RunConfig, inputs):
                              float(grid.phi[j]), float(I[i, j])))
     write_csv(outdir / "cumulative_shear.csv",
               ("ubar", "theta", "phi", "I"), rows, stamp=cfg.hash)
-    payload = {"constraints": report.as_dict(),
-               "scale_critical_norm": norm, "derived": asdict(d)}
+    payload = {"constraints": report.as_dict(), "scale_critical_norm": norm}
     failures = [c.as_dict() for c in report.failing()]
     if not norm["passed"]:
         failures.append({"name": "scale_critical_norm", **norm})
@@ -465,8 +464,6 @@ def cmd_horizon(cfg: RunConfig, inputs):
         dr = assembly.dR_dubar(k)
         rows.append({
             "ubar": float(ub),
-            "R_min": float(np.min(radii[k].values)),
-            "R_max": float(np.max(radii[k].values)),
             "area": asdict(est),
             "dR_dubar_min": (float(np.min(dr.values)) if dr else None),
             "dR_dubar_max": (float(np.max(dr.values)) if dr else None),
@@ -480,7 +477,6 @@ def cmd_horizon(cfg: RunConfig, inputs):
 
 def cmd_penrose(cfg: RunConfig, inputs):
     params = cfg.params()
-    d = derive(params)
     slices_out = []
     for row in inputs["horizon.json"]["slices"]:
         rp = penrose.Interval(row["area"]["radius_proxy_lo"],
@@ -492,7 +488,6 @@ def cmd_penrose(cfg: RunConfig, inputs):
                            "margin": asdict(mg),
                            "classification": asdict(cls) if cls else None})
     payload = {"adm_mass": asdict(penrose.adm_mass(params)),
-               "eps_glue": d.eps_glue,
                "exponents": penrose.exponent_ledger(params),
                "margin_exponent_forms":
                    penrose.margin_exponent_forms(params),
@@ -527,19 +522,28 @@ def cmd_report(cfg: RunConfig, inputs):
              for s in mots_report["slices"]]
     lo = [b_lo / m0 for b_lo, _ in bands]
     hi = [b_hi / m0 for _, b_hi in bands]
-    svg_line_chart(outdir / "r_band.svg",
-                   "MOTS radius against the C0 band", "ubar/delta", "R/m0",
-                   [{"x": xs, "y": rmin, "label": "min R", "color": "#125"},
-                    {"x": xs, "y": rmax, "label": "max R",
-                     "color": "#921"}],
-                   bands=[{"x": xs, "ylo": lo, "yhi": hi,
-                           "color": "#bcd"}], stamp=cfg.hash)
-    write_dat(outdir / "r_band.dat", ("ubar_over_delta", "rmin", "rmax",
-                                      "band_lo", "band_hi"),
-              list(zip(xs, rmin, rmax, lo, hi)), stamp=cfg.hash)
-    gnuplot_script(outdir / "r_band.gp", "r_band.dat",
-                   "MOTS radius against the C0 band", "ubar/delta", "R/m0",
-                   ("rmin", "rmax", "band_lo", "band_hi"), stamp=cfg.hash)
+
+    def line_chart(name, title, ylabel, xs, table):
+        # name.svg, .dat and .gp against ubar/delta from one ordered table
+        # of (column, values, label, color): a labelled column is a line,
+        # two unlabelled ones in a row a band (lower edge's color)
+        series = [{"x": xs, "y": v, "label": lab, "color": c}
+                  for _, v, lab, c in table if lab]
+        edges = [(v, c) for _, v, lab, c in table if not lab]
+        fills = [{"x": xs, "ylo": v_lo, "yhi": v_hi, "color": c}
+                 for (v_lo, c), (v_hi, _) in zip(edges[::2], edges[1::2])]
+        svg_line_chart(outdir / f"{name}.svg", title, "ubar/delta", ylabel,
+                       series, bands=fills, stamp=cfg.hash)
+        columns = [col for col, *_ in table]
+        write_dat(outdir / f"{name}.dat", ["ubar_over_delta", *columns],
+                  list(zip(xs, *(v for _, v, *_ in table))), stamp=cfg.hash)
+        gnuplot_script(outdir / f"{name}.gp", f"{name}.dat", title,
+                       "ubar/delta", ylabel, columns, stamp=cfg.hash)
+
+    line_chart("r_band", "MOTS radius against the C0 band", "R/m0", xs,
+               [("rmin", rmin, "min R", "#125"),
+                ("rmax", rmax, "max R", "#921"),
+                ("band_lo", lo, None, "#bcd"), ("band_hi", hi, None, None)])
 
     cells = {}
     for u, ub, status in evolve["trapped_map"]:
@@ -560,20 +564,10 @@ def cmd_report(cfg: RunConfig, inputs):
     mlo = [s["margin"]["numeric"]["lo"] / m0 for s in audit["slices"]]
     mhi = [s["margin"]["numeric"]["hi"] / m0 for s in audit["slices"]]
     mal = [s["margin"]["analytic_lo"] / m0 for s in audit["slices"]]
-    svg_line_chart(outdir / "margin.svg",
-                   "Penrose margin per slice", "ubar/delta", "margin/m0",
-                   [{"x": mxs, "y": mal, "label": "analytic lower",
-                     "color": "#192"}],
-                   bands=[{"x": mxs, "ylo": mlo, "yhi": mhi,
-                           "color": "#cdf"}], stamp=cfg.hash)
-    write_dat(outdir / "margin.dat",
-              ("ubar_over_delta", "numeric_lo", "numeric_hi",
-               "analytic_lo"),
-              list(zip(mxs, mlo, mhi, mal)), stamp=cfg.hash)
-    gnuplot_script(outdir / "margin.gp", "margin.dat",
-                   "Penrose margin per slice", "ubar/delta", "margin/m0",
-                   ("numeric_lo", "numeric_hi", "analytic_lo"),
-                   stamp=cfg.hash)
+    line_chart("margin", "Penrose margin per slice", "margin/m0", mxs,
+               [("numeric_lo", mlo, None, "#cdf"),
+                ("numeric_hi", mhi, None, None),
+                ("analytic_lo", mal, "analytic lower", "#192")])
 
     # (ubar, radius proxy) of each window slice, against the area band
     window = [(s["ubar"], a["area"]["radius_proxy_mid"]) for s, a in

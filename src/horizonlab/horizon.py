@@ -74,7 +74,6 @@ def assemble(params: RegimeParameters, profile, ubars, radii, *,
 
 @dataclass(frozen=True)
 class AreaEstimate:
-    ubar: float
     area_lo: float
     area_mid: float
     area_hi: float
@@ -95,8 +94,7 @@ def area(assembly: HorizonAssembly, k) -> AreaEstimate:
     a_lo = (1.0 - 1.0 / f0) * a_mid
     a_hi = (1.0 + 1.0 / f0) * a_mid
     rp = [math.sqrt(a / (16.0 * math.pi)) for a in (a_lo, a_mid, a_hi)]
-    return AreaEstimate(ubar=float(assembly.ubars[k]), area_lo=a_lo,
-                        area_mid=a_mid, area_hi=a_hi,
+    return AreaEstimate(area_lo=a_lo, area_mid=a_mid, area_hi=a_hi,
                         radius_proxy_lo=rp[0], radius_proxy_mid=rp[1],
                         radius_proxy_hi=rp[2])
 
@@ -105,8 +103,7 @@ def area(assembly: HorizonAssembly, k) -> AreaEstimate:
 class SpacelikeResult:
     status: str                       # "spacelike" | "not-certified"
     reason: str
-    min_schur: float | None           # adversarial-direction margin
-    min_sampled: float | None         # None: no margin is formed
+    min_schur: float | None           # None: no margin is formed
 
 
 def spacelike_check(assembly: HorizonAssembly, k) -> SpacelikeResult:
@@ -116,18 +113,18 @@ def spacelike_check(assembly: HorizonAssembly, k) -> SpacelikeResult:
     diag(R^2, R^2 sin^2) plus cross terms 4*lambda_i*lambda_3*dR/dtheta_i
     and h*(1+o1) in the ubar direction.  Positive-definiteness is decided
     by the exact adversarial direction (the Schur complement of the
-    angular block); 32 fixed random directions are evaluated as well for
-    the report.  With h <= 0 (h = 0 on the null slices past the cutoff) the
+    angular block), whose smallest value over the nodes is the reported
+    margin.  With h <= 0 (h = 0 on the null slices past the cutoff) the
     form is degenerate or indefinite along ubar, and no margin is formed.
     """
     if assembly.h_values is None:
         return SpacelikeResult("not-certified", "disc hypothesis disabled",
-                               None, None)
+                               None)
     q33 = assembly.h_values[k] * (1.0 + assembly.params.o1)
     if q33 <= 0.0:
         return SpacelikeResult("not-certified", "slope scalar h <= 0: the "
                                "ubar direction is null (h = 0) or timelike",
-                               None, None)
+                               None)
     R = assembly.radii[k]
     grid, Rv = R.grid, R.values
     gt, gp = grid.gradient_values(Rv)
@@ -138,18 +135,9 @@ def spacelike_check(assembly: HorizonAssembly, k) -> SpacelikeResult:
     q23 = 2.0 * gp * sin                # dR/dtheta2 = sin * frame component
     schur = q33 - q13 * q13 / g11 - q23 * q23 / g22
     min_schur = float(np.min(schur))
-    dirs = np.random.default_rng(0).standard_normal((32, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    vals = []
-    for l1, l2, l3 in dirs:
-        q = (l1 * l1 * g11 + l2 * l2 * g22 + 2.0 * l1 * l3 * q13
-             + 2.0 * l2 * l3 * q23 + l3 * l3 * q33)
-        vals.append(float(np.min(q)))
-    min_sampled = min(vals)
     ok = (np.all(g11 > 0.0) and np.all(g22 > 0.0) and min_schur > 0.0)
     if ok:
         return SpacelikeResult("spacelike", "quadratic form positive at "
-                               "all nodes", min_schur, min_sampled)
+                               "all nodes", min_schur)
     return SpacelikeResult("not-certified",
-                           "quadratic form not positive definite",
-                           min_schur, min_sampled)
+                           "quadratic form not positive definite", min_schur)

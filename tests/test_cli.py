@@ -668,19 +668,40 @@ def test_record_key_sets(pipeline_out):
 
     derived = {"b", "delta", "m0", "shear_amp", "ubar_start", "ubar_lambda",
                "ubar_lambda_hi", "ubar_end", "u_trapped", "eps_glue"}
-    assert set(load("constraint_report.json")["derived"]) == derived
     assert set(load("summary.json")["regime"]["derived"]) == derived
     assert set(load("evolve.json")["meta"]["derived"]) == derived
+    # Each number has one home: the derived scalars live in each stage
+    # JSON's meta (and in summary.json's regime), and no record copies one
+    # that another JSON holds.
+    assert set(load("constraint_report.json")) == {
+        "constraints", "scale_critical_norm", "meta"}
+    assert set(load("penrose_audit.json")) == {
+        "adm_mass", "exponents", "margin_exponent_forms", "slices", "meta"}
+
+    def derived_homes(node, path=()):
+        if isinstance(node, dict):
+            return ({path} if "derived" in node else set()).union(
+                *(derived_homes(v, path + (k,)) for k, v in node.items()))
+        if isinstance(node, list):
+            return set().union(*(derived_homes(v, path) for v in node))
+        return set()
+
+    homes = {p.name: derived_homes(load(p.name))
+             for p in pipeline_out.glob("*.json")}
+    assert homes.pop("run_meta.json") == set()
+    assert homes.pop("summary.json") == {("meta",), ("regime",)}
+    assert all(h == {("meta",)} for h in homes.values()), homes
     assert set(load("evolve.json")["trapped_at_predicted_sphere"]) == {
         "status", "min_leading", "max_leading", "envelope"}
     for s in load("mots_report.json")["slices"]:
         assert set(s["diagnostics"]) == {"c0_band", "tol_abs"}
     for row in load("horizon.json")["slices"]:
+        assert set(row) == {"ubar", "area", "dR_dubar_min", "dR_dubar_max",
+                            "h_slope", "spacelike"}
         assert set(row["area"]) == {
-            "ubar", "area_lo", "area_mid", "area_hi", "radius_proxy_lo",
+            "area_lo", "area_mid", "area_hi", "radius_proxy_lo",
             "radius_proxy_mid", "radius_proxy_hi"}
-        assert set(row["spacelike"]) == {
-            "status", "reason", "min_schur", "min_sampled"}
+        assert set(row["spacelike"]) == {"status", "reason", "min_schur"}
     audit = load("penrose_audit.json")
     assert set(audit["adm_mass"]) == {"lo", "hi"}
     assert audit["slices"]

@@ -171,7 +171,83 @@ class TestSpacelike:
         out = spacelike_check(assembly, 2)
         assert out.status == "spacelike"
         assert out.min_schur > 0.0
-        assert out.min_sampled > 0.0
+
+    @staticmethod
+    def smallest_eigenvalue(assembly, k):
+        # The smallest eigenvalue over the nodes of the 3x3 form
+        # [[g11, 0, q13], [0, g22, q23], [q13, q23, q33]]: an oracle that
+        # does not go through the Schur complement.  On these slices the
+        # entries run from R^2 ~ 1e-20 to q33 ~ 1e73, so eigvalsh's absolute
+        # error (eps times the norm) would swamp the smallest eigenvalue;
+        # the form is taken as D A D with D = |diag A|^(-1/2) (1 where the
+        # diagonal is 0), whose eigenvalues have the signs of A's
+        # (Sylvester's law of inertia).
+        R = assembly.radii[k]
+        gt, gp = R.grid.gradient_values(R.values)
+        sin = R.grid.sin_theta[:, None]
+        g11 = R.values ** 2
+        g22 = g11 * sin ** 2
+        q13, q23 = 2.0 * gt, 2.0 * gp * sin
+        q33 = np.full_like(g11, assembly.h_values[k]
+                           * (1.0 + assembly.params.o1))
+        zero = np.zeros_like(g11)
+        form = np.stack([np.stack([g11, zero, q13], -1),
+                         np.stack([zero, g22, q23], -1),
+                         np.stack([q13, q23, q33], -1)], -2)
+        diag = np.abs(np.diagonal(form, axis1=-2, axis2=-1))
+        scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        form *= scale[..., :, None] * scale[..., None, :]
+        return float(np.min(np.linalg.eigvalsh(form)))
+
+    def test_verdict_is_the_eigenvalue_oracle(self, assembly):
+        # spacelike exactly where every node's form is positive definite,
+        # and a formed margin has the sign of the smallest eigenvalue.
+        verdicts = set()
+        for k in range(len(assembly.ubars)):
+            out = spacelike_check(assembly, k)
+            lam = self.smallest_eigenvalue(assembly, k)
+            assert (out.status == "spacelike") == (lam > 0.0), k
+            if out.min_schur is not None:
+                assert (out.min_schur > 0.0) == (lam > 0.0), k
+            verdicts.add(out.status)
+        assert verdicts == {"spacelike", "not-certified"}
+
+    @staticmethod
+    def with_h(assembly, h):
+        return HorizonAssembly(params=assembly.params, ubars=assembly.ubars,
+                               radii=assembly.radii,
+                               h_values=[h] * len(assembly.ubars))
+
+    def test_tiny_h_not_positive_definite(self, assembly):
+        # h > 0 passes the null test, but the cross terms dR/dtheta win.
+        k = 2
+        tampered = self.with_h(assembly, 1e-30)
+        out = spacelike_check(tampered, k)
+        assert out.status == "not-certified"
+        assert out.reason == "quadratic form not positive definite"
+        assert out.min_schur < 0.0
+        assert self.smallest_eigenvalue(tampered, k) < 0.0
+
+    def test_verdict_flips_where_the_oracle_does(self, assembly):
+        # Bisect for the h at which the oracle's smallest eigenvalue turns
+        # positive.  Both cross terms move that point (dropping the
+        # dR/dtheta2 one lowers it by 0.15 %), so the verdict must flip
+        # within 1e-6 of it.
+        k = 2
+        lo, hi = 1e-30, 1.0
+        assert self.smallest_eigenvalue(self.with_h(assembly, lo), k) < 0.0
+        assert self.smallest_eigenvalue(self.with_h(assembly, hi), k) > 0.0
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            if self.smallest_eigenvalue(self.with_h(assembly, mid), k) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        assert hi / lo < 1.0 + 1e-8
+        above = spacelike_check(self.with_h(assembly, hi * (1.0 + 1e-6)), k)
+        below = spacelike_check(self.with_h(assembly, lo * (1.0 - 1e-6)), k)
+        assert above.status == "spacelike" and above.min_schur > 0.0
+        assert below.status == "not-certified" and below.min_schur < 0.0
 
     def test_degenerate_h_not_certified(self, assembly):
         k = 2
@@ -182,5 +258,5 @@ class TestSpacelike:
         out = spacelike_check(tampered, k)
         assert out.status == "not-certified"
         assert "h = 0" in out.reason
-        assert out.min_schur is None and out.min_sampled is None
+        assert out.min_schur is None
 
