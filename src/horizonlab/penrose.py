@@ -61,7 +61,6 @@ def adm_mass(params: RegimeParameters) -> Interval:
 
 @dataclass(frozen=True)
 class MarginResult:
-    ubar: float
     numeric: Interval
     analytic_lo: float
     analytic_hi: float
@@ -82,8 +81,8 @@ def margin(params: RegimeParameters, radius_proxy_interval: Interval,
     hi_coef = 0.25 + params.o1 if gap >= 0.0 else 0.25 - params.o1
     analytic_lo = amp * lo_coef * gap - d.eps_glue
     analytic_hi = amp * hi_coef * gap + d.eps_glue
-    return MarginResult(ubar=float(ubar), numeric=numeric,
-                        analytic_lo=analytic_lo, analytic_hi=analytic_hi)
+    return MarginResult(numeric=numeric, analytic_lo=analytic_lo,
+                        analytic_hi=analytic_hi)
 
 
 def margin_exponent_forms(params: RegimeParameters):
