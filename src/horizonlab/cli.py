@@ -575,8 +575,7 @@ def cmd_report(cfg: RunConfig, inputs):
               if s["ubar"] <= d.ubar_lambda * (1 + 1e-12)]
     band = [(0.25 - params.o1) * d.shear_amp, (0.25 + params.o1) * d.shear_amp]
     summary = {
-        "regime": {"validation": validate(params).as_dict(),
-                   "derived": asdict(d)},
+        "regime": {"validation": validate(params).as_dict()},
         "profile_checks_passed":
             inputs["constraint_report.json"]["constraints"]["passed"],
         "trapped_at_predicted_sphere":

@@ -26,8 +26,8 @@ constant-coefficient Helmholtz inverse applied in the harmonic basis.
 The linear solves are inexact (Dembo, Eisenstat & Steihaug, SIAM J.
 Numer. Anal. 19 (1982) 400; Eisenstat & Walker, SIAM J. Sci. Comput. 17
 (1996) 16): each is only as tight as its step needs, with a forcing term
-tied to the residual, FORCING target / |G| kept between ``lin_tol`` and
-FORCING_MAX.  Newton stops at ``tol_abs`` on the base and continuation
+tied to the residual, FORCING target / |G| but no tighter than
+``lin_tol``.  Newton stops at ``tol_abs`` on the base and continuation
 stages; the stage whose iterate is returned goes on to a tenth of it, so
 a saved radius never sits just under its tolerance.
 """
@@ -197,7 +197,6 @@ MAX_BACKTRACKS = 6
 GMRES_RESTART = 60
 GMRES_MAXITER = 4
 FORCING = 1e-3
-FORCING_MAX = 1e-2
 
 
 @dataclass
@@ -312,12 +311,13 @@ def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage, aux=None):
     The stage stops at its target norm: ``tol_abs``, or 0.1 ``tol_abs`` on
     the stages whose iterate ``solve_slice`` returns ("final", "direct").
     Each GMRES solve runs to the relative residual
-    max(lin_tol, min(FORCING_MAX, FORCING target / |G|)), which leaves a
-    linear residual of about FORCING target, far below what the step has
-    to reach: a step just above its target is solved to FORCING relative,
-    and only one FORCING / lin_tol targets away (1e7 by default) or more
-    to ``lin_tol``.  A stalled backtrack returns the iterate when it is
-    already within ``tol_abs``, and raises otherwise."""
+    max(lin_tol, FORCING target / |G|), which leaves a linear residual of
+    about FORCING target, far below what the step has to reach.  GMRES
+    runs only while |G| > target, so no step is solved looser than FORCING
+    relative (one just above its target), and only one FORCING / lin_tol
+    targets away (1e7 by default) or more to ``lin_tol``.  A stalled
+    backtrack returns the iterate when it is already within ``tol_abs``,
+    and raises otherwise."""
     grid = problem.grid
     target = tol_abs * (0.1 if stage in ("final", "direct") else 1.0)
     l = np.arange(grid.lmax + 1, dtype=float)
@@ -359,7 +359,7 @@ def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage, aux=None):
             perp = v - grid.synthesize(coeff)
             return band + perp / diag_safe
 
-        rtol = max(opts.lin_tol, min(FORCING_MAX, FORCING * target / norm))
+        rtol = max(opts.lin_tol, FORCING * target / norm)
         dR, info, iters = gmres(matvec, -R2 * res, precond,
                                 rtol, GMRES_RESTART, GMRES_MAXITER)
         rec["gmres_iters"].append(iters)

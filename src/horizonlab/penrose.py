@@ -11,7 +11,8 @@ o1 * a^(t y - 1/2) against the unknown constant multiplying eps, except
 within delta^(3/2) of the window end where the comparison degenerates.
 All classification arithmetic runs in log-a space; floats only appear
 when a report value is emitted.  The upper side is never classified as
-a violation: the error in m - m0 is one-sided information only.
+a violation, so no verdict names it: the error in m - m0 is one-sided
+information only.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .regime import RegimeParameters, derive, validate
 
 CERTIFIED_POSITIVE = "certified-positive"
 INCONCLUSIVE = "inconclusive"
-VIOLATED_NEVER = "violated-never"
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,9 @@ def margin_exponent_forms(params: RegimeParameters):
     Route "direct" multiplies the dimensional factors; route "factored"
     pulls out a^(1/2 - y/2) and compares a^(kappa mu - y/2) against the
     gluing constant, which is the exponent form used to classify
-    regimes.  The two must agree to ulp-scale relative tolerance.
+    regimes.  The two must agree to ulp-scale relative tolerance.  Its
+    exponents are the ledger's kappa_mu_minus_y_half and
+    half_minus_y_half.
     """
     p = params
     d = derive(params)
@@ -102,18 +104,14 @@ def margin_exponent_forms(params: RegimeParameters):
     factored = ((p.a ** (p.kappa * p.mu - 0.5 * p.y) * o1_slot - p.C_eps)
                 * p.a ** (0.5 - 0.5 * p.y))
     return {"direct": direct, "factored": factored, "o1_slot": o1_slot,
-            "c2_slot": p.C_eps,
-            "leading_exponent": p.kappa * p.mu - 0.5 * p.y,
-            "common_exponent": 0.5 - 0.5 * p.y}
+            "c2_slot": p.C_eps}
 
 
 @dataclass(frozen=True)
 class RegimeClassification:
     status: str
-    upper_side: str                   # always "violated-never"
     reasons: tuple
     log_slack: float                  # ln(o1 * a^(ty-1/2)) - ln(c2 bound)
-    exponents: dict
 
 
 def classify_regime(params: RegimeParameters, ubar) -> RegimeClassification:
@@ -122,18 +120,17 @@ def classify_regime(params: RegimeParameters, ubar) -> RegimeClassification:
     Requires the coupling kappa*mu + 1/2 = (1/2 + t)*y; the decision is
     ln(o1) + (t*y - 1/2) ln(a) > ln(c2 bound), in log-a space.  Within
     delta^(3/2) of the window end the comparison degenerates and the
-    verdict is inconclusive regardless.  The upper side never reports a
-    violation: the sign of the mass error is unknown.
+    verdict is inconclusive regardless.  The exponents it reads are the
+    ``exponent_ledger``'s, which the audit records once beside its slices.
     """
     p = params
     if not p.penrose_coupling:
         raise ConfigError("classify_regime requires the Penrose coupling "
                           "kappa*mu + 1/2 = (1/2 + t)*y to be enabled")
     d = derive(params)
-    exps = exponent_ledger(params)
     reasons = []
     ln_a = math.log(p.a)
-    texp = exps["ty_minus_half"]
+    texp = exponent_ledger(params)["ty_minus_half"]
     log_slack = math.log(p.o1) + texp * ln_a - math.log(p.c2_unknown_bound)
     gap = d.ubar_lambda - ubar
     degenerate = gap <= p.delta ** 1.5
@@ -152,9 +149,8 @@ def classify_regime(params: RegimeParameters, ubar) -> RegimeClassification:
         status = INCONCLUSIVE
         reasons.append("o1 * a^(ty-1/2) does not clear the "
                        "unknown-constant bound")
-    return RegimeClassification(status=status, upper_side=VIOLATED_NEVER,
-                                reasons=tuple(reasons),
-                                log_slack=log_slack, exponents=exps)
+    return RegimeClassification(status=status, reasons=tuple(reasons),
+                                log_slack=log_slack)
 
 
 def sweep(base: RegimeParameters, axes: dict, ubar_fracs=None):

@@ -66,16 +66,25 @@ def smoothstep5_deriv(t):
 
 def smoothramp(t):
     """C-infinity ramp: 0 for t<=0, 1 for t>=1, flat at both ends."""
+    return smoothramp_and_slope(t)[0]
+
+
+def smoothramp_and_slope(t):
+    """The ramp a/(a+b), a = exp(-1/t) and b = exp(-1/(1-t)) each zero
+    where its argument is not positive, and its derivative
+    a b (1/t^2 + 1/(1-t)^2)/(a+b)^2 from the same exponentials.  At every
+    finite t, a + b >= exp(-2) > 0, and a b = 0 outside (0, 1), where
+    the slope is 0."""
     t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
         b = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)),
                      0.0)
-    out = a / np.where(a + b > 0.0, a + b, 1.0)
-    return np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, out))
-
-
-RAMP_H = 1e-7     # central-difference step of the ramp derivative
+    s = a + b
+    rho = np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, a / s))
+    x = np.where((t > 0.0) & (t < 1.0), t, 0.5)
+    slope = a * b * (1.0 / (x * x) + 1.0 / ((1.0 - x) * (1.0 - x))) / (s * s)
+    return rho, slope
 
 
 def bump(x):
@@ -145,13 +154,12 @@ class _ProfileModel:
     def amp2_factors(self, ubar):
         """(alpha, beta) at each time of the 1-D array ``ubar``: the main
         amplitude d/dubar I_main, affine in Y through f = 1 + a1 Y, is
-        alpha + beta * Y.  rho' is a central difference, step RAMP_H."""
+        alpha + beta * Y.  rho' is the ramp's closed-form slope."""
         x = np.pi * ubar / self.ulam
         a1 = self.wf * np.sin(x)
         a2 = self.wf * (np.pi / self.ulam) * np.cos(x)
-        t = ubar / self.w0
-        r = smoothramp(np.array([t, t + RAMP_H, t - RAMP_H]))
-        rho, drho = r[0], (r[1] - r[2]) / (2.0 * RAMP_H) / self.w0
+        rho, slope = smoothramp_and_slope(ubar / self.w0)
+        drho = slope / self.w0
         zb, dzb = self.zbar(ubar), self.dzbar(ubar)
         A = self.A
         core = A * rho * zb
@@ -375,14 +383,12 @@ class ShearProfile:
         swob = (4.0 * shape * (1.0 - shape)) ** 2
         zeta = zbar[:, None, None] * (1.0 + m.wz * swob[:, None, None]
                                       * self._Z)
-        # f is pinned by the window identity where it applies, derived from
-        # the transition identity across the cutoff, background elsewhere.
-        live = (ubar > 0.0) & (rho >= 1e-300)
-        win = live & (ubar <= m.ulam)
-        tra = live & (ubar > m.ulam) & (zbar > 1e-9)
-        f[win] = I[win] / (m.A * ubar[win] * rho[win])[:, None, None]
-        f[tra] = ((I[tra] - (1.0 - zeta[tra]) * m.four_m0)
-                  / (m.A * zeta[tra] * u[tra]))
+        # f is derived from the transition identity, which on the window
+        # (zeta = 1.0) is the window identity and across the cutoff has
+        # rho = 1.0; background where ubar, rho or zeta vanish.
+        on = (ubar > 0.0) & (rho >= 1e-300) & (zbar > 1e-9)
+        f[on] = ((I[on] - (1.0 - zeta[on]) * m.four_m0)
+                 / (m.A * zeta[on] * u[on] * rho[on, None, None]))
         return ProfileTables(self.node_amp2(lo, hi), I, f, zeta)
 
     def I_at(self, ubar):
@@ -467,25 +473,17 @@ def build_profile(params: RegimeParameters, spec: ProfileSpec,
     """Construct an admissible shear profile on the given grids.
 
     Raises ConstraintError naming the violated data requirement when the
-    parameter combination cannot support an admissible profile.
+    parameter combination cannot support an admissible profile: here
+    lambda' < lambda*(1+o1), in ``_repayment`` kappa <= 0.5, and through
+    ``derive`` the regime inequalities under ``validate``'s names (c1, c2
+    >= 20 among them).  M*/N against d0 is the verifier's
+    ``dominance_ratio`` check.
     """
-    if params.c1 < 20.0:
-        raise ConstraintError("u_dependence_f_budget",
-                              "angular bound constant c1 must be >= 20")
-    if params.c2_zeta < 20.0:
-        raise ConstraintError("u_dependence_zeta_budget",
-                              "angular bound constant c2 must be >= 20")
     if params.lambda_hi >= params.lambda_lo * (1.0 + params.o1):
         raise ConstraintError(
             "averaged_angular_independence",
             "need lambda' < lambda*(1+o1); otherwise the window identity "
             "overshoots the total 4*m0 and |chihat_0|^2 would go negative")
-    dom = 1.0 / params.o1
-    if abs(dom - params.d0) > 0.2 * params.d0:
-        raise ConstraintError(
-            "dominant_contribution",
-            f"total/tail structure fixes the dominance ratio to 1/o1="
-            f"{dom:.3g}, incompatible with d0={params.d0:.3g}")
 
     model = _ProfileModel(params, spec)
     kappa, corr, cap = _repayment(

@@ -244,14 +244,19 @@ class TestPipeline:
         assert "gen-data" in capsys.readouterr().err
 
     def test_constraint_failure_exit_code(self, cfg_path, tmp_path):
+        # d0 = 10 against the forced 1/o1 = 20: the profile builds and the
+        # verifier's dominance_ratio check alone fails it, so the
+        # constraint report is on disk at exit 3.
         args = ["gen-data", "--config", str(cfg_path), "--out",
                 str(tmp_path / "bad"), "--set", "regime.d0=10"]
         for ov in FAST_OVERRIDES:
             args += ["--set", ov]
         assert main(args) == 3
+        assert (tmp_path / "bad" / "constraint_report.json").is_file()
         failures = json.loads((tmp_path / "bad" / "failures.json")
                               .read_text())
-        assert failures["failures"][0]["name"] == "dominant_contribution"
+        assert [f["name"] for f in failures["failures"]] \
+            == ["dominance_ratio"]
 
     @pytest.mark.parametrize("wobble, failing", [
         ("1.2", ["f_bounds"]),
@@ -697,11 +702,10 @@ def test_record_key_sets(pipeline_out):
 
     derived = {"b", "delta", "m0", "shear_amp", "ubar_start", "ubar_lambda",
                "ubar_lambda_hi", "ubar_end", "u_trapped", "eps_glue"}
-    assert set(load("summary.json")["regime"]["derived"]) == derived
+    assert set(load("summary.json")["meta"]["derived"]) == derived
     assert set(load("evolve.json")["meta"]["derived"]) == derived
     # Each number has one home: the derived scalars live in each stage
-    # JSON's meta (and in summary.json's regime), and no record copies one
-    # that another JSON holds.
+    # JSON's meta, and no record copies one that another JSON holds.
     assert set(load("constraint_report.json")) == {
         "constraints", "scale_critical_norm", "meta"}
     assert set(load("penrose_audit.json")) == {
@@ -718,8 +722,8 @@ def test_record_key_sets(pipeline_out):
     homes = {p.name: derived_homes(load(p.name))
              for p in pipeline_out.glob("*.json")}
     assert homes.pop("run_meta.json") == set()
-    assert homes.pop("summary.json") == {("meta",), ("regime",)}
     assert all(h == {("meta",)} for h in homes.values()), homes
+    assert set(load("summary.json")["regime"]) == {"validation"}
     assert set(load("evolve.json")["trapped_at_predicted_sphere"]) == {
         "status", "min_leading", "max_leading", "envelope"}
     for s in load("mots_report.json")["slices"]:
@@ -733,12 +737,14 @@ def test_record_key_sets(pipeline_out):
         assert set(row["spacelike"]) == {"status", "reason", "min_schur"}
     audit = load("penrose_audit.json")
     assert set(audit["adm_mass"]) == {"lo", "hi"}
+    assert set(audit["margin_exponent_forms"]) == {
+        "direct", "factored", "o1_slot", "c2_slot"}
     assert audit["slices"]
     for s in audit["slices"]:
         assert set(s["margin"]) == {"numeric", "analytic_lo", "analytic_hi"}
         assert set(s["margin"]["numeric"]) == {"lo", "hi"}
-        assert set(s["classification"]) == {
-            "status", "upper_side", "reasons", "log_slack", "exponents"}
+        # the exponents are the audit's top-level ledger, once
+        assert set(s["classification"]) == {"status", "reasons", "log_slack"}
 
 
 def fresh_process(code, *argv):

@@ -447,11 +447,14 @@ class TestInexactNewton:
 
     def test_fixed_rtol_adds_newton_steps(self, profiles_small,
                                           monkeypatch):
-        # A forcing large enough that every solve stops at FORCING_MAX,
-        # whatever the target, converges linearly: more Newton steps.
+        # Every solve stopped at a fixed relative 1e-2, whatever the
+        # target, converges linearly: more Newton steps.
         profile = profiles_small[1]
         ref = ladder_work(profile, monkeypatch, 0.0)
-        assert ladder_work(profile, monkeypatch, 1e30)[1] > ref[1]
+        gmres = mots.gmres
+        monkeypatch.setattr(mots, "gmres", lambda matvec, b, psolve, rtol,
+                            *rest: gmres(matvec, b, psolve, 1e-2, *rest))
+        assert ladder_work(profile, monkeypatch, mots.FORCING)[1] > ref[1]
 
     @pytest.fixture
     def stalled(self, grid_small, monkeypatch):

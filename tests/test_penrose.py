@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horizonlab.errors import ConfigError
-from horizonlab.penrose import (CERTIFIED_POSITIVE, INCONCLUSIVE,
-                                VIOLATED_NEVER, Interval, adm_mass,
-                                classify_regime, exponent_ledger, margin,
-                                margin_exponent_forms, sweep)
+from horizonlab.penrose import (CERTIFIED_POSITIVE, INCONCLUSIVE, Interval,
+                                adm_mass, classify_regime, exponent_ledger,
+                                margin, margin_exponent_forms, sweep)
 from horizonlab.regime import RegimeParameters, derive
 
 
@@ -77,9 +76,15 @@ class TestExponentForms:
         assert rel <= 64 * np.finfo(float).eps
 
     def test_leading_exponent_value(self, params):
+        # The factored route's exponents are the ledger's entries.
+        led = exponent_ledger(params)
+        assert led["kappa_mu_minus_y_half"] == pytest.approx(2.5)
+        assert led["half_minus_y_half"] == pytest.approx(-4.5)
         forms = margin_exponent_forms(params)
-        assert forms["leading_exponent"] == pytest.approx(2.5)
-        assert forms["common_exponent"] == pytest.approx(-4.5)
+        a = params.a
+        assert forms["factored"] == pytest.approx(
+            (a ** led["kappa_mu_minus_y_half"] * forms["o1_slot"]
+             - forms["c2_slot"]) * a ** led["half_minus_y_half"], rel=1e-15)
 
     def test_ledger_entries(self, params):
         led = exponent_ledger(params)
@@ -121,12 +126,6 @@ class TestClassify:
         cls = classify_regime(params, ubar)
         assert cls.status == INCONCLUSIVE
         assert any("delta^(3/2)" in r for r in cls.reasons)
-
-    def test_upper_side_never_violates(self, params):
-        d = derive(params)
-        for frac in (0.0, 0.5, 0.999, 1.0):
-            ub = d.ubar_start + frac * (d.ubar_lambda - d.ubar_start)
-            assert classify_regime(params, ub).upper_side == VIOLATED_NEVER
 
     def test_requires_coupling(self):
         p = RegimeParameters(mu=12.5, penrose_coupling=False)

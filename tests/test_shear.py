@@ -10,7 +10,7 @@ import pytest
 
 from horizonlab import shear
 from horizonlab.errors import ConstraintError, ResolutionError
-from horizonlab.regime import RegimeParameters
+from horizonlab.regime import RegimeParameters, derive
 from horizonlab.shear import (ProfileSpec, ShearProfile, build_profile,
                               scale_critical_norm, verify_profile)
 from horizonlab.sphere import SphereGrid, get_grid
@@ -79,10 +79,21 @@ class TestBuildIdentities:
 
 class TestFeasibilityErrors:
     def test_c1_floor(self, grid_small):
+        # The builder refuses c1 < 20 under the name validate gives it.
         p = RegimeParameters(c1=10.0)
         with pytest.raises(ConstraintError) as err:
             build_profile(p, ProfileSpec(n_ubar=129), grid_small)
-        assert "f_budget" in err.value.constraint
+        with pytest.raises(ConstraintError) as want:
+            derive(p)
+        assert err.value.constraint == want.value.constraint == "c1_floor"
+
+    def test_c2_floor(self, grid_small):
+        p = RegimeParameters(c2_zeta=10.0)
+        with pytest.raises(ConstraintError) as err:
+            build_profile(p, ProfileSpec(n_ubar=129), grid_small)
+        with pytest.raises(ConstraintError) as want:
+            derive(p)
+        assert err.value.constraint == want.value.constraint == "c2_floor"
 
     def test_lambda_headroom(self, grid_small):
         p = RegimeParameters(lambda_hi=0.93)   # > lambda*(1+o1) = 0.924
@@ -91,10 +102,14 @@ class TestFeasibilityErrors:
         assert err.value.constraint == "averaged_angular_independence"
 
     def test_dominance_conflict(self, grid_small):
-        p = RegimeParameters(d0=10.0)          # 1/o1 = 20 is forced
-        with pytest.raises(ConstraintError) as err:
-            build_profile(p, ProfileSpec(n_ubar=129), grid_small)
-        assert err.value.constraint == "dominant_contribution"
+        # 1/o1 = 20 is forced: the profile builds, and the verifier's
+        # dominance_ratio check is the one that refuses d0 = 10.
+        p = RegimeParameters(d0=10.0)
+        profile = build_profile(p, ProfileSpec(n_ubar=129), grid_small)
+        report = verify_profile(profile)
+        assert [c.name for c in report.failing()] == ["dominance_ratio"]
+        assert report["dominance_ratio"]["measured"] \
+            == pytest.approx(1 / p.o1 - p.d0, rel=1e-6)
 
     def test_resolution_floor(self, grid_small, params):
         with pytest.raises(ResolutionError):
@@ -638,14 +653,38 @@ def expanded_amp2(profile, ubar):
     Y = shear.angular_wobble(g.theta_2d, g.phi_2d)
     f = 1.0 + m.wf * np.sin(np.pi * ubar / m.ulam) * Y
     df = m.wf * (np.pi / m.ulam) * np.cos(np.pi * ubar / m.ulam) * Y
+    # rho' = rho(t) rho(1 - t) (1/t^2 + 1/(1-t)^2): b/(a+b) is the ramp
+    # at 1 - t, so the slope comes from two ramp values.
     t = ubar / m.w0
-    r = shear.smoothramp(np.array([t, t + shear.RAMP_H, t - shear.RAMP_H]))
-    rho, drho = r[0], (r[1] - r[2]) / (2.0 * shear.RAMP_H) / m.w0
+    rho = shear.smoothramp(t)
+    drho = 0.0
+    if 0.0 < t < 1.0:
+        drho = rho * shear.smoothramp(1.0 - t) \
+            * (1.0 / t ** 2 + 1.0 / (1.0 - t) ** 2) / m.w0
     zb, dzb = m.zbar(ubar), m.dzbar(ubar)
     core = m.A * ((df * ubar + f) * rho + f * ubar * drho)
     main = core * zb + dzb * (m.A * f * ubar * rho - m.four_m0)
     return shear._repaid(main, m.gate(ubar, g.theta_2d, g.phi_2d),
                          profile.kappa_repay, m.repay_shape(ubar))
+
+
+def test_ramp_slope_against_mpmath():
+    # The slope amp2_factors reads, against a 40-digit numerical derivative
+    # of the ramp: a central difference in doubles is off by about 1e-9.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+
+    def ramp(s):
+        return mpmath.exp(-1 / s) / (mpmath.exp(-1 / s)
+                                     + mpmath.exp(-1 / (1 - s)))
+
+    t = np.linspace(0.002, 0.998, 301)
+    rho, slope = shear.smoothramp_and_slope(t)
+    want = np.array([float(mpmath.diff(ramp, mpmath.mpf(x))) for x in t])
+    assert rho.tobytes() == shear.smoothramp(t).tobytes()
+    assert np.max(np.abs(slope - want)) <= 1e-14 * np.max(np.abs(want))
+    _, edge = shear.smoothramp_and_slope(np.array([-1.0, 0.0, 1.0, 2.0]))
+    assert edge.tolist() == [0.0] * 4
 
 
 class TestAmp2Factors:
