@@ -21,8 +21,9 @@ constant-coefficient case has the explicit solution R = M0/2, and
 G(., 1) recovers the discretized trchi' = 0 equation.  Each Newton step
 solves the exact linearization (including the metric-variation terms)
 matrix-free with the restarted GMRES below (Saad and Schultz, SIAM J.
-Sci. Stat. Comput. 7 (1986) 856), left-preconditioned by a
-constant-coefficient Helmholtz inverse applied in the harmonic basis.
+Sci. Stat. Comput. 7 (1986) 856), right-preconditioned by a
+constant-coefficient Helmholtz inverse in the harmonic basis and run in
+the quadrature inner product.
 The linear solves are inexact (Dembo, Eisenstat & Steihaug, SIAM J.
 Numer. Anal. 19 (1982) 400; Eisenstat & Walker, SIAM J. Sci. Comput. 17
 (1996) 16): each is only as tight as its step needs, with a forcing term
@@ -240,30 +241,27 @@ def _hessian_max(grid, values):
 
 
 def gmres(matvec, b, psolve, rtol, restart, maxiter):
-    """Restarted GMRES from x = 0, left-preconditioned by ``psolve``.
+    """Restarted GMRES from x = 0, right-preconditioned by ``psolve``.
 
     Returns (x, info, iterations); info is 0 when |b - A x| <= rtol |b|
-    and ``maxiter`` otherwise.  A cycle ends at breakdown or once the
-    preconditioned residual meets rtol |M b|, a target each restart
-    rescales by the share of rtol |b| the true residual still misses.
+    and ``maxiter`` otherwise.  A cycle minimizes the true residual (Saad,
+    *Iterative Methods for Sparse Linear Systems*, 2nd ed., 9.3.2) and
+    stops once its estimate meets rtol |b|; x sums the stored M v_k.  A
+    restart or a breakdown (whose estimate may be void) takes |b - A x|.
     """
     restart = min(restart, b.size)
     eps = np.finfo(float).eps
-    atol = rtol * np.linalg.norm(b)
-    mb = psolve(b)
-    ptol = rtol * np.linalg.norm(mb)
-    x, r = np.zeros(b.shape), b
-    v = np.empty((restart + 1,) + b.shape)
+    x, r, rnorm = np.zeros(b.shape), b, np.linalg.norm(b)
+    atol = rtol * rnorm
     h = np.zeros((restart, restart))        # row j: Hessenberg column j
-    iterations, factor = 0, 1.0
+    iterations = 0
     for _ in range(maxiter):
-        v[0] = mb if r is b else psolve(r)
         S = np.zeros(restart + 1)
-        S[0] = np.linalg.norm(v[0])
-        v[0] *= 1.0 / S[0]
-        rotations = []
+        S[0] = rnorm
+        v, z, rotations = [r * (1.0 / rnorm)], [], []
         for j in range(restart):
-            w = psolve(matvec(v[j]))
+            z.append(np.array(psolve(v[j])))  # psolve may reuse a buffer
+            w = matvec(z[j])
             h0 = np.linalg.norm(w)
             for k in range(j + 1):
                 h[j, k] = np.vdot(v[k], w)
@@ -271,7 +269,6 @@ def gmres(matvec, b, psolve, rtol, restart, maxiter):
             h1 = np.linalg.norm(w)
             breakdown = h1 <= eps * h0
             g = 0.0 if breakdown else h1
-            v[j + 1] = w if breakdown else w * (1.0 / h1)
             for k, (c, s) in enumerate(rotations):
                 h[j, k], h[j, k + 1] = (c * h[j, k] + s * h[j, k + 1],
                                         c * h[j, k + 1] - s * h[j, k])
@@ -284,22 +281,21 @@ def gmres(matvec, b, psolve, rtol, restart, maxiter):
                 c, s = abs(f) / d, g / h[j, j]
             rotations.append((c, s))
             S[j], S[j + 1] = c * S[j], -s * S[j]
-            presid = abs(S[j + 1])
             iterations += 1
-            if presid <= ptol or breakdown:
+            if abs(S[j + 1]) <= atol or breakdown:
                 break
+            v.append(w * (1.0 / h1))
         y = S[:j + 1]           # a zero pivot (a singular system) drops
         for k in range(j, -1, -1):      # its component: a pseudo-solve
             y[k] = y[k] / h[k, k] if h[k, k] != 0.0 else 0.0
             y[:k] -= y[k] * h[k, :k]
-        x += np.tensordot(y, v[:j + 1], 1)
+        x += np.tensordot(y, z, 1)
+        if abs(S[j + 1]) <= atol and not breakdown:
+            return x, 0, iterations
         r = b - matvec(x)
         rnorm = np.linalg.norm(r)
         if rnorm <= atol or breakdown:
             break
-        factor = (max(eps, 0.25 * factor) if presid <= ptol
-                  else min(1.0, 1.5 * factor))
-        ptol = presid * min(factor, atol / rnorm)
     return x, 0 if rnorm <= atol else maxiter, iterations
 
 
@@ -310,14 +306,14 @@ def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage, aux=None):
 
     The stage stops at its target norm: ``tol_abs``, or 0.1 ``tol_abs`` on
     the stages whose iterate ``solve_slice`` returns ("final", "direct").
-    Each GMRES solve runs to the relative residual
-    max(lin_tol, FORCING target / |G|), which leaves a linear residual of
-    about FORCING target, far below what the step has to reach.  GMRES
-    runs only while |G| > target, so no step is solved looser than FORCING
-    relative (one just above its target), and only one FORCING / lin_tol
-    targets away (1e7 by default) or more to ``lin_tol``.  A stalled
-    backtrack returns the iterate when it is already within ``tol_abs``,
-    and raises otherwise."""
+    Each GMRES solve runs until its true residual, in the quadrature norm
+    that measures |G|, is max(lin_tol, FORCING target / |G|) relative,
+    which leaves a linear residual of about FORCING target, far below
+    what the step has to reach.  GMRES runs only while |G| > target, so
+    no step is solved looser than FORCING relative (one just above its
+    target), and only one FORCING / lin_tol targets away (1e7 by default)
+    or more to ``lin_tol``.  A stalled backtrack returns the iterate when
+    it is already within ``tol_abs``, and raises otherwise."""
     grid = problem.grid
     target = tol_abs * (0.1 if stage in ("final", "direct") else 1.0)
     l = np.arange(grid.lmax + 1, dtype=float)
@@ -359,9 +355,12 @@ def _newton(problem, Rv, opts, tol_abs, c_scale, trace, stage, aux=None):
             perp = v - grid.synthesize(coeff)
             return band + perp / diag_safe
 
+        qw = np.sqrt(grid.weights)      # GMRES in |G|'s quadrature norm
         rtol = max(opts.lin_tol, FORCING * target / norm)
-        dR, info, iters = gmres(matvec, -R2 * res, precond,
-                                rtol, GMRES_RESTART, GMRES_MAXITER)
+        dR, info, iters = gmres(lambda v: qw * matvec(v / qw), -qw * R2 * res,
+                                lambda v: qw * precond(v / qw), rtol,
+                                GMRES_RESTART, GMRES_MAXITER)
+        dR /= qw
         rec["gmres_iters"].append(iters)
         if not np.all(np.isfinite(dR)):
             raise _NewtonFail(f"linear solve broke down (info={info})")

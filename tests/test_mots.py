@@ -211,9 +211,9 @@ class TestGmres:
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_restart_reaches_true_tolerance(self):
-        # Jacobi over four decades: the preconditioned residual meets
-        # rtol |M b| before the true one meets rtol |b|, so the restarts
-        # must aim lower than the first target to converge at all
+        # Jacobi over four decades: an 11-vector cycle stops short of
+        # rtol |b|, so the restarts must carry the solve on from the true
+        # residual to converge at all
         rng = np.random.default_rng(1)
         d = np.logspace(0, 4, 20)
         A = np.diag(d) + rng.standard_normal((20, 20))
@@ -222,11 +222,12 @@ class TestGmres:
         assert info == 0
         assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
 
-    def test_preconditioned_rhs_applied_once(self, system):
-        # M b sets the first cycle's target and is its first basis
-        # vector, so psolve runs once per iteration and once per cycle.
-        # It may return one reused buffer, as an in-place preconditioner
-        # would: x, info and the iterations equal a fresh-copy run's.
+    def test_one_product_per_iteration_and_restart(self, system):
+        # Right preconditioning: each iteration applies psolve and matvec
+        # once, each restart takes one true residual, and a cycle that
+        # meets the target takes none.  psolve may return one reused
+        # buffer, as an in-place preconditioner would: x, info and the
+        # iterations equal a fresh-copy run's.
         A, b = system
         d = np.diag(A).copy()
         calls = {"psolve": 0, "matvec": 0}
@@ -240,14 +241,33 @@ class TestGmres:
             calls["matvec"] += 1
             return A @ v
 
-        x, info, iterations = gmres(matvec, b, psolve, 1e-12, 3, 8)
-        cycles = calls["matvec"] - iterations     # one residual per cycle
-        assert cycles >= 2
-        assert calls["psolve"] == iterations + cycles
+        restart = 6
+        x, info, iterations = gmres(matvec, b, psolve, 1e-12, restart, 20)
+        assert info == 0
+        restarts = (iterations - 1) // restart
+        assert restarts >= 2
+        assert calls["psolve"] == iterations
+        assert calls["matvec"] == iterations + restarts
         x_ref, info_ref, iterations_ref = gmres(
-            lambda v: A @ v, b, lambda v: v / d, 1e-12, 3, 8)
+            lambda v: A @ v, b, lambda v: v / d, 1e-12, restart, 20)
         assert x.tobytes() == x_ref.tobytes()
         assert (info, iterations) == (info_ref, iterations_ref)
+
+    @pytest.mark.parametrize("restart", [3, 60])
+    @pytest.mark.parametrize("rtol", [1e-4, 1e-8, 1e-12])
+    def test_reported_residual_is_true(self, system, rtol, restart):
+        # info == 0 exactly when the residual recomputed with A meets
+        # rtol |b|, so the Krylov estimate a converged cycle stops on must
+        # hold: on the Jacobi system and the four-decade one, with
+        # restarts that stall and restarts that converge
+        rng = np.random.default_rng(1)
+        wide = np.diag(np.logspace(0, 4, 20)) + rng.standard_normal((20, 20))
+        for A, b in (system, (wide, rng.standard_normal(20))):
+            d = np.diag(A).copy()
+            x, info, _ = gmres(lambda v: A @ v, b, lambda v: v / d,
+                               rtol, restart, 8)
+            met = np.linalg.norm(b - A @ x) <= rtol * np.linalg.norm(b)
+            assert (info == 0) == met
 
     def test_exhausted_iterations_report_info(self, system):
         A, b = system
